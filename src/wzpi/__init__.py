@@ -73,7 +73,6 @@ from .wz import (
     MissingCertificate,
     PoleOnLattice,
     WZIdentity,
-    check_base_case,
     g_value,
     telescoping_probe,
     verify_certificate,
@@ -109,7 +108,6 @@ __all__ = [
     "WZIdentity",
     "builtin_record",
     "carlson_point_check",
-    "check_base_case",
     "g_value",
     "gosper_normal_form",
     "gosper_solve",

@@ -12,11 +12,9 @@ normalized sign, always in lowest terms.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Rat = Fraction
-
-Exponents = "tuple[int, int]"
 Scalar = Union[Rat, int]
 
 
@@ -262,28 +260,6 @@ def _coerce(x: "Poly2 | Scalar") -> Poly2:
     if isinstance(x, Poly2):
         return x
     return Poly2.const(x)
-
-
-# Spec-shaped functional aliases -------------------------------------------
-
-def poly_add(a: Poly2, b: Poly2) -> Poly2:
-    return a + b
-
-
-def poly_mul(a: Poly2, b: Poly2) -> Poly2:
-    return a * b
-
-
-def poly_neg(a: Poly2) -> Poly2:
-    return -a
-
-
-def poly_eval(a: Poly2, n: Scalar, k: Scalar) -> Rat:
-    return a.eval(n, k)
-
-
-def poly_shift(a: Poly2, var: str, delta: Scalar) -> Poly2:
-    return a.shift(var, delta)
 
 
 class RatFunc2:

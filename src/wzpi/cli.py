@@ -3,14 +3,18 @@
 Subcommands: list, verify, sum, synth, numeric, pi.  Every subcommand accepts
 --json, which writes a single machine-readable document to stdout (a
 RunReport object, or an array of them for --all); human-readable diagnostics
-go to stderr.  Exit codes: 0 all checks passed, 1 at least one check failed,
-2 usage or parse error, 3 a series failed to converge.
+go to stderr.  Exit codes: 0 all checks passed, 1 at least one check failed
+(or the engine reported an internal error), 2 usage or parse error, 3 a series
+failed to converge, 141 stdout was closed before the output was written (a
+broken pipe, as when piped into ``head``; 128 + SIGPIPE, the status a shell
+reports for a process that signal ends).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -25,20 +29,20 @@ from .catalog import (
     SemanticError,
     UnknownIdentity,
     builtin_record,
-    load_identity_file,
     parse_identity,
     serialize_identity,
 )
 from .algebra import ratfunc_equal
 from .gosper import DegenerateRatio, synthesize_certificate
 from .numeric import NoConvergence, NumericConfig, carlson_point_check, pi_from_series
-from .terms import PoleError, rhs_exact, term_value, termination_bound
-from .wz import verify_certificate, verify_exact_sums
+from .terms import PoleError
+from .wz import row_sum, verify_certificate, verify_exact_sums
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass
@@ -178,13 +182,12 @@ def cmd_sum(args) -> int:
         print(f"error: {rec.name} has no closed form to compare against",
               file=sys.stderr)
         return EXIT_USAGE
-    bound = termination_bound(ident.term, n)
-    if bound is None:
+    try:
+        lhs, rhs = row_sum(ident, n)
+    except ValueError:
         print(f"error: the {rec.name} series does not terminate at integer n",
               file=sys.stderr)
         return EXIT_USAGE
-    lhs = sum(term_value(ident.term, Fraction(n), k) for k in range(bound + 1))
-    rhs = rhs_exact(ident.rhs, n)
     equal = lhs == rhs
     if args.json:
         _emit({"identity": rec.name, "n": n, "lhs": str(lhs), "rhs": str(rhs),
@@ -212,9 +215,10 @@ def cmd_synth(args) -> int:
         _emit(asdict(rep), args.json) if args.json else _print_report(rep)
         return EXIT_CHECK_FAILED
     if result.status != "Summable":
-        rep.add("synthesis", "fail",
-                f"status {result.status}, degree bound {result.degree_bound_used}",
-                started)
+        detail = f"status {result.status}, degree bound {result.degree_bound_used}"
+        if result.report is not None:
+            detail += f"; {result.report.failure_detail}"
+        rep.add("synthesis", "fail", detail, started)
         _emit(asdict(rep), args.json) if args.json else _print_report(rep)
         return EXIT_CHECK_FAILED
     cert = result.certificate
@@ -383,7 +387,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ParseError, SemanticError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -402,6 +414,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

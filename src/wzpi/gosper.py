@@ -36,7 +36,8 @@ from math import comb, gcd as _igcd, lcm as _ilcm
 from typing import Optional, Sequence
 
 from .algebra import Poly2, RatFunc2, Rat
-from .terms import shift_quotient_k_parts, shift_quotient_n_parts
+from .terms import (factor_product, shift_quotient_k_parts, shift_quotient_n,
+                    shift_quotient_n_parts)
 from .unipoly import RatFn, UniPoly, interpolate
 from .wz import CertReport, WZIdentity, verify_certificate
 
@@ -146,10 +147,6 @@ class UniPolyQn:
                 out[i + j] = out[i + j] + a * b
         return UniPolyQn(out)
 
-    def scale(self, c) -> "UniPolyQn":
-        c = _ratfn(c)
-        return UniPolyQn([a * c for a in self.coeffs])
-
     def shift(self, delta) -> "UniPolyQn":
         """Substitute k -> k + delta for a rational constant delta."""
         delta = Fraction(delta)
@@ -198,13 +195,7 @@ class UniPolyQn:
 
     def clear_denominators(self) -> tuple[list[UniPoly], UniPoly]:
         """Return (coefficients scaled to Q[n], common multiplier L(n))."""
-        L = UniPoly.const(1)
-        for c in self.coeffs:
-            L = L.lcm(c.den)
-        cleared = []
-        for c in self.coeffs:
-            cleared.append(c.num * L.exact_div(c.den))
-        return cleared, L
+        return _clear_denominators(self.coeffs)
 
     def to_ratfunc2(self) -> RatFunc2:
         """Express as a bivariate quotient num(n,k)/den(n)."""
@@ -215,6 +206,15 @@ class UniPolyQn:
                 if a:
                     terms[(i, j)] = a
         return RatFunc2(Poly2(terms), _unipoly_to_poly2_n(L))
+
+
+def _clear_denominators(coeffs: Sequence[RatFn]) -> tuple[list[UniPoly], UniPoly]:
+    """Scale each entry by the lcm L(n) of the denominators; returns (entries
+    in Q[n], L).  Zero entries stay, so a solver row keeps its length."""
+    L = UniPoly.const(1)
+    for c in coeffs:
+        L = L.lcm(c.den)
+    return [c.num * L.exact_div(c.den) for c in coeffs], L
 
 
 def _unipoly_to_poly2_n(p: UniPoly) -> Poly2:
@@ -460,13 +460,6 @@ def gosper_normal_form(
 # -- linear solver -------------------------------------------------------------
 
 
-def _row_cleared(row: list[RatFn]) -> list[UniPoly]:
-    L = UniPoly.const(1)
-    for c in row:
-        L = L.lcm(c.den)
-    return [c.num * L.exact_div(c.den) for c in row]
-
-
 def _solve_ratfn_system(
     rows: list[list[RatFn]], ncols: int
 ) -> Optional[tuple[list[RatFn], list[int]]]:
@@ -477,7 +470,7 @@ def _solve_ratfn_system(
     None when inconsistent.  Elimination is fraction-free (Bareiss) on
     denominator-cleared rows, so every division is exact.
     """
-    M = [_row_cleared(r) for r in rows]
+    M = [_clear_denominators(r)[0] for r in rows]
     nrows = len(M)
     prev = UniPoly.const(1)
     pivots: list[tuple[int, int]] = []
@@ -620,13 +613,6 @@ def _cancel_common(
     return keep_num, keep_den, scalar
 
 
-def _product(factors: list[Poly2]) -> Poly2:
-    out = Poly2.const(1)
-    for f in factors:
-        out = out * f
-    return out
-
-
 def h_ratio(ident: WZIdentity) -> RatFunc2:
     """Shift quotient H(k+1)/H(k) of the WZ difference, as a reduced-by-
     construction bivariate quotient.
@@ -636,17 +622,16 @@ def h_ratio(ident: WZIdentity) -> RatFunc2:
     factored parts lets long Pochhammer chains cancel without expansion.
     """
     rk_num, rk_den, z = shift_quotient_k_parts(ident.term)
-    s_num, s_den, s_scale = shift_quotient_n_parts(ident.term, ident.rhs)
-    sn = _product(s_num) * Poly2.const(s_scale.numerator)
-    sd = _product(s_den) * Poly2.const(s_scale.denominator)
-    w = sn - sd
+    _, s_den, _ = shift_quotient_n_parts(ident.term, ident.rhs)
+    s = shift_quotient_n(ident.term, ident.rhs)
+    w = s.num - s.den
     if w.is_zero:
         raise DegenerateRatio("n-shift quotient is identically 1")
     num_parts = list(rk_num) + list(s_den)
     den_parts = list(rk_den) + [f.shift("k", 1) for f in s_den]
     num_parts, den_parts, scalar = _cancel_common(num_parts, den_parts)
-    num = _product(num_parts) * w.shift("k", 1) * Poly2.const(z * scalar)
-    den = _product(den_parts) * w
+    num = factor_product(num_parts, z * scalar) * w.shift("k", 1)
+    den = factor_product(den_parts) * w
     return RatFunc2(num, den)
 
 
@@ -657,9 +642,14 @@ def h_ratio(ident: WZIdentity) -> RatFunc2:
 class GosperResult:
     """Outcome of a certificate synthesis run.
 
-    status is "Summable" (certificate present and fully verified) or
-    "NotSummable" (no polynomial solution within the degree bound).  A
-    degenerate input (WZ difference identically zero) raises DegenerateRatio
+    status is one of
+      "Summable"    certificate present and fully verified;
+      "NotSummable" no polynomial solution within the degree bound;
+      "NotProved"   the synthesized certificate satisfies the WZ relation but
+                    fails the boundary column or the base case, so it proves
+                    nothing (the closed form is wrong); certificate is None
+                    and report says which check failed.
+    A degenerate input (WZ difference identically zero) raises DegenerateRatio
     instead of producing a result.
     """
 
@@ -674,15 +664,10 @@ def _certificate_from_solution(
     ident: WZIdentity, x: UniPolyQn, p: UniPolyQn, r: UniPolyQn
 ) -> RatFunc2:
     """Assemble R = (r(k-1) x(k) / p(k)) * (s - 1)."""
-    y_num = r.shift(-1) * x
-    a = y_num.to_ratfunc2()
+    a = (r.shift(-1) * x).to_ratfunc2()
     b = p.to_ratfunc2()
-    s_num, s_den, s_scale = shift_quotient_n_parts(ident.term, ident.rhs)
-    sn = _product(s_num) * Poly2.const(s_scale.numerator)
-    sd = _product(s_den) * Poly2.const(s_scale.denominator)
-    num = a.num * b.den * (sn - sd)
-    den = a.den * b.num * sd
-    return RatFunc2(num, den)
+    s = shift_quotient_n(ident.term, ident.rhs)
+    return RatFunc2(a.num * b.den * (s.num - s.den), a.den * b.num * s.den)
 
 
 def synthesize_certificate(ident: WZIdentity, *, n_scan: int = 12) -> GosperResult:
@@ -690,7 +675,9 @@ def synthesize_certificate(ident: WZIdentity, *, n_scan: int = 12) -> GosperResu
 
     The result carries status "Summable" only if the reassembled certificate
     passes the same verifier used for catalog certificates (symbolic residual,
-    k=0 column, base case); anything less is reported as a failure.
+    k=0 column, base case).  A failed boundary or base case gives "NotProved";
+    a failed symbolic check can only come from a solver bug and raises
+    RuntimeError.
     """
     ratio = h_ratio(ident)
     p, q, r, confirmed = _normal_form_impl(ratio)
@@ -706,8 +693,10 @@ def synthesize_certificate(ident: WZIdentity, *, n_scan: int = 12) -> GosperResu
             cert = _certificate_from_solution(ident, retry, p, r)
     trial = replace(ident, certificate=cert)
     report = verify_certificate(trial, n_scan=n_scan)
-    if not (report.symbolic_ok and report.boundary_ok and report.base_case_ok):
+    if not report.symbolic_ok:
         raise RuntimeError(
             f"synthesized certificate failed verification: {report.failure_detail}"
         )
+    if not (report.boundary_ok and report.base_case_ok):
+        return GosperResult("NotProved", None, bound, confirmed, report)
     return GosperResult("Summable", cert, bound, confirmed, report)

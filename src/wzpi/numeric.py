@@ -166,6 +166,26 @@ def _accelerated_alternating(a: list[float]) -> float:
     return s / d
 
 
+def _accelerated_sum(
+    t: HyperTerm, n: float, cfg: NumericConfig, terms: Optional[int] = None
+) -> float:
+    """Accelerated sum over k >= 0 of a strictly alternating series.
+
+    Uses `terms` terms, or (when None or 0) enough for cfg.target_abs_tol;
+    never more than cfg.max_terms.
+    """
+    m = terms or (
+        int(math.log(4.0 / cfg.target_abs_tol) / math.log(3.0 + math.sqrt(8.0))) + 3
+    )
+    m = min(m, cfg.max_terms)
+    ratio = _term_ratio(t, n)
+    t0 = term_numeric(t, n, 0)
+    a = [abs(t0)]
+    for k in range(m - 1):
+        a.append(a[-1] * abs(ratio(k)))
+    return math.copysign(1.0, t0) * _accelerated_alternating(a)
+
+
 def series_numeric(
     t: HyperTerm | WZIdentity, n: float, cfg: Optional[NumericConfig] = None
 ) -> float:
@@ -178,19 +198,13 @@ def series_numeric(
     if isinstance(t, WZIdentity):
         t = t.term
     cfg = cfg or NumericConfig()
-    ratio = _term_ratio(t, n)
-    t0 = term_numeric(t, n, 0)
     if cfg.acceleration == "alternating":
         if float(t.z) >= 0:
             raise ValueError("alternating acceleration needs negative z")
-        m = int(math.log(4.0 / cfg.target_abs_tol) / math.log(3.0 + math.sqrt(8.0))) + 3
-        m = min(m, cfg.max_terms)
-        a = [abs(t0)]
-        for k in range(m - 1):
-            a.append(a[-1] * abs(ratio(k)))
-        return math.copysign(1.0, t0) * _accelerated_alternating(a)
+        return _accelerated_sum(t, n, cfg)
+    ratio = _term_ratio(t, n)
     total = 0.0
-    tk = t0
+    tk = term_numeric(t, n, 0)
     for k in range(cfg.max_terms):
         total += tk
         nxt = tk * ratio(k)
@@ -274,17 +288,7 @@ def pi_from_series(
     cfg = cfg or NumericConfig(target_abs_tol=1e-13)
     t = load_builtin(name).term
     if float(t.z) < 0:
-        m = terms or (
-            int(math.log(4.0 / cfg.target_abs_tol) / math.log(3.0 + math.sqrt(8.0)))
-            + 3
-        )
-        m = min(m, cfg.max_terms)
-        ratio = _term_ratio(t, 0.0)
-        t0 = term_numeric(t, 0.0, 0)
-        a = [abs(t0)]
-        for k in range(m - 1):
-            a.append(a[-1] * abs(ratio(k)))
-        return 2.0 / (math.copysign(1.0, t0) * _accelerated_alternating(a))
+        return 2.0 / _accelerated_sum(t, 0.0, cfg, terms)
     total = 0.0
     tk = term_numeric(t, 0.0, 0)
     ratio = _term_ratio(t, 0.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import Poly2, Rat, RatFunc2
 
@@ -173,16 +173,18 @@ def shift_quotient_k_parts(t: HyperTerm) -> "tuple[list[Poly2], list[Poly2], Rat
     return num, den, t.z
 
 
+def factor_product(factors: list[Poly2], scale: Rat = 1) -> Poly2:
+    """scale times the product of the factors, expanded."""
+    out = Poly2.const(scale)
+    for f in factors:
+        out = out * f
+    return out
+
+
 def shift_quotient_k(t: HyperTerm) -> RatFunc2:
     """F(n,k+1)/F(n,k) as an explicit rational function of (n, k)."""
     num, den, scal = shift_quotient_k_parts(t)
-    np = Poly2.const(scal)
-    for f in num:
-        np = np * f
-    dp = Poly2.const(1)
-    for f in den:
-        dp = dp * f
-    return RatFunc2(np, dp)
+    return RatFunc2(factor_product(num, scal), factor_product(den))
 
 
 def shift_quotient_n_parts(t: HyperTerm, rhs: ClosedForm) \
@@ -227,15 +229,14 @@ def shift_quotient_n_parts(t: HyperTerm, rhs: ClosedForm) \
 
 
 def shift_quotient_n(t: HyperTerm, rhs: ClosedForm) -> RatFunc2:
-    """Fhat(n+1,k)/Fhat(n,k) as an explicit rational function of (n, k)."""
+    """Fhat(n+1,k)/Fhat(n,k) as an explicit rational function of (n, k).
+
+    The scalar 1/base enters as its numerator on top and its denominator
+    below, the scaling synthesized certificates are printed with.
+    """
     num, den, scal = shift_quotient_n_parts(t, rhs)
-    np = Poly2.const(scal)
-    for f in num:
-        np = np * f
-    dp = Poly2.const(1)
-    for f in den:
-        dp = dp * f
-    return RatFunc2(np, dp)
+    return RatFunc2(factor_product(num, scal.numerator),
+                    factor_product(den, scal.denominator))
 
 
 # -- structural reduction at the singular parameter value ----------------------

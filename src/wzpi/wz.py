@@ -9,13 +9,13 @@ through by Fhat; cross-multiplication decides it exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Poly2, Rat, RatFunc2
-from .terms import (ClosedForm, HyperTerm, PoleError, p_eval, poch_exact,
-                    rhs_exact, shift_quotient_k, shift_quotient_n, term_value,
+from .algebra import Rat, RatFunc2
+from .terms import (ClosedForm, HyperTerm, p_eval, poch_exact, rhs_exact,
+                    shift_quotient_k, shift_quotient_n, term_value,
                     termination_bound)
 from .unipoly import UniPoly
 
@@ -59,20 +59,6 @@ class CertReport:
         ran = [f for f in flags if f is not None]
         return bool(ran) and all(ran)
 
-    def merged(self, other: "CertReport") -> "CertReport":
-        def pick(a, b):
-            return b if b is not None else a
-        detail = "; ".join(x for x in (self.failure_detail, other.failure_detail) if x)
-        return CertReport(
-            identity_name=self.identity_name,
-            symbolic_ok=pick(self.symbolic_ok, other.symbolic_ok),
-            boundary_ok=pick(self.boundary_ok, other.boundary_ok),
-            base_case_ok=pick(self.base_case_ok, other.base_case_ok),
-            exact_sums_ok=pick(self.exact_sums_ok, other.exact_sums_ok),
-            n_checked=max(self.n_checked, other.n_checked),
-            failure_detail=detail,
-        )
-
 
 def _require_wz(ident: WZIdentity) -> None:
     if ident.kind != "wz" or ident.rhs is None:
@@ -106,27 +92,22 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
         raise MissingCertificate(f"{ident.name} carries no certificate")
     report = CertReport(identity_name=ident.name)
     cert = ident.certificate
+    problems = []
 
     residual = wz_residual(ident)
     report.symbolic_ok = residual.num.is_zero
     if not report.symbolic_ok:
-        nterms = len(residual.num.terms)
-        report.failure_detail = (
-            f"WZ residual is a nonzero rational function "
-            f"({nterms} monomials in the numerator)")
+        problems.append(f"WZ residual is a nonzero rational function "
+                        f"({len(residual.num.terms)} monomials in the numerator)")
 
-    num_at_0 = cert.num.eval_k(0)
-    den_at_0 = cert.den.eval_k(0)
-    report.boundary_ok = (not num_at_0) and bool(den_at_0)
+    report.boundary_ok = not cert.num.eval_k(0) and bool(cert.den.eval_k(0))
     if not report.boundary_ok:
-        report.failure_detail = "; ".join(
-            x for x in (report.failure_detail,
-                        "certificate does not vanish at k = 0") if x)
+        problems.append("certificate does not vanish at k = 0")
 
-    report.base_case_ok = check_base_case(ident)
+    total, expected = row_sum(ident, 0)
+    report.base_case_ok = total == expected
     if not report.base_case_ok:
-        report.failure_detail = "; ".join(
-            x for x in (report.failure_detail, "base case n = 0 sum differs") if x)
+        problems.append("base case n = 0 sum differs")
 
     poles = []
     for n in range(n_scan + 1):
@@ -137,21 +118,21 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
             if not cert.den.eval(n, k):
                 poles.append((n, k))
     if poles:
-        report.failure_detail = "; ".join(
-            x for x in (report.failure_detail,
-                        f"certificate denominator vanishes on support at {poles[:4]}")
-            if x)
+        problems.append(f"certificate denominator vanishes on support at {poles[:4]}")
+    report.failure_detail = "; ".join(problems)
     return report
 
 
-def check_base_case(ident: WZIdentity) -> bool:
-    """Exact equality of the n = 0 row sum with the closed form (which is 1)."""
-    _require_wz(ident)
-    bound = termination_bound(ident.term, 0)
+def row_sum(ident: WZIdentity, n: int) -> tuple[Rat, Rat]:
+    """Exact (sum of row n over its whole support, closed form at n).
+
+    Raises ValueError when the series does not terminate at n.
+    """
+    bound = termination_bound(ident.term, n)
     if bound is None:
-        raise ValueError(f"{ident.name}: series does not terminate at n = 0")
-    total = sum(term_value(ident.term, 0, k) for k in range(bound + 1))
-    return total == rhs_exact(ident.rhs, 0)
+        raise ValueError(f"{ident.name}: series does not terminate at n = {n}")
+    total = sum(term_value(ident.term, n, k) for k in range(bound + 1))
+    return total, rhs_exact(ident.rhs, n)
 
 
 def verify_exact_sums(ident: WZIdentity, n_max: int = 20) -> CertReport:
@@ -159,11 +140,7 @@ def verify_exact_sums(ident: WZIdentity, n_max: int = 20) -> CertReport:
     _require_wz(ident)
     report = CertReport(identity_name=ident.name)
     for n in range(n_max + 1):
-        bound = termination_bound(ident.term, n)
-        if bound is None:
-            raise ValueError(f"{ident.name}: series does not terminate at n = {n}")
-        total = sum(term_value(ident.term, n, k) for k in range(bound + 1))
-        expected = rhs_exact(ident.rhs, n)
+        total, expected = row_sum(ident, n)
         if total != expected:
             report.exact_sums_ok = False
             report.n_checked = n

@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
 
 import pytest
 
 from wzpi import BUILTIN_NAMES, builtin_record, parse_identity, serialize_identity
+from wzpi import cli
 from wzpi.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CHECK_FAILED,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -194,6 +198,16 @@ def test_synth_rejects_non_wz_identities(capsys):
     assert code == EXIT_USAGE
 
 
+def test_synth_of_a_false_identity_fails_with_the_reason(capsys, tmp_path):
+    from test_gosper import PERTURBED_PFAFF_SAALSCHUETZ
+    path = tmp_path / "ps_defect.identity"
+    path.write_text(PERTURBED_PFAFF_SAALSCHUETZ, encoding="utf-8")
+    code, out, _ = run(capsys, "synth", "--file", str(path))
+    assert code == EXIT_CHECK_FAILED
+    assert "synthesis: fail (status NotProved" in out
+    assert "certificate does not vanish at k = 0" in out
+
+
 # -- numeric ------------------------------------------------------------------------
 
 def test_numeric_standard_point(capsys):
@@ -254,6 +268,40 @@ def test_usage_error_on_missing_subcommand():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == EXIT_USAGE
+
+
+def test_engine_runtime_error_is_reported_without_traceback(capsys, monkeypatch):
+    def fail(ident):
+        raise RuntimeError("solver produced a non-solution")
+    monkeypatch.setattr(cli, "synthesize_certificate", fail)
+    code, out, err = run(capsys, "synth", "--id", "theorem1")
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == "error: solver produced a non-solution\n"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_exits_quietly_with_its_code(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "stdout"
+    with open(target, "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        code = main(["list", "--json"])
+        os.write(fh.fileno(), b"late output")  # stdout's descriptor is devnull now
+    assert code == EXIT_BROKEN_PIPE
+    assert capsys.readouterr().err == ""
+    assert target.read_bytes() == b""
 
 
 def test_conflicting_verify_selectors():

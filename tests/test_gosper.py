@@ -23,6 +23,7 @@ from wzpi import (
     gosper_solve,
     h_ratio,
     load_builtin,
+    parse_identity,
     rhs_exact,
     synthesize_certificate,
     term_value,
@@ -307,3 +308,30 @@ def test_synthesis_never_blesses_a_false_identity():
         return
     assert result.status == "NotSummable"
     assert result.certificate is None
+
+
+# Pfaff-Saalschuetz at (a, b, c) = (9, 2, 8/7) with its closed form perturbed
+# (c-a+1 for c-a): a certificate satisfies the WZ relation, yet R(n, 0) != 0.
+PERTURBED_PFAFF_SAALSCHUETZ = """\
+[identity]
+name = ps_defect
+kind = wz
+z = 1
+p = [1]
+fact_pow = 1
+num_poch = ["(-n)^1", "(9)^1", "(2)^1"]
+den_poch = ["(8/7)^1", "(-n+76/7)^1"]
+rhs_base = 1
+rhs_poch = ["(-48/7)^1", "(-6/7)^1", "(8/7)^-1", "(-69/7)^-1"]
+"""
+
+
+def test_wz_pair_with_a_failed_boundary_is_not_proved():
+    ident = parse_identity(PERTURBED_PFAFF_SAALSCHUETZ).to_identity()
+    result = synthesize_certificate(ident)
+    assert result.status == "NotProved"
+    assert result.certificate is None
+    report = result.report
+    assert report.symbolic_ok is True and report.base_case_ok is True
+    assert report.boundary_ok is False
+    assert "certificate does not vanish at k = 0" in report.failure_detail

@@ -115,11 +115,15 @@ def test_exact_sum_failure_is_reported_with_position():
     assert "mismatch at n = 1" in report.failure_detail
 
 
-def test_report_merging_combines_flags():
+def test_scaled_summand_fails_only_the_base_case():
+    # F -> 2F leaves both shift quotients, hence the WZ relation and the
+    # k = 0 column, unchanged; only the n = 0 row sum (2 against 1) differs.
     ident = load_builtin("theorem1")
-    merged = verify_certificate(ident).merged(verify_exact_sums(ident, n_max=3))
-    assert merged.symbolic_ok and merged.exact_sums_ok
-    assert merged.ok
+    term = replace(ident.term, prefactor_rational=ident.term.prefactor_rational * 2)
+    report = verify_certificate(replace(ident, term=term))
+    assert report.symbolic_ok is True and report.boundary_ok is True
+    assert report.base_case_ok is False
+    assert "base case n = 0 sum differs" in report.failure_detail
 
 
 # -- lattice values of G = R * (summand / closed form) -------------------------------
