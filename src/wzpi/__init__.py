@@ -12,7 +12,8 @@ Layers, bottom up:
 - ``wz``: certificate verification (symbolic residual, boundary column, base
   case) and exact finite-sum checks.
 - ``gosper``: certificate synthesis over Q(n) — ratio assembly, normal form,
-  degree-bounded linear solve, verified reassembly.
+  degree-bounded back-substitution for Gosper's equation, verified
+  reassembly.
 - ``numeric``: log-gamma kernel, series evaluation with alternating-series
   acceleration, continuation-point spot checks, pi estimators.
 - ``catalog``: the built-in identity database and the identity file format.

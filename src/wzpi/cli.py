@@ -29,7 +29,7 @@ from .catalog import (
     SemanticError,
     UnknownIdentity,
     builtin_record,
-    parse_identity,
+    load_identity_file,
     serialize_identity,
 )
 from .algebra import ratfunc_equal
@@ -87,8 +87,7 @@ def _emit(payload, as_json: bool) -> None:
 
 def _load_record(args) -> IdentityFile:
     if getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return parse_identity(fh.read())
+        return load_identity_file(args.file)
     return builtin_record(args.id)
 
 
@@ -153,6 +152,9 @@ def _verify_one(rec: IdentityFile, n_max: int, allow_errata: bool) -> RunReport:
 
 def cmd_verify(args) -> int:
     n_max = args.n_max
+    if n_max < 0:
+        print("error: --n-max must be a nonnegative integer", file=sys.stderr)
+        return EXIT_USAGE
     reports: list[RunReport] = []
     if args.all:
         for name in BUILTIN_NAMES:
@@ -304,6 +306,9 @@ def cmd_numeric(args) -> int:
 
 
 def cmd_pi(args) -> int:
+    if args.terms is not None and args.terms < 1:
+        print("error: --terms must be a positive integer", file=sys.stderr)
+        return EXIT_USAGE
     cfg = NumericConfig(target_abs_tol=args.tol)
     try:
         est = pi_from_series(args.series, cfg, terms=args.terms)

@@ -22,8 +22,9 @@ Pipeline (names follow the classical presentation):
                          and every candidate is confirmed with an exact gcd
                          over Q(n) before any factor is moved.
 3. ``gosper_solve``   -- degree-bound the unknown polynomial x(k) and solve
-                         ``q(k) x(k+1) - r(k-1) x(k) = p(k)`` by fraction-free
-                         elimination.
+                         ``q(k) x(k+1) - r(k-1) x(k) = p(k)`` by back-
+                         substitution: the system is triangular with at most
+                         one zero pivot, whose unknown the rows left over fix.
 4. ``synthesize_certificate`` -- reassemble ``R = (r(k-1) x(k) / p(k))(s - 1)``
                          and accept it only after the full verifier passes.
 """
@@ -195,7 +196,10 @@ class UniPolyQn:
 
     def clear_denominators(self) -> tuple[list[UniPoly], UniPoly]:
         """Return (coefficients scaled to Q[n], common multiplier L(n))."""
-        return _clear_denominators(self.coeffs)
+        L = UniPoly.const(1)
+        for c in self.coeffs:
+            L = L.lcm(c.den)
+        return [c.num * L.exact_div(c.den) for c in self.coeffs], L
 
     def to_ratfunc2(self) -> RatFunc2:
         """Express as a bivariate quotient num(n,k)/den(n)."""
@@ -206,15 +210,6 @@ class UniPolyQn:
                 if a:
                     terms[(i, j)] = a
         return RatFunc2(Poly2(terms), _unipoly_to_poly2_n(L))
-
-
-def _clear_denominators(coeffs: Sequence[RatFn]) -> tuple[list[UniPoly], UniPoly]:
-    """Scale each entry by the lcm L(n) of the denominators; returns (entries
-    in Q[n], L).  Zero entries stay, so a solver row keeps its length."""
-    L = UniPoly.const(1)
-    for c in coeffs:
-        L = L.lcm(c.den)
-    return [c.num * L.exact_div(c.den) for c in coeffs], L
 
 
 def _unipoly_to_poly2_n(p: UniPoly) -> Poly2:
@@ -457,52 +452,7 @@ def gosper_normal_form(
     return p, q, r
 
 
-# -- linear solver -------------------------------------------------------------
-
-
-def _solve_ratfn_system(
-    rows: list[list[RatFn]], ncols: int
-) -> Optional[tuple[list[RatFn], list[int]]]:
-    """Solve an augmented linear system over Q(n).
-
-    Rows are length ncols+1 (last entry is the right-hand side).  Returns
-    (solution with free unknowns set to zero, list of free column indices) or
-    None when inconsistent.  Elimination is fraction-free (Bareiss) on
-    denominator-cleared rows, so every division is exact.
-    """
-    M = [_clear_denominators(r)[0] for r in rows]
-    nrows = len(M)
-    prev = UniPoly.const(1)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not M[i][c].is_zero), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        for i in range(r + 1, nrows):
-            vic = M[i][c]
-            for j in range(c + 1, ncols + 1):
-                M[i][j] = (M[r][c] * M[i][j] - vic * M[r][j]).exact_div(prev)
-            M[i][c] = UniPoly()
-        prev = M[r][c]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if not M[i][ncols].is_zero:
-            return None
-    x = [RatFn.const(0)] * ncols
-    for ri, ci in reversed(pivots):
-        acc = RatFn(M[ri][ncols], 1)
-        for j in range(ci + 1, ncols):
-            if not M[ri][j].is_zero and not x[j].is_zero:
-                acc = acc - RatFn(M[ri][j], 1) * x[j]
-        x[ci] = acc / RatFn(M[ri][ci], 1)
-    pivot_cols = {ci for _, ci in pivots}
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    return x, free
+# -- polynomial solver ---------------------------------------------------------
 
 
 def _degree_bound(p: UniPolyQn, q: UniPolyQn, rm1: UniPolyQn) -> int:
@@ -521,44 +471,60 @@ def _degree_bound(p: UniPolyQn, q: UniPolyQn, rm1: UniPolyQn) -> int:
     return max(choices)
 
 
-def gosper_solve(
-    p: UniPolyQn, q: UniPolyQn, r: UniPolyQn, *, force_x0_zero: bool = False
-) -> Optional[UniPolyQn]:
+def _back_substitute(
+    rest: UniPolyQn, images: list[UniPolyQn], pivots: list[RatFn], top: int,
+    skip: Optional[int],
+) -> tuple[list[RatFn], UniPolyQn]:
+    """Solve L(x) = rest for x_d, ..., x_0 in turn, x_i from the coefficient
+    of k^(i+top), leaving out the zero-pivot column ``skip``.  Returns x and
+    the rows left over."""
+    x = [RatFn.const(0)] * len(images)
+    for i in range(len(images) - 1, -1, -1):
+        if i != skip and not rest.coeff(i + top).is_zero:
+            x[i] = rest.coeff(i + top) / pivots[i]
+            rest = rest - UniPolyQn([x[i]]) * images[i]
+    return x, rest
+
+
+def gosper_solve(p: UniPolyQn, q: UniPolyQn, r: UniPolyQn) -> Optional[UniPolyQn]:
     """Find polynomial x(k) with q(k) x(k+1) - r(k-1) x(k) = p(k).
 
-    Returns x or None when no polynomial solution exists within the degree
-    bound.  Free coefficients are set to zero; with ``force_x0_zero`` the
-    constant term is pinned to zero (used to normalize the certificate
-    boundary).
+    The images L(k^i) = q(k)(k+1)^i - r(k-1)k^i have degree at most i + top,
+    so the system is triangular and x_i is read off the coefficient of
+    k^(i+top), from x_d down.  That pivot vanishes for at most one i = sigma,
+    and only when lc(q) = lc(r(k-1)); x_sigma is then fixed by the rows the
+    back-substitution leaves over.  If those rows leave it free, the equation
+    has a polynomial kernel (the WZ difference is rational in k), and the
+    solution with x(0) = 0 is chosen, so that the certificate vanishes at
+    k = 0.  Returns None when no polynomial solution exists within the
+    degree bound.
     """
     rm1 = r.shift(-1)
     d = _degree_bound(p, q, rm1)
     if d < 0:
         return None
-    nrows = max(max(q.degree(), rm1.degree()) + d, p.degree()) + 1
-    rows: list[list[RatFn]] = []
-    for m in range(nrows):
-        row = []
-        for i in range(d + 1):
-            acc = RatFn.const(0)
-            for t in range(min(i, m) + 1):
-                qc = q.coeff(m - t)
-                if not qc.is_zero:
-                    acc = acc + qc * comb(i, t)
-            rc = rm1.coeff(m - i) if m >= i else RatFn.const(0)
-            if not rc.is_zero:
-                acc = acc - rc
-            row.append(acc)
-        row.append(p.coeff(m))
-        rows.append(row)
-    if force_x0_zero:
-        pin = [RatFn.const(0)] * (d + 2)
-        pin[0] = RatFn.const(1)
-        rows.append(pin)
-    solved = _solve_ratfn_system(rows, d + 1)
-    if solved is None:
+    top = max(q.degree(), rm1.degree())
+    if q.degree() == rm1.degree() and q.lc == rm1.lc:
+        top -= 1
+    images = [q * UniPolyQn([comb(i, t) for t in range(i + 1)])
+              - UniPolyQn([0] * i + list(rm1.coeffs)) for i in range(d + 1)]
+    pivots = [f.coeff(i + top) for i, f in enumerate(images)]
+    sigma = next((i for i, c in enumerate(pivots) if c.is_zero), None)
+    xs, rest = _back_substitute(p, images, pivots, top, sigma)
+    if sigma is not None:
+        # the direction h = k^sigma + g, with L(g) = -L(k^sigma) on the pivot rows
+        hs, rest_h = _back_substitute(-images[sigma], images, pivots, top, sigma)
+        hs[sigma] = RatFn.const(1)
+        if not rest_h.is_zero:
+            t = -rest.coeff(rest_h.degree()) / rest_h.lc
+        elif not hs[0].is_zero:
+            t = -xs[0] / hs[0]  # h is a kernel element: choose x(0) = 0
+        else:
+            t = RatFn.const(0)
+        xs = [a + t * b for a, b in zip(xs, hs)]
+        rest = rest + UniPolyQn([t]) * rest_h
+    if not rest.is_zero:
         return None
-    xs, _free = solved
     x = UniPolyQn(xs)
     # independent confirmation of the recurrence
     if q * x.shift(1) - rm1 * x != p:
@@ -686,11 +652,6 @@ def synthesize_certificate(ident: WZIdentity, *, n_scan: int = 12) -> GosperResu
     if x is None:
         return GosperResult("NotSummable", None, bound, confirmed)
     cert = _certificate_from_solution(ident, x, p, r)
-    # boundary normalization: require R(n, 0) = 0
-    if any(cert.num.eval_k(0)):
-        retry = gosper_solve(p, q, r, force_x0_zero=True)
-        if retry is not None:
-            cert = _certificate_from_solution(ident, retry, p, r)
     trial = replace(ident, certificate=cert)
     report = verify_certificate(trial, n_scan=n_scan)
     if not report.symbolic_ok:

@@ -122,6 +122,14 @@ def test_verify_missing_file(capsys):
     assert "error" in err
 
 
+def test_verify_rejects_a_negative_row_bound(capsys):
+    # n = 0..-1 would check nothing and still report a pass
+    code, out, err = run(capsys, "verify", "--id", "theorem1", "--n-max", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error: --n-max" in err
+
+
 def test_verify_malformed_file(capsys, tmp_path):
     path = tmp_path / "bad.identity"
     path.write_text("[identity]\nname = broken\n", encoding="utf-8")
@@ -248,6 +256,14 @@ def test_pi_unreachable_tolerance_fails(capsys):
     code, out, _ = run(capsys, "pi", "--series", "r1103", "--terms", "1",
                        "--tol", "1e-12")
     assert code == EXIT_CHECK_FAILED
+
+
+@pytest.mark.parametrize("series, terms", [("r1103", "0"), ("ramanujan", "-3")])
+def test_pi_rejects_a_term_count_below_one(capsys, series, terms):
+    code, out, err = run(capsys, "pi", "--series", series, "--terms", terms)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error: --terms" in err
 
 
 def test_pi_unknown_series():

@@ -201,6 +201,19 @@ def test_solver_sums_the_identity_summand_k():
     assert x == UniPolyQn([0, Fraction(-1, 2), Fraction(1, 2)])
 
 
+@pytest.mark.parametrize("b, expected", [
+    # of the solutions x = t(k+2) - 1, x(0) = 0 picks k/2
+    (2, [0, Fraction(1, 2)]),
+    # every solution t*k - 1 has x(0) = -1; x_sigma = 0 picks -1
+    (0, [-1]),
+])
+def test_solver_picks_the_kernel_solution_that_vanishes_at_zero(b, expected):
+    # a_k = 1/((k+b)(k+b+1)): q = k+b, r(k-1) = k+b+1, sigma = 1, and x = k+b
+    # spans the kernel
+    p, q, r = gosper_normal_form(RatFunc2(K + b, K + b + 2))
+    assert gosper_solve(p, q, r) == UniPolyQn(expected)
+
+
 def test_solver_rejects_factorial_growth():
     p, q, r = gosper_normal_form(RatFunc2(K + 1, 1))
     assert gosper_solve(p, q, r) is None
@@ -232,6 +245,28 @@ def test_solver_handles_power_sums(power):
         a_k = Fraction(k0) ** power
         a_k1 = Fraction(k0 + 1) ** power
         assert s_over_a_next * a_k1 - s_over_a * a_k == a_k
+
+
+@settings(max_examples=60)
+@given(poly2s(max_degree=2, max_terms=4), poly2s(max_degree=2, max_terms=4),
+       poly2s(max_degree=2, max_terms=4), st.booleans(),
+       st.integers(min_value=0, max_value=3))
+def test_solver_recovers_a_planted_solution(x2, q2, r2, equal_lc, sigma):
+    # the k^sigma term makes x_sigma, the unknown of a zero pivot, nonzero
+    x, q, rm1 = uqn(x2 + K ** sigma), uqn(q2), uqn(r2)
+    assume(not x.is_zero and not q.is_zero and not rm1.is_zero)
+    if equal_lc:
+        # lc(r(k-1)) = lc(q), with the pivot of x_sigma zero (sigma = 0 when
+        # q is a constant)
+        top = q.degree()
+        lower = [rm1.coeff(i) for i in range(top - 1)]
+        rm1 = q if top == 0 else UniPolyQn(
+            lower + [q.coeff(top - 1) + q.lc * sigma, q.lc])
+    p = q * x.shift(1) - rm1 * x
+    assume(not p.is_zero)
+    got = gosper_solve(p, q, rm1.shift(1))
+    assert got is not None
+    assert q * got.shift(1) - rm1 * got == p
 
 
 # -- ratio assembly -----------------------------------------------------------------
@@ -308,6 +343,64 @@ def test_synthesis_never_blesses_a_false_identity():
         return
     assert result.status == "NotSummable"
     assert result.certificate is None
+
+
+def hypergeometric_record(
+    num: list[tuple], den: list[tuple], rhs: list[tuple]
+) -> WZIdentity:
+    """sum_k prod (num)_k / (prod (den)_k k!) = prod (rhs)_n, as a record;
+    each factor is an (argument, exponent) pair."""
+    def poch(args):
+        return ", ".join(f'"({a})^{e}"' for a, e in args)
+    text = "\n".join([
+        "[identity]", "name = family", "kind = wz", "z = 1", "p = [1]",
+        "fact_pow = 1", f"num_poch = [{poch(num)}]", f"den_poch = [{poch(den)}]",
+        "rhs_base = 1", f"rhs_poch = [{poch(rhs)}]"]) + "\n"
+    return parse_identity(text).to_identity()
+
+
+def chu_vandermonde(b: Fraction, c: Fraction) -> WZIdentity:
+    # sum_k (-n)_k (b)_k / ((c)_k k!) = (c-b)_n / (c)_n
+    return hypergeometric_record([("-n", 1), (b, 1)], [(c, 1)],
+                                 [(c - b, 1), (c, -1)])
+
+
+def pfaff_saalschuetz(a: Fraction, b: Fraction, c: Fraction) -> WZIdentity:
+    # sum_k (-n)_k (a)_k (b)_k / ((c)_k (1+a+b-c-n)_k k!)
+    #   = (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n)
+    return hypergeometric_record(
+        [("-n", 1), (a, 1), (b, 1)], [(c, 1), (f"-n+{1 + a + b - c}", 1)],
+        [(c - a, 1), (c - b, 1), (c, -1), (c - a - b, -1)])
+
+
+@pytest.mark.parametrize("b, c, bound", [
+    # lc(q) = lc(r(k-1)), but sigma depends on n, so no pivot vanishes and
+    # the bound is deg p - deg q + 1
+    (Fraction(9), Fraction(8, 7), 9),
+    (Fraction(1, 3), Fraction(8, 7), 0),
+])
+def test_chu_vandermonde_is_summable(b, c, bound):
+    result = synthesize_certificate(chu_vandermonde(b, c))
+    assert result.status == "Summable"
+    assert result.degree_bound_used == bound
+
+
+@pytest.mark.parametrize("a, b, c, sigma", [
+    (Fraction(2), Fraction(8, 3), Fraction(8, 7), 2),
+    (Fraction(11, 2), Fraction(5), Fraction(8, 7), 5),
+])
+def test_pfaff_saalschuetz_with_a_zero_pivot_is_summable(a, b, c, sigma):
+    ident = pfaff_saalschuetz(a, b, c)
+    p, q, r = gosper_normal_form(h_ratio(ident))
+    rm1, top = r.shift(-1), q.degree()
+    # the pivot of x_sigma vanishes, and sigma, not deg p - deg q + 1, sets
+    # the degree bound
+    assert rm1.degree() == top and rm1.lc == q.lc
+    assert (rm1.coeff(top - 1) - q.coeff(top - 1)) / q.lc == sigma
+    assert p.degree() - top + 1 < sigma
+    result = synthesize_certificate(ident)
+    assert result.status == "Summable"
+    assert result.degree_bound_used == sigma
 
 
 # Pfaff-Saalschuetz at (a, b, c) = (9, 2, 8/7) with its closed form perturbed
