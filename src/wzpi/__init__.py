@@ -11,7 +11,8 @@ Layers, bottom up:
   catalog identity to the classical alternating series.
 - ``wz``: certificate verification (symbolic residual, boundary column, base
   case) and exact finite-sum checks.
-- ``gosper``: certificate synthesis over Q(n) — ratio assembly, normal form,
+- ``gosper``: certificate synthesis over Q(n) — the factored shift quotient,
+  the normal form from integer shifts between its linear factors,
   degree-bounded back-substitution for Gosper's equation, verified
   reassembly.
 - ``numeric``: log-gamma kernel, series evaluation with alternating-series

@@ -79,10 +79,16 @@ def _print_report(rep: RunReport) -> None:
               + (f" ({c.detail})" if c.detail else "") + f" [{c.millis} ms]")
 
 
-def _emit(payload, as_json: bool) -> None:
+def _emit(payload) -> None:
+    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
+def _show(rep: RunReport, as_json: bool) -> None:
     if as_json:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _emit(asdict(rep))
+    else:
+        _print_report(rep)
 
 
 def _load_record(args) -> IdentityFile:
@@ -106,7 +112,7 @@ def cmd_list(args) -> int:
             "erratum": rec.erratum,
         })
     if args.json:
-        _emit(rows, True)
+        _emit(rows)
     else:
         for r in rows:
             a = "-" if r["carlson_a"] is None else str(r["carlson_a"])
@@ -163,7 +169,7 @@ def cmd_verify(args) -> int:
         reports.append(_verify_one(_load_record(args), n_max, args.allow_errata))
     if args.json:
         payload = [asdict(r) for r in reports]
-        _emit(payload if args.all else payload[0], True)
+        _emit(payload if args.all else payload[0])
     else:
         for r in reports:
             _print_report(r)
@@ -193,7 +199,7 @@ def cmd_sum(args) -> int:
     equal = lhs == rhs
     if args.json:
         _emit({"identity": rec.name, "n": n, "lhs": str(lhs), "rhs": str(rhs),
-               "equal": equal}, True)
+               "equal": equal})
     else:
         print(f"LHS = {lhs}, RHS = {rhs}, {'equal' if equal else 'NOT equal'}")
     return EXIT_OK if equal else EXIT_CHECK_FAILED
@@ -214,14 +220,14 @@ def cmd_synth(args) -> int:
         result = synthesize_certificate(ident)
     except DegenerateRatio as exc:
         rep.add("synthesis", "fail", f"degenerate ratio: {exc}", started)
-        _emit(asdict(rep), args.json) if args.json else _print_report(rep)
+        _show(rep, args.json)
         return EXIT_CHECK_FAILED
     if result.status != "Summable":
         detail = f"status {result.status}, degree bound {result.degree_bound_used}"
         if result.report is not None:
             detail += f"; {result.report.failure_detail}"
         rep.add("synthesis", "fail", detail, started)
-        _emit(asdict(rep), args.json) if args.json else _print_report(rep)
+        _show(rep, args.json)
         return EXIT_CHECK_FAILED
     cert = result.certificate
     detail = (f"degree bound {result.degree_bound_used}, "
@@ -243,7 +249,7 @@ def cmd_synth(args) -> int:
         payload["certificate"] = {"num": str(cert.num), "den": str(cert.den)}
         if emitted:
             payload["emitted"] = emitted
-        _emit(payload, True)
+        _emit(payload)
     else:
         _print_report(rep)
         print(f"R_num = {cert.num}")
@@ -264,14 +270,18 @@ def cmd_numeric(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     tol = args.tol
-    point = Fraction(args.point) if args.point is not None else None
+    try:
+        point = Fraction(args.point) if args.point is not None else None
+    except ZeroDivisionError:
+        print(f"error: --point {args.point} has a zero denominator", file=sys.stderr)
+        return EXIT_USAGE
     rep = _new_report(rec.name)
     started = time.monotonic()
     try:
         chk = carlson_point_check(ident, point=point)
     except NoConvergence as exc:
         rep.add("series_convergence", "fail", str(exc), started)
-        _emit(asdict(rep), args.json) if args.json else _print_report(rep)
+        _show(rep, args.json)
         return EXIT_NO_CONVERGENCE
     at_default = point is None or (
         ident.carlson_a is not None and point == Fraction(-1, 2 * ident.carlson_a)
@@ -298,7 +308,7 @@ def cmd_numeric(args) -> int:
     else:
         rep.add("closed_form_vs_2_over_pi", "skip",
                 "off the standard continuation point", started)
-    _emit(asdict(rep), args.json) if args.json else _print_report(rep)
+    _show(rep, args.json)
     return EXIT_CHECK_FAILED if rep.failed else EXIT_OK
 
 
@@ -318,7 +328,7 @@ def cmd_pi(args) -> int:
     err = abs(est - math.pi)
     if args.json:
         _emit({"series": args.series, "estimate": est, "abs_error": err,
-               "terms": args.terms}, True)
+               "terms": args.terms})
     else:
         print(f"pi ~ {est!r}  |error| = {err:.3e}")
     return EXIT_OK if err <= args.tol else EXIT_CHECK_FAILED
@@ -407,7 +417,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UnknownIdentity as exc:
         print(f"unknown identity: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PoleError as exc:

@@ -12,15 +12,16 @@ normalized summand.
 
 Pipeline (names follow the classical presentation):
 
-1. ``h_ratio``        -- assemble ``rho(k) = H(k+1)/H(k)`` from the factored
-                         shift quotients, cancelling matching linear factors
-                         before anything is expanded.
+1. ``h_ratio``        -- factor ``rho(k) = H(k+1)/H(k)`` as
+                         ``z * prod(k+a_i)/prod(k+b_j) * w(k+1)/w(k)`` with
+                         every a_i, b_j linear in n, without expanding it.
 2. ``gosper_normal_form`` -- write ``rho = (q(k)/r(k)) * (p(k+1)/p(k))`` with
                          ``gcd(q(k), r(k+j)) = 1`` for every integer j >= 0.
-                         The shift offsets j that need attention come from a
-                         resultant-style probe (see ``dispersion_candidates``)
-                         and every candidate is confirmed with an exact gcd
-                         over Q(n) before any factor is moved.
+                         p starts as w and equal factors cancel.  Then each
+                         top factor k+a is paired with a bottom factor k+b at
+                         the smallest positive integer j = a - b (see
+                         ``dispersion_candidates``), and (k+b)...(k+b+j-1)
+                         moves into p.
 3. ``gosper_solve``   -- degree-bound the unknown polynomial x(k) and solve
                          ``q(k) x(k+1) - r(k-1) x(k) = p(k)`` by back-
                          substitution: the system is triangular with at most
@@ -30,16 +31,16 @@ Pipeline (names follow the classical presentation):
 """
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, gcd as _igcd, lcm as _ilcm
+from math import comb
 from typing import Optional, Sequence
 
 from .algebra import Poly2, RatFunc2, Rat
-from .terms import (factor_product, shift_quotient_k_parts, shift_quotient_n,
-                    shift_quotient_n_parts)
-from .unipoly import RatFn, UniPoly, interpolate
+from .terms import (factor_product, multiplier, shift_quotient_k_parts,
+                    shift_quotient_n, shift_quotient_n_parts)
+from .unipoly import RatFn, UniPoly
 from .wz import CertReport, WZIdentity, verify_certificate
 
 __all__ = [
@@ -77,11 +78,6 @@ class UniPolyQn:
         while cs and cs[-1].is_zero:
             cs.pop()
         self.coeffs: tuple[RatFn, ...] = tuple(cs)
-
-    # construction helpers
-    @classmethod
-    def const(cls, c) -> "UniPolyQn":
-        return cls([_ratfn(c)])
 
     @classmethod
     def from_poly2(cls, p: Poly2) -> "UniPolyQn":
@@ -163,30 +159,6 @@ class UniPolyQn:
                 power *= delta
         return UniPolyQn(out)
 
-    def divrem(self, other: "UniPolyQn") -> tuple["UniPolyQn", "UniPolyQn"]:
-        """Euclidean division; exact because the coefficients form a field."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree()
-        inv_lc = RatFn.const(1) / other.lc
-        q = [RatFn.const(0)] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c.is_zero:
-                continue
-            factor = c * inv_lc
-            q[i - d] = factor
-            for j, oc in enumerate(other.coeffs):
-                rem[i - d + j] = rem[i - d + j] - factor * oc
-        return UniPolyQn(q), UniPolyQn(rem)
-
-    def divexact(self, other: "UniPolyQn") -> "UniPolyQn":
-        q, r = self.divrem(other)
-        if not r.is_zero:
-            raise ArithmeticError("inexact polynomial division")
-        return q
-
     def eval_n(self, n0: Rat) -> UniPoly:
         """Specialize n, returning a univariate polynomial in k over Q.
 
@@ -216,237 +188,82 @@ def _unipoly_to_poly2_n(p: UniPoly) -> Poly2:
     return Poly2({(i, 0): c for i, c in enumerate(p.c) if c})
 
 
-# -- exact gcd over Q(n)[k] via evaluation and interpolation -------------------
-
-
-def _gcd_uqn(f: UniPolyQn, g: UniPolyQn) -> UniPolyQn:
-    """Gcd of two nonzero polynomials in Q(n)[k].
-
-    Strategy: specialize n at sample points, take cheap univariate gcds over
-    Q, interpolate the coefficients back to Q[n], and confirm by exact
-    division.  Unlucky sample points can only raise the specialized gcd
-    degree, so keeping the samples of minimal degree and verifying the
-    division makes the result exact.  Returns a constant 1 when coprime.
-    """
-    if f.is_zero or g.is_zero:
-        raise ValueError("gcd of a zero polynomial is not needed here")
-    fc, _ = f.clear_denominators()
-    gc, _ = g.clear_denominators()
-    lcf, lcg = fc[-1], gc[-1]
-    gamma = lcf.gcd(lcg)
-    deg_bound = gamma.degree + max(
-        max(c.degree for c in fc), max(c.degree for c in gc)
-    )
-    need = deg_bound + 1
-    samples: dict[Fraction, UniPoly] = {}
-    dstar: Optional[int] = None
-    n0 = Fraction(1)
-    attempts = 0
-    while True:
-        n0 += 1
-        attempts += 1
-        if attempts > 50 * (deg_bound + 4):
-            raise RuntimeError("gcd interpolation failed to stabilize")
-        if not lcf.eval(n0) or not lcg.eval(n0) or not gamma.eval(n0):
-            continue
-        fi = UniPoly([c.eval(n0) for c in fc])
-        gi = UniPoly([c.eval(n0) for c in gc])
-        hi = fi.gcd(gi)
-        di = hi.degree
-        if di == 0:
-            return UniPolyQn.const(1)
-        if dstar is None or di < dstar:
-            dstar = di
-            samples = {}
-        if di > dstar:
-            continue
-        samples[n0] = hi.monic() * gamma.eval(n0)
-        if len(samples) < need:
-            continue
-        cand = _interp_candidate(samples, dstar)
-        if cand is not None:
-            try:
-                f.divexact(cand)
-                g.divexact(cand)
-                return cand
-            except ArithmeticError:
-                pass
-        need += 4
-
-
-def _interp_candidate(
-    samples: dict[Fraction, UniPoly], deg_k: int
-) -> Optional[UniPolyQn]:
-    pts = sorted(samples.items())
-    coeffs_n: list[UniPoly] = []
-    for i in range(deg_k + 1):
-        series = [(x, h.coeff(i)) for x, h in pts]
-        coeffs_n.append(interpolate(series))
-    # strip the content over Q[n] so the factor is primitive
-    content = UniPoly()
-    for c in coeffs_n:
-        if c.is_zero:
-            continue
-        content = c if content.is_zero else content.gcd(c)
-        if content.degree == 0:
-            break
-    if content.is_zero:
-        return None
-    if content.degree > 0:
-        coeffs_n = [c.exact_div(content) for c in coeffs_n]
-    return UniPolyQn([RatFn(c, 1) for c in coeffs_n])
-
-
-# -- dispersion ----------------------------------------------------------------
-
-
-_DISP_PRIME = (1 << 61) - 1
-
-
-def _poly_mod(p: UniPoly, prime: int) -> Optional[list[int]]:
-    out = []
-    for c in p.c:
-        den = c.denominator % prime
-        if den == 0:
-            return None
-        out.append(c.numerator * pow(den, -1, prime) % prime)
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _gcd_degree_mod(a: list[int], b: list[int], prime: int) -> int:
-    while b:
-        inv = pow(b[-1], -1, prime)
-        db = len(b) - 1
-        r = list(a)
-        while len(r) - 1 >= db and r:
-            f = r[-1] * inv % prime
-            off = len(r) - 1 - db
-            for i, bc in enumerate(b):
-                r[off + i] = (r[off + i] - f * bc) % prime
-            while r and not r[-1]:
-                r.pop()
-        a, b = b, r
-    return len(a) - 1
-
-
-def _shift_mod(p: list[int], j: int, prime: int) -> list[int]:
-    out = [0] * len(p)
-    for i, c in enumerate(p):
-        if not c:
-            continue
-        power = 1
-        for t in range(i, -1, -1):
-            out[t] = (out[t] + c * comb(i, t) % prime * power) % prime
-            power = power * j % prime
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _root_bound(p: UniPoly) -> int:
-    """Integer upper bound on the magnitude of the complex roots of p.
-
-    Fujiwara's bound 2 * max_i |c_{d-i}/c_d|^(1/i) stays within a factor two
-    of the largest root, so it is safe to evaluate in floating point with a
-    small safety margin (an overestimate only lengthens the candidate scan).
-    """
-    d = p.degree
-    if d <= 0:
-        return 0
-    lead = abs(p.lc)
-    best = 0.0
-    for i in range(1, d + 1):
-        c = abs(p.coeff(d - i))
-        if not c:
-            continue
-        ratio = c / lead
-        # log-space to dodge float overflow on huge rational coefficients
-        log_mag = (math.log(ratio.numerator) - math.log(ratio.denominator)) / i
-        best = max(best, math.exp(log_mag))
-    return int(2.0 * best * 1.001) + 2
-
-
-def dispersion_candidates(q: UniPolyQn, r: UniPolyQn) -> list[int]:
-    """Integers j >= 0 at which gcd(q(k), r(k+j)) might be nontrivial.
-
-    The true dispersion set is the set of nonnegative integer roots of
-    Res_k(q(n,k), r(n,k+j)) as a polynomial in j over Q(n).  A resultant that
-    vanishes identically vanishes at every specialization of n, so probing a
-    single n0 where neither leading coefficient drops degree cannot miss a
-    true dispersion; it can only contribute spurious j, and every candidate
-    is confirmed with an exact gcd over Q(n) by the caller.  Integer roots of
-    the specialized resultant are root differences of the specialized
-    polynomials, so they are bounded by the sum of the two Cauchy root
-    bounds; each j in that range is tested with a gcd-degree probe modulo a
-    large prime (the resultant vanishes mod p iff the reductions share a
-    factor), which keeps the scan quadratic in the degrees.
-    """
-    if q.is_zero or r.is_zero or q.degree() == 0 or r.degree() == 0:
-        return []
-    qc, _ = q.clear_denominators()
-    rc, _ = r.clear_denominators()
-    prime = _DISP_PRIME
-    n0 = 0
-    while True:
-        n0 += 1
-        if n0 > 10000:
-            raise RuntimeError("could not find a good specialization point")
-        if not qc[-1].eval(Fraction(n0)) or not rc[-1].eval(Fraction(n0)):
-            continue
-        q0 = UniPoly([c.eval(Fraction(n0)) for c in qc])
-        r0 = UniPoly([c.eval(Fraction(n0)) for c in rc])
-        qm = _poly_mod(q0, prime)
-        rm = _poly_mod(r0, prime)
-        if qm is None or rm is None or len(qm) - 1 != q.degree() or len(rm) - 1 != r.degree():
-            continue
-        bound = _root_bound(q0) + _root_bound(r0)
-        out = []
-        for j in range(bound + 1):
-            if _gcd_degree_mod(qm, _shift_mod(rm, j, prime), prime) > 0:
-                out.append(j)
-        return out
-
-
 # -- normal form ---------------------------------------------------------------
 
 
+def dispersion_candidates(
+    top: list[Poly2], bottom: list[Poly2]
+) -> list[tuple[Poly2, Poly2, int]]:
+    """Pair top factors k+a with bottom factors k+b whose difference a - b = j
+    is a positive integer, smallest j first, each factor used at most once.
+
+    Every factor is linear in k with unit leading coefficient, so
+    gcd(k+a, k+b+j) is nontrivial exactly when a - b = j: this is the
+    dispersion computation of Gosper's algorithm, done exactly.  Returns the
+    pairs as (k+a, k+b, j); each one moves (k+b)...(k+b+j-1) into p.
+    """
+    gaps = []
+    for i, a in enumerate(top):
+        for m, b in enumerate(bottom):
+            d = a - b
+            j = d.coeff(0, 0)
+            if d.degree("n") <= 0 and j > 0 and j.denominator == 1:
+                gaps.append((int(j), i, m))
+    free_top, free_bottom = set(range(len(top))), set(range(len(bottom)))
+    pairs = []
+    for j, i, m in sorted(gaps):
+        if i in free_top and m in free_bottom:
+            free_top.remove(i)
+            free_bottom.remove(m)
+            pairs.append((top[i], bottom[m], j))
+    return pairs
+
+
+def _primitive(p: UniPolyQn) -> UniPolyQn:
+    """p over its content in Q[n], scaled so that lc_k(p) is monic in n.
+
+    The coefficients of p are polynomials in n."""
+    content = UniPoly()
+    for c in p.coeffs:
+        content = content.gcd(c.num)
+    scale = content * p.lc.num.lc
+    return UniPolyQn([c / RatFn(scale) for c in p.coeffs])
+
+
 def _normal_form_impl(
-    ratio: RatFunc2,
+    ratio: tuple[Rat, list[Poly2], list[Poly2], Poly2],
 ) -> tuple[UniPolyQn, UniPolyQn, UniPolyQn, tuple[int, ...]]:
-    f = UniPolyQn.from_poly2(ratio.num)
-    g = UniPolyQn.from_poly2(ratio.den)
-    if f.is_zero:
+    z, top, bottom, w = ratio
+    if not z:
         raise DegenerateRatio("zero shift ratio")
-    p = UniPolyQn.const(1)
-    candidates = sorted(set(dispersion_candidates(f, g)) | {0})
-    confirmed: list[int] = []
-    for j in candidates:
-        if f.degree() == 0 or g.degree() == 0:
-            break
-        d = _gcd_uqn(f, g.shift(j))
-        if d.degree() <= 0:
-            continue
-        confirmed.append(j)
-        f = f.divexact(d)
-        g = g.divexact(d.shift(-j))
-        for l in range(1, j + 1):
-            p = p * d.shift(-l)
-    # postcondition: no shifted common factor may survive
-    for j in candidates:
-        if f.degree() > 0 and g.degree() > 0 and _gcd_uqn(f, g.shift(j)).degree() > 0:
-            raise RuntimeError(f"normal form postcondition failed at shift {j}")
-    return p, f, g, tuple(confirmed)
+    common = Counter(top) & Counter(bottom)
+    top = list((Counter(top) - common).elements())
+    bottom = list((Counter(bottom) - common).elements())
+    # w(k+1)/w(k) moves all of w into p, at shift 1
+    moved = [w]
+    shifts = {1} if w.degree("k") > 0 else set()
+    for a, b, j in dispersion_candidates(top, bottom):
+        top.remove(a)
+        bottom.remove(b)
+        moved += [b + l for l in range(j)]
+        shifts.add(j)
+    p = _primitive(UniPolyQn.from_poly2(factor_product(moved)))
+    q = UniPolyQn.from_poly2(factor_product(top, z))
+    r = UniPolyQn.from_poly2(factor_product(bottom))
+    return p, q, r, tuple(sorted(shifts))
 
 
 def gosper_normal_form(
-    ratio: RatFunc2,
+    ratio: tuple[Rat, list[Poly2], list[Poly2], Poly2],
 ) -> tuple[UniPolyQn, UniPolyQn, UniPolyQn]:
     """Write ratio(k) = (q(k)/r(k)) * (p(k+1)/p(k)) in Gosper normal form.
 
-    Returns (p, q, r) with gcd(q(k), r(k+j)) = 1 for all integers j >= 0.
-    Constant factors stay inside q, so no separate scalar is returned.
+    ``ratio`` is (z, top, bottom, w), as ``h_ratio`` returns it:
+    z * prod(top)/prod(bottom) * w(k+1)/w(k), with top and bottom lists of
+    factors k + a(n).  Returns (p, q, r) with gcd(q(k), r(k+j)) = 1 for all
+    integers j >= 0; p is primitive over Q[n] with a k-leading coefficient
+    monic in n.  Constant factors stay inside q, so no separate scalar is
+    returned.
     """
     p, q, r, _ = _normal_form_impl(ratio)
     return p, q, r
@@ -532,73 +349,27 @@ def gosper_solve(p: UniPolyQn, q: UniPolyQn, r: UniPolyQn) -> Optional[UniPolyQn
     return x
 
 
-# -- ratio assembly with factored cancellation ----------------------------------
+# -- ratio assembly ---------------------------------------------------------------
 
 
-def _canonical_factor(p: Poly2) -> tuple[tuple, Fraction]:
-    """Split p = scale * primitive with integer, coprime, sign-fixed primitive."""
-    items = sorted(p.terms.items())
-    if not items:
-        return ((), Fraction(0))
-    den_lcm = 1
-    for _, c in items:
-        den_lcm = _ilcm(den_lcm, c.denominator)
-    ints = [c * den_lcm for _, c in items]
-    g = 0
-    for c in ints:
-        g = _igcd(g, int(c))
-    lead = max(p.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
-    sign = -1 if lead[1] < 0 else 1
-    scale = Fraction(sign * g, den_lcm)
-    key = tuple((mono, c / (sign * g)) for mono, c in items)
-    return key, scale
-
-
-def _cancel_common(
-    num: list[Poly2], den: list[Poly2]
-) -> tuple[list[Poly2], list[Poly2], Fraction]:
-    """Remove factors shared up to a constant; returns the constant ratio."""
-    scalar = Fraction(1)
-    den_index: dict[tuple, list[int]] = {}
-    for i, f in enumerate(den):
-        key, _ = _canonical_factor(f)
-        den_index.setdefault(key, []).append(i)
-    keep_num: list[Poly2] = []
-    dropped_den: set[int] = set()
-    for f in num:
-        key, s_num = _canonical_factor(f)
-        slots = den_index.get(key)
-        if slots:
-            i = slots.pop()
-            dropped_den.add(i)
-            _, s_den = _canonical_factor(den[i])
-            scalar *= s_num / s_den
-        else:
-            keep_num.append(f)
-    keep_den = [f for i, f in enumerate(den) if i not in dropped_den]
-    return keep_num, keep_den, scalar
-
-
-def h_ratio(ident: WZIdentity) -> RatFunc2:
-    """Shift quotient H(k+1)/H(k) of the WZ difference, as a reduced-by-
-    construction bivariate quotient.
+def h_ratio(ident: WZIdentity) -> tuple[Rat, list[Poly2], list[Poly2], Poly2]:
+    """Shift quotient H(k+1)/H(k) of the WZ difference, in factored form.
 
     With s the n-shift quotient and r_k the k-shift quotient of the summand,
-    H(k+1)/H(k) = r_k(k) * (s(k+1) - 1)/(s(k) - 1).  Building it from the
-    factored parts lets long Pochhammer chains cancel without expansion.
+    H(k+1)/H(k) = r_k(k) * (s(k+1) - 1)/(s(k) - 1).  Returns (z, top,
+    bottom, w) with H(k+1)/H(k) = z * prod(top)/prod(bottom) * w(k+1)/w(k):
+    top and bottom hold the factors k + a(n) of r_k and of the denominator of
+    s, and w is numerator(s - 1) times the summand's multiplier p(k).
     """
     rk_num, rk_den, z = shift_quotient_k_parts(ident.term)
     _, s_den, _ = shift_quotient_n_parts(ident.term, ident.rhs)
     s = shift_quotient_n(ident.term, ident.rhs)
-    w = s.num - s.den
+    w = (s.num - s.den) * multiplier(ident.term)
     if w.is_zero:
         raise DegenerateRatio("n-shift quotient is identically 1")
-    num_parts = list(rk_num) + list(s_den)
-    den_parts = list(rk_den) + [f.shift("k", 1) for f in s_den]
-    num_parts, den_parts, scalar = _cancel_common(num_parts, den_parts)
-    num = factor_product(num_parts, z * scalar) * w.shift("k", 1)
-    den = factor_product(den_parts) * w
-    return RatFunc2(num, den)
+    # factors of s without k cancel in (s(k+1) - 1)/(s(k) - 1)
+    moving = [f for f in s_den if f.degree("k") > 0]
+    return z, rk_num + moving, rk_den + [f.shift("k", 1) for f in moving], w
 
 
 # -- synthesis -----------------------------------------------------------------

@@ -145,12 +145,9 @@ def rhs_exact(rhs: ClosedForm, n: int) -> Rat:
 
 # -- shift quotients ----------------------------------------------------------
 
-def _p_poly(t: HyperTerm, delta: int) -> Poly2:
-    """p(k + delta) as a Poly2."""
-    poly = Poly2()
-    for i, c in enumerate(t.p):
-        poly = poly + Poly2({(0, i): c})
-    return poly.shift("k", delta) if delta else poly
+def multiplier(t: HyperTerm) -> Poly2:
+    """The multiplier polynomial p(k) as a Poly2."""
+    return Poly2({(0, i): c for i, c in enumerate(t.p)})
 
 
 def _linear(b: int, c: Rat, k_coeff: int = 1) -> Poly2:
@@ -158,12 +155,10 @@ def _linear(b: int, c: Rat, k_coeff: int = 1) -> Poly2:
 
 
 def shift_quotient_k_parts(t: HyperTerm) -> "tuple[list[Poly2], list[Poly2], Rat]":
-    """Factored F(n,k+1)/F(n,k): (numerator factors, denominator factors, scalar)."""
+    """Factored F(n,k+1)/F(n,k) without the multiplier's p(k+1)/p(k):
+    (numerator factors, denominator factors, scalar), each factor k + a(n)."""
     num: list[Poly2] = []
     den: list[Poly2] = []
-    if len(t.p) > 1 or (t.p and t.p[0] != 1):
-        num.append(_p_poly(t, 1))
-        den.append(_p_poly(t, 0))
     for f in t.poch:
         target = num if f.power > 0 else den
         for _ in range(abs(f.power)):
@@ -184,7 +179,8 @@ def factor_product(factors: list[Poly2], scale: Rat = 1) -> Poly2:
 def shift_quotient_k(t: HyperTerm) -> RatFunc2:
     """F(n,k+1)/F(n,k) as an explicit rational function of (n, k)."""
     num, den, scal = shift_quotient_k_parts(t)
-    return RatFunc2(factor_product(num, scal), factor_product(den))
+    p = multiplier(t)
+    return RatFunc2(factor_product(num, scal) * p.shift("k", 1), factor_product(den) * p)
 
 
 def shift_quotient_n_parts(t: HyperTerm, rhs: ClosedForm) \

@@ -122,6 +122,15 @@ def test_verify_missing_file(capsys):
     assert "error" in err
 
 
+def test_a_directory_path_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "--file", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert out == "" and "error: " in err
+    code, out, err = run(capsys, "synth", "--id", "zeilberger", "--emit", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert "error: " in err
+
+
 def test_verify_rejects_a_negative_row_bound(capsys):
     # n = 0..-1 would check nothing and still report a pass
     code, out, err = run(capsys, "verify", "--id", "theorem1", "--n-max", "-1")
@@ -236,6 +245,13 @@ def test_numeric_custom_point_skips_pi_target(capsys):
     assert code == EXIT_OK
     assert "series_vs_closed_form: pass" in out
     assert "closed_form_vs_2_over_pi: skip" in out
+
+
+def test_numeric_rejects_a_point_with_a_zero_denominator(capsys):
+    code, out, err = run(capsys, "numeric", "--id", "theorem1", "--point", "1/0")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error: --point 1/0 has a zero denominator" in err
 
 
 def test_numeric_tolerance_is_enforced(capsys):

@@ -29,7 +29,8 @@ from wzpi import (
     term_value,
     wz_residual,
 )
-from wzpi.gosper import _gcd_uqn, dispersion_candidates
+from wzpi.gosper import dispersion_candidates
+from wzpi.terms import factor_product
 
 from conftest import poly2s
 
@@ -39,6 +40,17 @@ N = Poly2.var("n")
 
 def uqn(p: Poly2) -> UniPolyQn:
     return UniPolyQn.from_poly2(p)
+
+
+def ratio(top, bottom, z=1, w=Poly2.const(1)):
+    """The factored shift quotient z * prod(top)/prod(bottom) * w(k+1)/w(k),
+    in the form h_ratio returns."""
+    return Fraction(z), list(top), list(bottom), w
+
+
+def expand(parts) -> RatFunc2:
+    z, top, bottom, w = parts
+    return RatFunc2(factor_product(top, z) * w.shift("k", 1), factor_product(bottom) * w)
 
 
 # -- coefficient tower ---------------------------------------------------------------
@@ -61,18 +73,6 @@ def test_tower_shift_commutes_with_eval(a, delta):
         assert shifted.eval_n(n0) == f.eval_n(n0).shift(delta)
 
 
-@given(poly2s(max_degree=2), poly2s(max_degree=2))
-def test_tower_division_reconstructs(a, b):
-    assume(not b.is_zero)
-    fa, fb = uqn(a), uqn(b)
-    quot, rem = fa.divrem(fb)
-    assert quot * fb + rem == fa
-    assert rem.is_zero or rem.degree() < fb.degree()
-    prod = fa * fb
-    if not fa.is_zero:
-        assert prod.divexact(fb) == fa
-
-
 @given(poly2s())
 def test_tower_denominator_clearing(a):
     from wzpi import RatFn
@@ -84,94 +84,117 @@ def test_tower_denominator_clearing(a):
     assert f.to_ratfunc2().equal(RatFunc2(a, 1))
 
 
-# -- gcd over the rational-function field ---------------------------------------------
-
-@settings(max_examples=30)
-@given(poly2s(max_degree=2, max_terms=4), poly2s(max_degree=2, max_terms=4),
-       poly2s(max_degree=2, max_terms=4))
-def test_gcd_contains_planted_common_factor(a, b, d):
-    assume(d.degree("k") >= 1)
-    assume(not a.is_zero and not b.is_zero)
-    f = uqn(a * d)
-    g = uqn(b * d)
-    got = _gcd_uqn(f, g)
-    assert got.degree() >= d.degree("k")
-    f.divexact(got)
-    g.divexact(got)
-    _, rem = got.divrem(uqn(d))
-    assert rem.is_zero
-
-
-def test_gcd_of_coprime_inputs_is_constant():
-    f = uqn(K ** 2 + 1)
-    g = uqn(K + 3)
-    assert _gcd_uqn(f, g).degree() == 0
-
-
 # -- dispersion ------------------------------------------------------------------------
 
 def test_dispersion_candidates_catch_integer_shifts():
-    assert 5 in dispersion_candidates(uqn(K), uqn(K - 5))
-    cands = dispersion_candidates(uqn(K * (K - 2)), uqn(K - 3))
-    assert {1, 3} <= set(cands)
+    assert dispersion_candidates([K], [K - 5]) == [(K, K - 5, 5)]
+    # k and k-2 both sit above k-3; the smaller shift takes it
+    assert dispersion_candidates([K, K - 2], [K - 3]) == [(K - 2, K - 3, 1)]
 
 
 def test_dispersion_candidates_handle_parameterized_roots():
-    q = uqn(K - N)
-    r = uqn(K - N - 4)
-    assert 4 in dispersion_candidates(q, r)
+    assert dispersion_candidates([K - N], [K - N - 4]) == [(K - N, K - N - 4, 4)]
+    # a gap of n is no integer shift
+    assert dispersion_candidates([K + 2 * N], [K + N]) == []
 
 
 def test_dispersion_candidates_scale_beyond_degree_counts():
     # root gap 40 with degree-1 inputs: the gap, not the degree, matters
-    assert 40 in dispersion_candidates(uqn(K), uqn(K - 40))
+    assert dispersion_candidates([K], [K - 40]) == [(K, K - 40, 40)]
 
 
 @settings(max_examples=20)
 @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=3),
        st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=3))
 def test_dispersion_candidates_are_complete_for_integer_roots(qroots, rroots):
-    q = Poly2.const(1)
-    for x in qroots:
-        q = q * (K - x)
-    r = Poly2.const(1)
-    for x in rroots:
-        r = r * (K - x)
-    true_disp = {b - a for a in qroots for b in rroots if b >= a}
-    assert true_disp <= set(dispersion_candidates(uqn(q), uqn(r)))
+    top = [K - x for x in qroots]
+    bottom = [K - x for x in rroots]
+    for a, b, j in dispersion_candidates(top, bottom):
+        assert a - b == j > 0
+        top.remove(a)
+        bottom.remove(b)
+    # no positive integer shift is left between what stays in q and r
+    assert not any(0 < (a - b).coeff(0, 0) for a in top for b in bottom)
+
+
+linear_factors = st.lists(
+    st.builds(lambda b, c: K + b * N + c, st.integers(min_value=0, max_value=2),
+              st.fractions(min_value=-4, max_value=4, max_denominator=2)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(linear_factors, linear_factors)
+def test_dispersion_candidates_agree_with_sympy(top, bottom):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.dispersion import dispersionset
+    k, n = sympy.symbols("k n")
+
+    def positive_shifts(top, bottom):
+        def product(factors):
+            return sympy.Poly(sympy.Mul(*[
+                k + sympy.Rational(f.coeff(1, 0)) * n + sympy.Rational(f.coeff(0, 0))
+                for f in factors]), k)
+        return dispersionset(product(top), product(bottom)) - {0}
+
+    pairs = dispersion_candidates(top, bottom)
+    expected = positive_shifts(top, bottom)
+    assert {j for _, _, j in pairs} <= expected
+    if expected:
+        assert pairs[0][2] == min(expected)
+    top, bottom = list(top), list(bottom)
+    for a, b, _ in pairs:
+        top.remove(a)
+        bottom.remove(b)
+    # what the pairs leave over has no positive integer shift
+    assert not positive_shifts(top, bottom)
 
 
 # -- normal form ------------------------------------------------------------------------
 
-def check_normal_form(ratio: RatFunc2):
-    p, q, r = gosper_normal_form(ratio)
+def coprime_at(q: UniPolyQn, r: UniPolyQn, j: int) -> bool:
+    """gcd(q(k), r(k+j)) = 1, tested over Q at an n0 where neither leading
+    coefficient vanishes.  n0 is no integer, so that roots k = -(b*n + c)
+    with small b do not meet by accident."""
+    n0 = next(n0 for n0 in (m + Fraction(1, 97) for m in range(2, 64))
+              if q.lc.eval(n0) and r.lc.eval(n0))
+    return q.eval_n(n0).gcd(r.shift(j).eval_n(n0)).degree == 0
+
+
+def check_normal_form(parts):
+    p, q, r = gosper_normal_form(parts)
     # defining equation: ratio(k) = (q/r) * p(k+1)/p(k)
-    lhs = ratio * p.to_ratfunc2() * r.to_ratfunc2()
+    lhs = expand(parts) * p.to_ratfunc2() * r.to_ratfunc2()
     rhs = q.to_ratfunc2() * p.shift(1).to_ratfunc2()
     assert lhs.equal(rhs)
     # shifted coprimality
     if q.degree() > 0 and r.degree() > 0:
         for j in range(0, 8):
-            assert _gcd_uqn(q, r.shift(j)).degree() <= 0
+            assert coprime_at(q, r, j)
     return p, q, r
 
 
 def test_normal_form_known_shapes():
-    p, q, r = check_normal_form(RatFunc2(K + 2, K))
+    p, q, r = check_normal_form(ratio([K + 2], [K]))
     assert p == UniPolyQn([0, 1, 1])           # k(k+1)
     assert q == UniPolyQn([1]) and r == UniPolyQn([1])
 
-    p, q, r = check_normal_form(RatFunc2(Poly2.const(1), 1))
+    p, q, r = check_normal_form(ratio([], []))
     assert p == q == r == UniPolyQn([1])
 
-    p, q, r = check_normal_form(RatFunc2(Poly2.const(5), 1))
+    p, q, r = check_normal_form(ratio([], [], z=5))
     assert q == UniPolyQn([5])
     assert p == r == UniPolyQn([1])
+
+    # w goes into p, made primitive over Q[n] with a monic k-leading coefficient
+    p, q, r = check_normal_form(ratio([K + N], [K], w=(2 * N + 4) * (3 * K + N)))
+    assert p == uqn(K + N * Fraction(1, 3))
+    assert q == uqn(K + N) and r == uqn(K)
 
 
 def test_normal_form_with_parameter():
     # ratio (k+n+1)/(k+n) shifts a parameterized root
-    check_normal_form(RatFunc2(K + N + 1, K + N))
+    check_normal_form(ratio([K + N + 1], [K + N]))
 
 
 @settings(max_examples=25)
@@ -179,24 +202,18 @@ def test_normal_form_with_parameter():
        st.lists(st.integers(min_value=-4, max_value=4), min_size=0, max_size=2),
        st.integers(min_value=1, max_value=5))
 def test_normal_form_property_on_random_rational_ratios(nroots, droots, scale):
-    num = Poly2.const(scale)
-    for x in nroots:
-        num = num * (K - x)
-    den = Poly2.const(1)
-    for x in droots:
-        den = den * (K - x)
-    check_normal_form(RatFunc2(num, den))
+    check_normal_form(ratio([K - x for x in nroots], [K - x for x in droots], z=scale))
 
 
 def test_zero_ratio_is_degenerate():
     with pytest.raises(DegenerateRatio):
-        gosper_normal_form(RatFunc2(Poly2(), 1))
+        gosper_normal_form(ratio([K], [], z=0))
 
 
 # -- polynomial solver --------------------------------------------------------------
 
 def test_solver_sums_the_identity_summand_k():
-    p, q, r = gosper_normal_form(RatFunc2(K + 1, K))
+    p, q, r = gosper_normal_form(ratio([K + 1], [K]))
     x = gosper_solve(p, q, r)
     assert x == UniPolyQn([0, Fraction(-1, 2), Fraction(1, 2)])
 
@@ -210,27 +227,25 @@ def test_solver_sums_the_identity_summand_k():
 def test_solver_picks_the_kernel_solution_that_vanishes_at_zero(b, expected):
     # a_k = 1/((k+b)(k+b+1)): q = k+b, r(k-1) = k+b+1, sigma = 1, and x = k+b
     # spans the kernel
-    p, q, r = gosper_normal_form(RatFunc2(K + b, K + b + 2))
+    p, q, r = gosper_normal_form(ratio([K + b], [K + b + 2]))
     assert gosper_solve(p, q, r) == UniPolyQn(expected)
 
 
 def test_solver_rejects_factorial_growth():
-    p, q, r = gosper_normal_form(RatFunc2(K + 1, 1))
+    p, q, r = gosper_normal_form(ratio([K + 1], []))
     assert gosper_solve(p, q, r) is None
 
 
 def test_solver_rejects_reciprocal_summand():
     # a_k = 1/k has no hypergeometric antidifference
-    ratio = RatFunc2(K, K + 1)
-    p, q, r = gosper_normal_form(ratio)
+    p, q, r = gosper_normal_form(ratio([K], [K + 1]))
     assert gosper_solve(p, q, r) is None
 
 
 @pytest.mark.parametrize("power", [2, 3])
 def test_solver_handles_power_sums(power):
     # a_k = k^power: antidifference is the Faulhaber polynomial
-    ratio = RatFunc2((K + 1) ** power, K ** power)
-    p, q, r = gosper_normal_form(ratio)
+    p, q, r = gosper_normal_form(ratio([K + 1] * power, [K] * power))
     x = gosper_solve(p, q, r)
     assert x is not None
     # verify: with a_k = k^power, the antidifference S satisfies
@@ -277,14 +292,14 @@ def test_solver_recovers_a_planted_solution(x2, q2, r2, equal_lc, sigma):
 ])
 def test_difference_ratio_matches_exact_values(name, n0, k0):
     ident = load_builtin(name)
-    ratio = h_ratio(ident)
+    parts = h_ratio(ident)
 
     def h(n, k):
         return (term_value(ident.term, n + 1, k) / rhs_exact(ident.rhs, n + 1)
                 - term_value(ident.term, n, k) / rhs_exact(ident.rhs, n))
 
     expected = h(n0, k0 + 1) / h(n0, k0)
-    assert ratio.eval(n0, k0) == expected
+    assert expand(parts).eval(n0, k0) == expected
 
 
 def test_constant_row_makes_the_difference_degenerate():
@@ -329,9 +344,13 @@ def test_synthesis_exposes_the_sign_error_in_the_flagged_certificate(synthesis):
 
 
 def test_synthesis_metadata_is_reported(synthesis):
-    result = synthesis.get("theorem1")
-    assert result.dispersion_set == (1,)
-    assert result.degree_bound_used >= 0
+    # the printed form depends on how p is scaled, so its size is pinned
+    for name, bound, monomials in (("theorem1", 2, (63, 70)), ("zeilberger", 0, (11, 22))):
+        result = synthesis.get(name)
+        assert result.dispersion_set == (1,)
+        assert result.degree_bound_used == bound
+        cert = result.certificate
+        assert (len(cert.num.terms), len(cert.den.terms)) == monomials
 
 
 def test_synthesis_never_blesses_a_false_identity():
