@@ -32,7 +32,7 @@ from .catalog import (
     load_identity_file,
     serialize_identity,
 )
-from .algebra import ratfunc_equal
+from .algebra import Poly2, RatFunc2, ratfunc_equal
 from .gosper import DegenerateRatio, synthesize_certificate
 from .numeric import NoConvergence, NumericConfig, carlson_point_check, pi_from_series
 from .terms import PoleError
@@ -208,6 +208,27 @@ def cmd_sum(args) -> int:
 # -- synth -----------------------------------------------------------------------
 
 
+def _difference(printed: RatFunc2, cert: RatFunc2) -> str:
+    """How a printed certificate differs from the synthesized one, which is in
+    lowest terms: by a constant factor, or in the numerator coefficients that
+    differ once both are written over the printed denominator.  Empty when
+    the denominators differ by more than a constant."""
+    mono = max(cert.den.terms)
+    scale = printed.den.coeff(*mono) / cert.den.coeff(*mono)
+    if cert.den * scale != printed.den:
+        return ""
+    num, e = cert.num * scale, max(cert.num.terms)
+    ratio = num.coeff(*e) / printed.num.coeff(*e) if printed.num.coeff(*e) else 0
+    if ratio and num == printed.num * ratio:
+        return f": synthesized = {ratio} * printed"
+    diff = sorted(e for e in set(num.terms) | set(printed.num.terms)
+                  if num.coeff(*e) != printed.num.coeff(*e))
+    if len(diff) > 3:
+        return f" in {len(diff)} numerator coefficients"
+    return " at " + ", ".join(f"{Poly2({e: 1})} (printed {printed.num.coeff(*e)}, "
+                              f"synthesized {num.coeff(*e)})" for e in diff)
+
+
 def cmd_synth(args) -> int:
     rec = _load_record(args)
     if rec.kind != "wz":
@@ -235,7 +256,8 @@ def cmd_synth(args) -> int:
     if ident.certificate is not None:
         same = ratfunc_equal(ident.certificate, cert)
         detail += ("; semantically equal to the printed certificate" if same
-                   else "; differs from the printed certificate")
+                   else "; differs from the printed certificate"
+                   + _difference(ident.certificate, cert))
     rep.add("synthesis", "pass", detail, started)
     emitted: Optional[str] = None
     if args.emit is not None:

@@ -26,12 +26,13 @@ Pipeline (names follow the classical presentation):
                          ``q(k) x(k+1) - r(k-1) x(k) = p(k)`` by back-
                          substitution: the system is triangular with at most
                          one zero pivot, whose unknown the rows left over fix.
-4. ``synthesize_certificate`` -- reassemble ``R = (r(k-1) x(k) / p(k))(s - 1)``
-                         and accept it only after the full verifier passes.
+4. ``synthesize_certificate`` -- assemble ``R = (r(k-1) x(k) / p(k))(s - 1)``
+                         in lowest terms from the factor lists (*A = B* ch. 5-7);
+                         accept it only after the full verifier passes.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
@@ -159,6 +160,16 @@ class UniPolyQn:
                 power *= delta
         return UniPolyQn(out)
 
+    def __divmod__(self, d: "UniPolyQn") -> "tuple[UniPolyQn, UniPolyQn]":
+        """Long division by a nonzero d."""
+        rem = list(self.coeffs)
+        quo = [RatFn.const(0)] * max(len(rem) - d.degree(), 0)
+        for i in range(len(quo) - 1, -1, -1):
+            t = quo[i] = rem[i + d.degree()] / d.lc
+            for j, c in enumerate(d.coeffs):
+                rem[i + j] = rem[i + j] - t * c
+        return UniPolyQn(quo), UniPolyQn(rem)
+
     def eval_n(self, n0: Rat) -> UniPoly:
         """Specialize n, returning a univariate polynomial in k over Q.
 
@@ -230,9 +241,11 @@ def _primitive(p: UniPolyQn) -> UniPolyQn:
     return UniPolyQn([c / RatFn(scale) for c in p.coeffs])
 
 
-def _normal_form_impl(
-    ratio: tuple[Rat, list[Poly2], list[Poly2], Poly2],
-) -> tuple[UniPolyQn, UniPolyQn, UniPolyQn, tuple[int, ...]]:
+# the ratio once its dispersion pairs moved ``moved`` into p = w prod(moved) / c(n)
+FactorLists = namedtuple("FactorLists", "z top bottom w moved shifts")
+
+
+def _pair_factors(ratio: tuple[Rat, list[Poly2], list[Poly2], Poly2]) -> FactorLists:
     z, top, bottom, w = ratio
     if not z:
         raise DegenerateRatio("zero shift ratio")
@@ -240,17 +253,23 @@ def _normal_form_impl(
     top = list((Counter(top) - common).elements())
     bottom = list((Counter(bottom) - common).elements())
     # w(k+1)/w(k) moves all of w into p, at shift 1
-    moved = [w]
+    moved = []
     shifts = {1} if w.degree("k") > 0 else set()
     for a, b, j in dispersion_candidates(top, bottom):
         top.remove(a)
         bottom.remove(b)
         moved += [b + l for l in range(j)]
         shifts.add(j)
-    p = _primitive(UniPolyQn.from_poly2(factor_product(moved)))
-    q = UniPolyQn.from_poly2(factor_product(top, z))
-    r = UniPolyQn.from_poly2(factor_product(bottom))
-    return p, q, r, tuple(sorted(shifts))
+    return FactorLists(z, top, bottom, w, moved, tuple(sorted(shifts)))
+
+
+def _normal_form_impl(
+    lists: FactorLists,
+) -> tuple[UniPolyQn, UniPolyQn, UniPolyQn, tuple[int, ...]]:
+    p = _primitive(UniPolyQn.from_poly2(factor_product(lists.moved) * lists.w))
+    q = UniPolyQn.from_poly2(factor_product(lists.top, lists.z))
+    r = UniPolyQn.from_poly2(factor_product(lists.bottom))
+    return p, q, r, lists.shifts
 
 
 def gosper_normal_form(
@@ -265,7 +284,7 @@ def gosper_normal_form(
     monic in n.  Constant factors stay inside q, so no separate scalar is
     returned.
     """
-    p, q, r, _ = _normal_form_impl(ratio)
+    p, q, r, _ = _normal_form_impl(_pair_factors(ratio))
     return p, q, r
 
 
@@ -397,14 +416,37 @@ class GosperResult:
     report: Optional[CertReport] = None
 
 
+def _divide_out(num: UniPolyQn, below: list[Poly2]) -> tuple[UniPolyQn, list[Poly2]]:
+    """Divide num by each factor of ``below`` that divides it, one trial per
+    item; returns the quotient and the factors that did not divide."""
+    left = []
+    for f in below:
+        quo, rem = divmod(num, UniPolyQn.from_poly2(f))
+        if rem.is_zero:
+            num = quo
+        else:
+            left.append(f)
+    return num, left
+
+
 def _certificate_from_solution(
-    ident: WZIdentity, x: UniPolyQn, p: UniPolyQn, r: UniPolyQn
+    ident: WZIdentity, x: UniPolyQn, lists: FactorLists, p: UniPolyQn
 ) -> RatFunc2:
-    """Assemble R = (r(k-1) x(k) / p(k)) * (s - 1)."""
-    a = (r.shift(-1) * x).to_ratfunc2()
-    b = p.to_ratfunc2()
-    s = shift_quotient_n(ident.term, ident.rhs)
-    return RatFunc2(a.num * b.den * (s.num - s.den), a.den * b.num * s.den)
+    """R = r(k-1) x(k) (s - 1) / p(k) in lowest terms.  As p = w prod(moved) / c(n)
+    and w = numerator(s - 1) * multiplier, R = c r(k-1) x(k) / (den(s) *
+    multiplier * prod(moved)): numerator(s - 1) is never expanded."""
+    _, s_den, scal = shift_quotient_n_parts(ident.term, ident.rhs)
+    den = lists.moved + s_den + [multiplier(ident.term), Poly2.const(scal.denominator)]
+    kfree = factor_product([f for f in den if f.degree("k") <= 0])
+    c = UniPolyQn.from_poly2(lists.w).lc / p.lc / UniPolyQn.from_poly2(kfree).lc
+    # equal factors of r(k-1) and the denominator cancel as list items
+    above = Counter(b.shift("k", -1) for b in lists.bottom)
+    below = Counter(f for f in den if f.degree("k") > 0)
+    above, below = above - below, below - above
+    num = UniPolyQn([c]) * x * UniPolyQn.from_poly2(factor_product(list(above.elements())))
+    num, left = _divide_out(num, list(below.elements()))
+    cert = num.to_ratfunc2()
+    return RatFunc2(cert.num, cert.den * factor_product(left))
 
 
 def synthesize_certificate(ident: WZIdentity, *, n_scan: int = 12) -> GosperResult:
@@ -416,13 +458,13 @@ def synthesize_certificate(ident: WZIdentity, *, n_scan: int = 12) -> GosperResu
     a failed symbolic check can only come from a solver bug and raises
     RuntimeError.
     """
-    ratio = h_ratio(ident)
-    p, q, r, confirmed = _normal_form_impl(ratio)
+    lists = _pair_factors(h_ratio(ident))
+    p, q, r, confirmed = _normal_form_impl(lists)
     bound = _degree_bound(p, q, r.shift(-1))
     x = gosper_solve(p, q, r)
     if x is None:
         return GosperResult("NotSummable", None, bound, confirmed)
-    cert = _certificate_from_solution(ident, x, p, r)
+    cert = _certificate_from_solution(ident, x, lists, p)
     trial = replace(ident, certificate=cert)
     report = verify_certificate(trial, n_scan=n_scan)
     if not report.symbolic_ok:

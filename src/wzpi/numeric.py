@@ -191,9 +191,10 @@ def series_numeric(
 ) -> float:
     """Sum the series over k >= 0 at a real argument n.
 
-    Direct summation stops once the term magnitude is below tolerance (valid
-    for alternating or geometrically decaying tails); the accelerated path
-    needs only O(digits) terms of a strictly alternating series.
+    Direct summation (with math.fsum) stops on an alternating tail once the
+    next term is below tolerance and shrinking, on a tail of one sign once
+    |t(k+1)|/(1 - rho) < tol/2 with rho = max(t(k+1)/t(k), |z|).  The
+    accelerated path needs only O(digits) terms of a strictly alternating series.
     """
     if isinstance(t, WZIdentity):
         t = t.term
@@ -203,13 +204,19 @@ def series_numeric(
             raise ValueError("alternating acceleration needs negative z")
         return _accelerated_sum(t, n, cfg)
     ratio = _term_ratio(t, n)
-    total = 0.0
+    terms = []
     tk = term_numeric(t, n, 0)
     for k in range(cfg.max_terms):
-        total += tk
-        nxt = tk * ratio(k)
-        if abs(nxt) <= cfg.target_abs_tol and abs(nxt) <= abs(tk):
-            return total
+        terms.append(tk)
+        rk = ratio(k)
+        nxt = tk * rk
+        if rk <= 0 or nxt == 0:
+            done = abs(nxt) <= cfg.target_abs_tol and abs(nxt) <= abs(tk)
+        else:  # half the tolerance is left for the rounding of the terms
+            rho = max(rk, abs(float(t.z)))
+            done = rho < 1 and abs(nxt) <= cfg.target_abs_tol * (1 - rho) / 2
+        if done:
+            return math.fsum(terms)
         tk = nxt
     raise NoConvergence(
         f"series did not reach {cfg.target_abs_tol:g} within {cfg.max_terms} terms"

@@ -89,10 +89,6 @@ class UniPoly:
     def const(cls, x: Scalar) -> "UniPoly":
         return cls((Fraction(x),))
 
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
-
     @property
     def is_zero(self) -> bool:
         return not self.c
@@ -230,13 +226,6 @@ class UniPoly:
         for x in self.c:
             den = den * x.denominator // _igcd(den, x.denominator)
         return [int(x * den) for x in self.c], den
-
-    def primitive(self) -> "UniPoly":
-        """Integer-primitive associate with positive leading coefficient."""
-        if self.is_zero:
-            return self
-        ic, _ = self.int_coeffs()
-        return UniPoly(_iprimitive(ic))
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd in Q[x]."""

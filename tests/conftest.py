@@ -57,6 +57,17 @@ def unipolys(max_degree: int = 5):
 nonzero_unipolys = unipolys().filter(lambda p: not p.is_zero)
 
 
+# -- certificates compared term by term ---------------------------------------------
+
+def normalised_terms(cert):
+    """(num, den) coefficient dicts of a certificate, both divided by the
+    coefficient of the largest monomial of the denominator.  Two certificates
+    in lowest terms are equal exactly when these agree."""
+    lead = cert.den.terms[max(cert.den.terms)]
+    return ({e: c / lead for e, c in cert.num.terms.items()},
+            {e: c / lead for e, c in cert.den.terms.items()})
+
+
 # -- shared synthesis results -------------------------------------------------------
 
 class SynthesisCache:

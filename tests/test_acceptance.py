@@ -7,7 +7,8 @@ Every test here pins an end-to-end guarantee:
   3.  the printed-certificate audit reports an explicit outcome for every
       printed certificate, including the two flagged misprints;
   4.  synthesis produces a verified certificate for all twelve terminating
-      identities, each in < 120 s;
+      identities, each in < 120 s, in lowest terms: the printed sizes, and
+      term by term the printed certificate (-1 times it for theorem2);
   5.  at n = -1/(2a) the closed form and the accelerated series both land
       within 1e-9 of 2/pi for theorems 1-11;
   6.  theorem6's closed form matches sqrt(5)/(pi (cos(pi/5)+cos(2pi/5)))
@@ -56,7 +57,7 @@ from wzpi import HyperTerm, NumericConfig, PochFactor
 from wzpi.numeric import series_numeric
 from wzpi.terms import carlson_substitution
 
-from conftest import PRINTED_CERT_NAMES, THEOREM_NAMES, WZ_NAMES
+from conftest import PRINTED_CERT_NAMES, THEOREM_NAMES, WZ_NAMES, normalised_terms
 
 mpmath.mp.dps = 50
 
@@ -126,6 +127,25 @@ def test_synthesis_yields_verified_certificate(name, synthesis):
     assert result.report is not None
     assert result.report.symbolic_ok and result.report.boundary_ok
     assert synthesis.elapsed[name] < 120.0
+
+
+# numerator/denominator monomials of the synthesized certificates
+CERT_SIZES = {"zeilberger": (1, 5), "theorem1": (5, 9),
+              **dict.fromkeys(("theorem2", "theorem3"), (13, 20)),
+              **dict.fromkeys(("theorem4", "theorem5"), (25, 35)),
+              **dict.fromkeys(("theorem6", "theorem7", "theorem8", "theorem9"), (41, 54)),
+              **dict.fromkeys(("theorem10", "theorem11"), (85, 104))}
+
+
+@pytest.mark.parametrize("name", WZ_NAMES)
+def test_synthesized_certificate_is_the_printed_one(name, synthesis):
+    cert = synthesis.get(name).certificate
+    assert (len(cert.num.terms), len(cert.den.terms)) == CERT_SIZES[name]
+    printed = load_builtin(name).certificate
+    if name == "theorem2":
+        printed = RatFunc2(-printed.num, printed.den)
+    if printed is not None and name != "theorem9":
+        assert normalised_terms(cert) == normalised_terms(printed)
 
 
 # -- 5. rational-point suite -------------------------------------------------------------

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from wzpi import BUILTIN_NAMES, builtin_record, parse_identity, serialize_identity
+from wzpi import (BUILTIN_NAMES, Poly2, RatFunc2, builtin_record, parse_identity,
+                  serialize_identity)
 from wzpi import cli
 from wzpi.cli import (
     EXIT_BROKEN_PIPE,
@@ -185,7 +186,23 @@ def test_synth_matches_printed_certificate(capsys):
 def test_synth_reports_discrepancy_for_flagged_certificate(capsys):
     code, out, _ = run(capsys, "synth", "--id", "theorem2")
     assert code == EXIT_OK
-    assert "differs from the printed certificate" in out
+    assert "differs from the printed certificate: synthesized = -1 * printed" in out
+
+
+def test_synth_names_the_misprinted_coefficient(capsys):
+    code, out, _ = run(capsys, "synth", "--id", "theorem9")
+    assert code == EXIT_OK
+    # over the printed denominator, one of 41 numerator coefficients differs
+    assert ("differs from the printed certificate at n^5*k^3 "
+            "(printed 46570008, synthesized 465707008)") in out
+
+
+def test_mismatch_detail_counts_many_coefficients_and_needs_one_denominator():
+    k, n = Poly2.var("k"), Poly2.var("n")
+    cert = RatFunc2(k * (n + 1), k + n + 1)
+    printed = RatFunc2(k ** 3 + k ** 2 + n ** 2 + 1, 2 * (k + n + 1))
+    assert cli._difference(printed, cert) == " in 6 numerator coefficients"
+    assert cli._difference(RatFunc2(k, k + n), cert) == ""
 
 
 def test_synth_json_carries_certificate(capsys):
@@ -204,6 +221,7 @@ def test_synth_emit_writes_a_verifiable_record(capsys, tmp_path):
     assert rec.name == "theorem9"
     assert rec.has_certificate
     assert rec.erratum is False
+    assert (len(rec.cert_num.terms), len(rec.cert_den.terms)) == (41, 54)
 
     code, out, _ = run(capsys, "verify", "--file", str(target), "--n-max", "4")
     assert code == EXIT_OK

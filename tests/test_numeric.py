@@ -167,6 +167,18 @@ def test_direct_summation_of_exponential_series():
     assert abs(v - math.exp(0.5)) < 1e-12
 
 
+@pytest.mark.parametrize("poch, exact", [
+    ((), 1000.0),                                          # sum z^k = 1/(1-z)
+    ((PochFactor(0, Fraction(1, 2), 1),), math.sqrt(1000.0)),  # (1 - z)^(-1/2)
+])
+def test_direct_summation_bounds_a_slow_tail_of_one_sign(poch, exact):
+    # at z = 999/1000 the terms fall below 1e-10 a thousand times too early
+    # for the tail they leave
+    term = HyperTerm(poch=poch, fact_pow=len(poch), z=Fraction(999, 1000), p=(1,))
+    cfg = NumericConfig(target_abs_tol=1e-10, max_terms=100000)
+    assert abs(series_numeric(term, 0, cfg) - exact) <= 1e-10
+
+
 def test_direct_summation_raises_on_slow_series():
     slow = HyperTerm(poch=(PochFactor(0, 1, 2), PochFactor(0, 2, -2)),
                      fact_pow=0, z=1, p=(1,))

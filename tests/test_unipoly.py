@@ -9,7 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from wzpi import RatFn, UniPoly
-from wzpi.unipoly import interpolate
+from wzpi.unipoly import _iprimitive, interpolate
 
 from conftest import nonzero_unipolys, rationals, small_ints, unipolys
 
@@ -76,7 +76,7 @@ def test_exact_div_inverts_multiplication(a, b):
 
 
 def test_exact_div_rejects_inexact_quotient():
-    x = UniPoly.x()
+    x = UniPoly((0, 1))
     with pytest.raises(ArithmeticError):
         (x ** 2 + 1).exact_div(x + 1)
 
@@ -132,8 +132,10 @@ def test_root_multiplicity_deflates_exactly(a, x0, m):
 
 @given(unipolys())
 def test_primitive_has_integer_coprime_coefficients(a):
+    # the integer primitive part that the gcd runs on
     assume(not a.is_zero)
-    prim = a.primitive()
+    prim = UniPoly(_iprimitive(a.int_coeffs()[0]))
+    assert prim.lc > 0 and prim.monic() == a.monic()
     coeffs, den = prim.int_coeffs()
     assert den == 1
     from math import gcd
