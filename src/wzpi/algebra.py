@@ -7,11 +7,20 @@ Rational functions keep their numerator/denominator exactly as constructed
 sound and complete over an integral domain.
 
 All scalars are ``fractions.Fraction`` (aliased ``Rat``): arbitrary precision,
-normalized sign, always in lowest terms.
+normalized sign, always in lowest terms.  The two hot operations run on
+Python ints instead.  A product clears each operand's denominators, packs the
+integer coefficients into one int by Kronecker substitution (k -> x,
+n -> x^w, x -> 2^s, where w exceeds the product's degree in k and the s-bit
+slots hold any signed coefficient of the product), does one bigint multiply
+and unpacks the slots with borrow; only the final coefficients become
+Fractions.  ``eval`` clears the denominators of the coefficients and of the
+point, sums in ints and builds one Fraction.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Union
 
 Rat = Fraction
@@ -122,15 +131,35 @@ class Poly2:
             out = Poly2.__new__(Poly2)
             out.terms = {} if not c else {e: a * c for e, a in self.terms.items()}
             return out
+        if not self.terms or not other.terms:
+            return Poly2()
+        a, a_den = _cleared(self)
+        b, b_den = _cleared(other)
+        # slot (i, j) of the product sits at i*width + j; each coefficient is a
+        # sum of at most min(len(a), len(b)) products, so it fits in ``size``
+        # bytes with the top bit left for the sign
+        width = self.degree("k") + other.degree("k") + 1
+        size = (max(map(abs, a.values())).bit_length()
+                + max(map(abs, b.values())).bit_length()
+                + min(len(a), len(b)).bit_length()) // 8 + 1
+        slots = (max(a)[0] + max(b)[0] + 1) * width         # max(a)[0]: degree in n
+        packed = (_pack(a, width, size) * _pack(b, width, size)).to_bytes(
+            slots * size, "little", signed=True)
+        den = a_den * b_den
+        half = 1 << (8 * size - 1)
         terms: dict[tuple[int, int], Rat] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                e = (i1 + i2, j1 + j2)
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
+        blank = bytes(size)
+        borrow = 0
+        for e in range(slots):
+            chunk = packed[e * size:(e + 1) * size]
+            if chunk == blank and not borrow:
+                continue
+            c = int.from_bytes(chunk, "little") + borrow
+            borrow = c >= half
+            if borrow:
+                c -= half << 1
+            if c:
+                terms[divmod(e, width)] = Fraction(c, den)
         out = Poly2.__new__(Poly2)
         out.terms = terms
         return out
@@ -140,14 +169,14 @@ class Poly2:
     def __pow__(self, m: int) -> "Poly2":
         if m < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly2.const(1)
+        out = None
         base = self
         while m:
             if m & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if m > 1 else base
             m >>= 1
-        return out
+        return Poly2.const(1) if out is None else out
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -162,18 +191,22 @@ class Poly2:
     # -- evaluation and substitution -----------------------------------------
 
     def eval(self, n: Scalar, k: Scalar) -> Rat:
+        """Value at a rational point (n, k) = (a/b, c/d): the ints
+        C_ij a^i b^(dn-i) c^j d^(dk-j) summed over L b^dn d^dk, where C = L*coeff
+        and dn, dk are the degrees."""
+        if not self.terms:
+            return Fraction(0)
         n = Fraction(n)
         k = Fraction(k)
-        npow: dict[int, Rat] = {0: Fraction(1)}
-        kpow: dict[int, Rat] = {0: Fraction(1)}
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            if i not in npow:
-                npow[i] = n ** i
-            if j not in kpow:
-                kpow[j] = k ** j
+        coeffs, den = _cleared(self)
+        dn = self.degree("n")
+        dk = self.degree("k")
+        npow = [n.numerator ** i * n.denominator ** (dn - i) for i in range(dn + 1)]
+        kpow = [k.numerator ** j * k.denominator ** (dk - j) for j in range(dk + 1)]
+        total = 0
+        for (i, j), c in coeffs.items():
             total += c * npow[i] * kpow[j]
-        return total
+        return Fraction(total, den * n.denominator ** dn * k.denominator ** dk)
 
     def eval_n(self, n: Scalar) -> list[Rat]:
         """Substitute a rational for n; coefficients of k^0..k^deg remain."""
@@ -254,6 +287,27 @@ class Poly2:
 
     def __repr__(self) -> str:
         return f"Poly2({str(self)})"
+
+
+def _cleared(p: Poly2) -> tuple[dict[tuple[int, int], int], int]:
+    """(integer coefficients, common denominator L) with p = ints / L."""
+    den = reduce(math.lcm, [c.denominator for c in p.terms.values()])
+    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
+
+
+def _pack(coeffs: dict[tuple[int, int], int], width: int, size: int) -> int:
+    """Sum of c * 2^(8*size*(i*width + j)): positive and negative
+    coefficients go into two byte strings, one slot of ``size`` bytes each."""
+    slots = (max(coeffs)[0] + 1) * width
+    pos = bytearray(slots * size)
+    neg = bytearray(slots * size)
+    for (i, j), c in coeffs.items():
+        at = (i * width + j) * size
+        if c > 0:
+            pos[at:at + size] = c.to_bytes(size, "little")
+        else:
+            neg[at:at + size] = (-c).to_bytes(size, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _coerce(x: "Poly2 | Scalar") -> Poly2:

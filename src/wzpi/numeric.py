@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .algebra import Poly2
 from .terms import ClosedForm, HyperTerm, PoleError, p_eval
 from .wz import WZIdentity
 
@@ -133,18 +134,30 @@ def term_numeric(t: HyperTerm, n: float, k: int) -> float:
 
 
 def _term_ratio(t: HyperTerm, n: float) -> Callable[[int], float]:
-    """Returns k -> t(k+1)/t(k) evaluated in floats."""
+    """Returns k -> t(k+1)/t(k) evaluated in floats.
+
+    Raises PoleError where the ratio has no value: a zero of p(k), or a
+    denominator factor (b*n + c)_k whose last factor b*n + c + k is zero, so
+    that t(k+1) is a pole.
+    """
     z = float(t.z)
     pc = [float(c) for c in t.p]
 
     def ratio(k: int) -> float:
         r = z
-        pk = sum(c * k ** i for i, c in enumerate(pc))
-        pk1 = sum(c * (k + 1) ** i for i, c in enumerate(pc))
         if len(pc) > 1:
-            r *= pk1 / pk
+            pk = sum(c * k ** i for i, c in enumerate(pc))
+            if not pk:
+                raise PoleError(f"multiplier p(k) vanishes at k={k}, so the "
+                                f"term ratio t(k+1)/t(k) is undefined at n={n}")
+            r *= sum(c * (k + 1) ** i for i, c in enumerate(pc)) / pk
         for f in t.poch:
-            r *= (f.n_coeff * n + float(f.offset) + k) ** f.power
+            v = f.n_coeff * n + float(f.offset) + k
+            if not v and f.power < 0:
+                arg = Poly2({(1, 0): f.n_coeff, (0, 0): f.offset})
+                raise PoleError(
+                    f"denominator factor ({arg})_k vanishes at n={n}, k={k + 1}")
+            r *= v ** f.power
         r /= float(k + 1) ** t.fact_pow
         return r
 
@@ -172,7 +185,8 @@ def _accelerated_sum(
     """Accelerated sum over k >= 0 of a strictly alternating series.
 
     Uses `terms` terms, or (when None or 0) enough for cfg.target_abs_tol;
-    never more than cfg.max_terms.
+    never more than cfg.max_terms.  Raises ValueError unless t(k+1)/t(k) < 0
+    for every k it uses.
     """
     m = terms or (
         int(math.log(4.0 / cfg.target_abs_tol) / math.log(3.0 + math.sqrt(8.0))) + 3
@@ -182,7 +196,11 @@ def _accelerated_sum(
     t0 = term_numeric(t, n, 0)
     a = [abs(t0)]
     for k in range(m - 1):
-        a.append(a[-1] * abs(ratio(k)))
+        rk = ratio(k)
+        if rk >= 0:
+            raise ValueError(f"term ratio {rk:g} at k={k} is not negative: the "
+                             f"alternating accelerator needs terms of alternating sign")
+        a.append(a[-1] * -rk)
     return math.copysign(1.0, t0) * _accelerated_alternating(a)
 
 

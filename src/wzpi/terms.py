@@ -9,6 +9,7 @@ rational functions of (n, k).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -110,6 +111,55 @@ def term_value(t: HyperTerm, n: int, k: int) -> Rat:
     if t.fact_pow:
         v /= poch_exact(1, k) ** t.fact_pow
     return v
+
+
+def term_sum(t: HyperTerm, n: int, bound: int) -> Rat:
+    """Exact sum of term_value(t, n, k) over k = 0..bound, in one walk over k.
+
+    The Pochhammer part P(k) = z^k prod (arg)_k^e / k!^fact_pow is an
+    unreduced quotient of ints, advanced by the term ratio
+    z prod (arg + k)^e / (k + 1)^fact_pow; p(k) multiplies each P(k) apart from
+    it, so a zero of p(k) does not stop the walk.  The sum is kept over the
+    current denominator of P and becomes a Fraction once, at the end.  Raises
+    the PoleError term_value raises, at the first k where a denominator
+    factor vanishes.
+    """
+    p_den = math.lcm(*(c.denominator for c in t.p))
+    p_int = [c.numerator * (p_den // c.denominator) for c in reversed(t.p)]
+
+    def p_at(k: int) -> int:
+        v = 0
+        for c in p_int:
+            v = v * k + c
+        return v
+
+    # arg + k = (a + k*b)/b for arg = a/b: the powers of b are the same at
+    # every step and fold into the constant part of the ratio
+    factors = [(f.arg_at(n), f.power) for f in t.poch]
+    const_num, const_den = t.z.numerator, t.z.denominator
+    for arg, e in factors:
+        if e > 0:
+            const_den *= arg.denominator ** e
+        else:
+            const_num *= arg.denominator ** -e
+    num, den = 1, 1
+    total = p_at(0)
+    for k in range(bound):
+        step_num, step_den = const_num, const_den * (k + 1) ** t.fact_pow
+        for arg, e in factors:
+            v = arg.numerator + k * arg.denominator
+            if e > 0:
+                step_num *= v ** e
+            elif v:
+                step_den *= v ** -e
+            else:
+                raise PoleError(
+                    f"denominator factor ({arg})_{k + 1} vanishes at n={n}, k={k + 1}")
+        num *= step_num
+        den *= step_den
+        total = total * step_den + p_at(k + 1) * num
+    pre = t.prefactor_rational
+    return Fraction(total * pre.numerator, den * p_den * pre.denominator)
 
 
 def termination_bound(t: HyperTerm, n: int) -> Optional[int]:

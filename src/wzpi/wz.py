@@ -15,8 +15,8 @@ from typing import Optional
 
 from .algebra import Rat, RatFunc2
 from .terms import (ClosedForm, HyperTerm, p_eval, poch_exact, rhs_exact,
-                    shift_quotient_k, shift_quotient_n, term_value,
-                    termination_bound)
+                    shift_quotient_k, shift_quotient_n, term_sum,
+                    term_value, termination_bound)
 from .unipoly import UniPoly
 
 
@@ -83,9 +83,10 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
     """Symbolic WZ check plus boundary and base-case checks.
 
     Also scans the summation support for certificate-denominator zeros up to
-    n = n_scan; hits are reported in failure_detail but do not flip any flag
-    (the symbolic identity is a polynomial statement, and boundary values are
-    handled exactly by the telescoping probe).
+    n = n_scan; hits are reported in failure_detail but do not flip any flag.
+    The symbolic identity is a statement about rational functions, so it
+    holds whatever the lattice values; g_value resolves G at such a point
+    when a caller needs it, but nothing here calls it.
     """
     _require_wz(ident)
     if ident.certificate is None:
@@ -131,8 +132,7 @@ def row_sum(ident: WZIdentity, n: int) -> tuple[Rat, Rat]:
     bound = termination_bound(ident.term, n)
     if bound is None:
         raise ValueError(f"{ident.name}: series does not terminate at n = {n}")
-    total = sum(term_value(ident.term, n, k) for k in range(bound + 1))
-    return total, rhs_exact(ident.rhs, n)
+    return term_sum(ident.term, n, bound), rhs_exact(ident.rhs, n)
 
 
 def verify_exact_sums(ident: WZIdentity, n_max: int = 20) -> CertReport:

@@ -12,7 +12,9 @@ from wzpi import (
     BUILTIN_NAMES,
     Poly2,
     UniPoly,
+    WZIdentity,
     builtin_record,
+    parse_identity,
     synthesize_certificate,
 )
 
@@ -55,6 +57,36 @@ def unipolys(max_degree: int = 5):
 
 
 nonzero_unipolys = unipolys().filter(lambda p: not p.is_zero)
+
+
+# -- generated identity families ----------------------------------------------------
+
+def hypergeometric_record(
+    num: list[tuple], den: list[tuple], rhs: list[tuple]
+) -> WZIdentity:
+    """sum_k prod (num)_k / (prod (den)_k k!) = prod (rhs)_n, as a record;
+    each factor is an (argument, exponent) pair."""
+    def poch(args):
+        return ", ".join(f'"({a})^{e}"' for a, e in args)
+    text = "\n".join([
+        "[identity]", "name = family", "kind = wz", "z = 1", "p = [1]",
+        "fact_pow = 1", f"num_poch = [{poch(num)}]", f"den_poch = [{poch(den)}]",
+        "rhs_base = 1", f"rhs_poch = [{poch(rhs)}]"]) + "\n"
+    return parse_identity(text).to_identity()
+
+
+def chu_vandermonde(b: Fraction, c: Fraction) -> WZIdentity:
+    # sum_k (-n)_k (b)_k / ((c)_k k!) = (c-b)_n / (c)_n
+    return hypergeometric_record([("-n", 1), (b, 1)], [(c, 1)],
+                                 [(c - b, 1), (c, -1)])
+
+
+def pfaff_saalschuetz(a: Fraction, b: Fraction, c: Fraction) -> WZIdentity:
+    # sum_k (-n)_k (a)_k (b)_k / ((c)_k (1+a+b-c-n)_k k!)
+    #   = (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n)
+    return hypergeometric_record(
+        [("-n", 1), (a, 1), (b, 1)], [(c, 1), (f"-n+{1 + a + b - c}", 1)],
+        [(c - a, 1), (c - b, 1), (c, -1), (c - a - b, -1)])
 
 
 # -- certificates compared term by term ---------------------------------------------

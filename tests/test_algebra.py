@@ -70,6 +70,75 @@ def test_power_is_repeated_multiplication(a, m):
     assert a ** m == expected
 
 
+# -- products and values against Fraction references -----------------------------------
+
+def schoolbook_product(a: Poly2, b: Poly2) -> Poly2:
+    """Every pair of terms multiplied and summed in Fractions."""
+    terms: dict = {}
+    for (i1, j1), c1 in a.terms.items():
+        for (i2, j2), c2 in b.terms.items():
+            e = (i1 + i2, j1 + j2)
+            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return Poly2(terms)
+
+
+def fraction_value(a: Poly2, n, k) -> Fraction:
+    n, k = Fraction(n), Fraction(k)
+    return sum((c * n ** i * k ** j for (i, j), c in a.terms.items()), Fraction(0))
+
+
+# coefficients up to 10^40 over denominators up to 10^6, of either sign
+big_coefficients = st.fractions(min_value=-10 ** 40, max_value=10 ** 40,
+                                max_denominator=10 ** 6)
+
+
+def big_poly2s(max_degree: int = 6, max_terms: int = 12):
+    monomials = st.tuples(st.integers(min_value=0, max_value=max_degree),
+                          st.integers(min_value=0, max_value=max_degree))
+    return st.dictionaries(monomials, st.one_of(big_coefficients, rationals),
+                           max_size=max_terms).map(Poly2)
+
+
+@given(big_poly2s(), big_poly2s())
+def test_product_matches_schoolbook_reference(a, b):
+    assert a * b == schoolbook_product(a, b)
+
+
+@given(big_poly2s(), big_poly2s())
+def test_products_whose_terms_cancel_match_schoolbook_reference(a, b):
+    # (a + b)(a - b): the cross terms cancel slot by slot
+    product = (a + b) * (a - b)
+    assert product == schoolbook_product(a + b, a - b)
+    assert product == a * a - b * b
+
+
+def test_product_edge_cases():
+    n, k = Poly2.var("n"), Poly2.var("k")
+    assert (n + k) * (n - k) == Poly2({(2, 0): 1, (0, 2): -1})
+    assert (n + k) * Poly2() == Poly2() and Poly2() * Poly2() == Poly2()
+    assert Poly2.const(Fraction(-3, 7)) * Poly2.const(Fraction(7, 3)) == Poly2.const(-1)
+    # coefficients 2^(8s - 1) - 1 and -1 in neighbouring slots borrow across them
+    edge = Poly2({(0, 0): -1, (0, 1): 2 ** 63 - 1, (1, 0): -(2 ** 63 - 1)})
+    assert edge * edge == schoolbook_product(edge, edge)
+    assert edge * -edge == schoolbook_product(edge, -edge)
+    # 256 products of (2^64 - 1)^2 add up in the middle slot, 8 bits beyond
+    # the coefficients' own 128
+    dense = Poly2({(0, j): 2 ** 64 - 1 for j in range(256)})
+    assert dense * dense == schoolbook_product(dense, dense)
+    assert (dense * dense).coeff(0, 255) == 256 * (2 ** 64 - 1) ** 2
+
+
+@given(big_poly2s(), st.tuples(st.integers(min_value=-40, max_value=0),
+                               st.integers(min_value=-40, max_value=0)))
+def test_eval_matches_fraction_reference_at_negative_lattice_points(a, pt):
+    assert a.eval(*pt) == fraction_value(a, *pt)
+
+
+@given(big_poly2s(), big_coefficients, rationals)
+def test_eval_matches_fraction_reference_at_rational_points(a, n, k):
+    assert a.eval(n, k) == fraction_value(a, n, k)
+
+
 # -- evaluation is a ring homomorphism ----------------------------------------------
 
 @given(poly2s(), poly2s(), lattice_points)

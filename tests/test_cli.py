@@ -272,6 +272,15 @@ def test_numeric_rejects_a_point_with_a_zero_denominator(capsys):
     assert "error: --point 1/0 has a zero denominator" in err
 
 
+def test_numeric_reports_a_pole_of_the_series_without_a_traceback(capsys):
+    # theorem9 has (2n + 3/2)_k in the denominator, so its second term is a
+    # pole at n = -3/4
+    code, out, err = run(capsys, "numeric", "--id", "theorem9", "--point=-3/4")
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == "error: denominator factor (2*n+3/2)_k vanishes at n=-0.75, k=1\n"
+
+
 def test_numeric_tolerance_is_enforced(capsys):
     code, out, _ = run(capsys, "numeric", "--id", "theorem1", "--tol", "1e-30")
     assert code == EXIT_CHECK_FAILED

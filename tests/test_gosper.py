@@ -32,7 +32,7 @@ from wzpi import (
 from wzpi.gosper import _divide_out, dispersion_candidates
 from wzpi.terms import factor_product
 
-from conftest import normalised_terms, poly2s
+from conftest import chu_vandermonde, normalised_terms, pfaff_saalschuetz, poly2s
 
 K = Poly2.var("k")
 N = Poly2.var("n")
@@ -364,34 +364,6 @@ def test_synthesis_never_blesses_a_false_identity():
         return
     assert result.status == "NotSummable"
     assert result.certificate is None
-
-
-def hypergeometric_record(
-    num: list[tuple], den: list[tuple], rhs: list[tuple]
-) -> WZIdentity:
-    """sum_k prod (num)_k / (prod (den)_k k!) = prod (rhs)_n, as a record;
-    each factor is an (argument, exponent) pair."""
-    def poch(args):
-        return ", ".join(f'"({a})^{e}"' for a, e in args)
-    text = "\n".join([
-        "[identity]", "name = family", "kind = wz", "z = 1", "p = [1]",
-        "fact_pow = 1", f"num_poch = [{poch(num)}]", f"den_poch = [{poch(den)}]",
-        "rhs_base = 1", f"rhs_poch = [{poch(rhs)}]"]) + "\n"
-    return parse_identity(text).to_identity()
-
-
-def chu_vandermonde(b: Fraction, c: Fraction) -> WZIdentity:
-    # sum_k (-n)_k (b)_k / ((c)_k k!) = (c-b)_n / (c)_n
-    return hypergeometric_record([("-n", 1), (b, 1)], [(c, 1)],
-                                 [(c - b, 1), (c, -1)])
-
-
-def pfaff_saalschuetz(a: Fraction, b: Fraction, c: Fraction) -> WZIdentity:
-    # sum_k (-n)_k (a)_k (b)_k / ((c)_k (1+a+b-c-n)_k k!)
-    #   = (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n)
-    return hypergeometric_record(
-        [("-n", 1), (a, 1), (b, 1)], [(c, 1), (f"-n+{1 + a + b - c}", 1)],
-        [(c - a, 1), (c - b, 1), (c, -1), (c - a - b, -1)])
 
 
 @pytest.mark.parametrize("b, c, bound", [

@@ -202,6 +202,27 @@ def test_accelerator_reaches_catalan_constant():
     assert abs(CATALAN - float(mpmath.catalan)) < 1e-15
 
 
+def test_accelerator_rejects_terms_that_do_not_alternate():
+    # z < 0, but (-5/2 + k)/(k + 1) < 0 for k <= 2 makes the first ratios positive
+    term = HyperTerm(poch=(PochFactor(0, Fraction(-5, 2), 1),), fact_pow=1,
+                     z=Fraction(-1, 2), p=(1,))
+    with pytest.raises(ValueError, match="term ratio 1.25 at k=0 is not negative"):
+        series_numeric(term, 0, ALT_CFG)
+
+
+@pytest.mark.parametrize("term, n, where", [
+    # (2n + 3/2)_k in the denominator at n = -3/4: t(1) is a pole
+    (load_builtin("theorem9").term, -0.75, r"\(2\*n\+3/2\)_k vanishes at n=-0.75, k=1"),
+    # p(k) = k: t(0) = 0, so t(1)/t(0) has no value
+    (HyperTerm(poch=(), fact_pow=1, z=Fraction(-1, 2), p=(0, 1)), 0.0,
+     r"p\(k\) vanishes at k=0"),
+])
+def test_term_ratio_names_the_factor_that_vanishes(term, n, where):
+    for cfg in (NumericConfig(), ALT_CFG):
+        with pytest.raises(PoleError, match=where):
+            series_numeric(term, n, cfg)
+
+
 # -- rational-point checks --------------------------------------------------------------
 
 @pytest.mark.parametrize("name", THEOREM_NAMES)

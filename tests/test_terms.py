@@ -2,6 +2,7 @@
 termination, shift quotients, and the structural reduction at n = -1/(2a)."""
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from wzpi import (
+    BUILTIN_NAMES,
     ClosedForm,
     HyperTerm,
     PochFactor,
@@ -29,9 +31,10 @@ from wzpi.terms import (
     p_eval,
     shift_quotient_k,
     shift_quotient_n,
+    term_sum,
 )
 
-from conftest import WZ_NAMES, rationals
+from conftest import WZ_NAMES, chu_vandermonde, pfaff_saalschuetz, rationals
 
 
 poch_args = st.fractions(min_value=Fraction(-10), max_value=Fraction(10),
@@ -115,6 +118,74 @@ def test_non_terminating_series_has_no_bound():
     ram = builtin_record("ramanujan").to_identity().term
     assert termination_bound(ram, 0) is None
     assert termination_bound(ram, 5) is None
+
+
+# -- row sums by the term ratio ------------------------------------------------------
+
+def term_value_sum(t, n, bound):
+    return sum((term_value(t, n, k) for k in range(bound + 1)), Fraction(0))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_term_sum_matches_the_summed_term_values(name):
+    # the two numeric records do not terminate: their first 31 terms
+    t = builtin_record(name).to_identity().term
+    for n in range(21):
+        bound = termination_bound(t, n)
+        bound = 30 if bound is None else bound
+        assert term_sum(t, n, bound) == term_value_sum(t, n, bound)
+
+
+# both signs, so that some denominator factors hit a pole
+family_parameters = st.one_of(
+    st.integers(min_value=-6, max_value=9).map(Fraction),
+    st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7),
+).filter(bool)
+
+
+@given(st.one_of(
+    st.builds(chu_vandermonde, family_parameters, family_parameters),
+    st.builds(pfaff_saalschuetz, family_parameters, family_parameters,
+              family_parameters)),
+    st.integers(min_value=0, max_value=10))
+def test_term_sum_matches_the_summed_term_values_on_families(ident, n):
+    t = ident.term
+    bound = termination_bound(t, n)
+    try:
+        expected = term_value_sum(t, n, bound)
+    except PoleError as exc:
+        with pytest.raises(PoleError, match=f"^{re.escape(str(exc))}$"):
+            term_sum(t, n, bound)
+    else:
+        assert term_sum(t, n, bound) == expected
+
+
+@pytest.mark.parametrize("den_factor, n, pole", [
+    (PochFactor(0, -2, -1), 6, 3),              # (-2)_k
+    (PochFactor(1, -5, -2), 3, 3),              # (n - 5)_k^2 at n = 3
+    (PochFactor(-1, Fraction(3), -1), 5, 3),    # (3 - n)_k at n = 5
+])
+def test_term_sum_raises_the_pole_term_value_raises(den_factor, n, pole):
+    t = HyperTerm(poch=(PochFactor(-1, 0, 1), PochFactor(0, Fraction(1, 2), 1),
+                        den_factor),
+                  fact_pow=1, z=Fraction(-3, 2), p=(1, 1))
+    # term_value has no pole below k = pole and one at it
+    assert term_sum(t, n, pole - 1) == term_value_sum(t, n, pole - 1)
+    with pytest.raises(PoleError) as expected:
+        term_value(t, n, pole)
+    with pytest.raises(PoleError, match=f"^{re.escape(str(expected.value))}$"):
+        term_sum(t, n, termination_bound(t, n))
+
+
+def test_term_sum_walks_past_integer_roots_of_the_multiplier():
+    # p(k) = (k - 2)(k - 5): the terms at k = 2 and k = 5 are zero, the rest not
+    t = HyperTerm(poch=(PochFactor(-1, 0, 1), PochFactor(0, Fraction(1, 3), 2)),
+                  fact_pow=2, z=Fraction(4, 3), p=(10, -7, 1),
+                  prefactor_rational=Fraction(-5, 2))
+    values = [term_value(t, 9, k) for k in range(10)]
+    assert values[2] == values[5] == 0 and all(values[k] for k in (0, 1, 3, 4, 6, 9))
+    for bound in range(10):
+        assert term_sum(t, 9, bound) == sum(values[:bound + 1])
 
 
 # -- closed forms --------------------------------------------------------------------
