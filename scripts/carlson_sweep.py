@@ -32,7 +32,7 @@ def main() -> int:
     parser.add_argument("--tol", type=float, default=1e-12,
                         help="series summation tolerance")
     args = parser.parse_args()
-    cfg = NumericConfig(target_abs_tol=args.tol, acceleration="alternating")
+    cfg = NumericConfig(target_abs_tol=args.tol)
 
     names = [n for n in BUILTIN_NAMES
              if builtin_record(n).kind == "wz" and builtin_record(n).carlson_a]

@@ -15,15 +15,15 @@ Layers, bottom up:
   the normal form from integer shifts between its linear factors,
   degree-bounded back-substitution for Gosper's equation, verified
   reassembly.
-- ``numeric``: log-gamma kernel, series evaluation with alternating-series
-  acceleration, continuation-point spot checks, pi estimators.
+- ``numeric``: log-gamma kernel, series evaluation (accelerated when the
+  terms alternate, z < 0), continuation-point spot checks, pi estimators.
 - ``catalog``: the built-in identity database and the identity file format.
 - ``cli``: the ``wzpi`` command.
 """
 
 __version__ = "0.1.0"
 
-from .algebra import DivisionByZeroFunction, Poly2, Rat, RatFunc2, ratfunc_equal
+from .algebra import DivisionByZeroFunction, Poly2, Rat, RatFunc2
 from .catalog import (
     BUILTIN_NAMES,
     IdentityFile,
@@ -76,7 +76,6 @@ from .wz import (
     PoleOnLattice,
     WZIdentity,
     g_value,
-    telescoping_probe,
     verify_certificate,
     verify_exact_sums,
     wz_residual,
@@ -121,14 +120,12 @@ __all__ = [
     "pi_from_series",
     "poch_exact",
     "poch_numeric",
-    "ratfunc_equal",
     "reduces_to_ramanujan",
     "rhs_exact",
     "rhs_numeric",
     "serialize_identity",
     "series_numeric",
     "synthesize_certificate",
-    "telescoping_probe",
     "term_value",
     "termination_bound",
     "trig_identity_check",

@@ -208,17 +208,6 @@ class Poly2:
             total += c * npow[i] * kpow[j]
         return Fraction(total, den * n.denominator ** dn * k.denominator ** dk)
 
-    def eval_n(self, n: Scalar) -> list[Rat]:
-        """Substitute a rational for n; coefficients of k^0..k^deg remain."""
-        n = Fraction(n)
-        deg = self.degree("k")
-        out = [Fraction(0)] * (deg + 1)
-        for (i, j), c in self.terms.items():
-            out[j] += c * n ** i
-        while out and not out[-1]:
-            out.pop()
-        return out
-
     def eval_k(self, k: Scalar) -> list[Rat]:
         """Substitute a rational for k; coefficients of n^0..n^deg remain."""
         k = Fraction(k)
@@ -317,7 +306,8 @@ def _coerce(x: "Poly2 | Scalar") -> Poly2:
 
 
 class RatFunc2:
-    """Unreduced quotient of two Poly2.  Equality via cross-multiplication."""
+    """Unreduced quotient of two Poly2.  Equality via cross-multiplication,
+    so instances are unhashable."""
 
     __slots__ = ("num", "den")
 
@@ -364,18 +354,12 @@ class RatFunc2:
     def __rtruediv__(self, other: "Poly2 | Scalar") -> "RatFunc2":
         return _coerce_rf(other) / self
 
-    def equal(self, other: "RatFunc2 | Poly2 | Scalar") -> bool:
+    def __eq__(self, other: object) -> bool:
         """True iff the two quotients agree as rational functions."""
+        if not isinstance(other, (RatFunc2, Poly2, int, Fraction)):
+            return NotImplemented
         other = _coerce_rf(other)
         return (self.num * other.den - other.num * self.den).is_zero
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (RatFunc2, Poly2, int, Fraction)):
-            return self.equal(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        raise TypeError("RatFunc2 is not hashable (unreduced representation)")
 
     def shift(self, var: str, delta: Scalar) -> "RatFunc2":
         return RatFunc2(self.num.shift(var, delta), self.den.shift(var, delta))
@@ -397,7 +381,3 @@ def _coerce_rf(x: "RatFunc2 | Poly2 | Scalar") -> RatFunc2:
     if isinstance(x, RatFunc2):
         return x
     return RatFunc2(_coerce(x), Poly2.const(1))
-
-
-def ratfunc_equal(a: RatFunc2, b: RatFunc2) -> bool:
-    return a.equal(b)

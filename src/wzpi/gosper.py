@@ -110,9 +110,6 @@ class UniPolyQn:
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPolyQn) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"UniPolyQn({list(self.coeffs)!r})"
 
@@ -449,7 +446,7 @@ def _certificate_from_solution(
     return RatFunc2(cert.num, cert.den * factor_product(left))
 
 
-def synthesize_certificate(ident: WZIdentity, *, n_scan: int = 12) -> GosperResult:
+def synthesize_certificate(ident: WZIdentity) -> GosperResult:
     """Run the full pipeline and return a verified certificate when one exists.
 
     The result carries status "Summable" only if the reassembled certificate
@@ -466,11 +463,11 @@ def synthesize_certificate(ident: WZIdentity, *, n_scan: int = 12) -> GosperResu
         return GosperResult("NotSummable", None, bound, confirmed)
     cert = _certificate_from_solution(ident, x, lists, p)
     trial = replace(ident, certificate=cert)
-    report = verify_certificate(trial, n_scan=n_scan)
+    report = verify_certificate(trial, n_scan=12)
     if not report.symbolic_ok:
         raise RuntimeError(
             f"synthesized certificate failed verification: {report.failure_detail}"
         )
-    if not (report.boundary_ok and report.base_case_ok):
+    if not report.ok:
         return GosperResult("NotProved", None, bound, confirmed, report)
     return GosperResult("Summable", cert, bound, confirmed, report)

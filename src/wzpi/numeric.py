@@ -1,6 +1,6 @@
 """Floating-point evaluation of the catalog: closed forms at real arguments,
-series summation with optional alternating-series acceleration, and the
-machine-precision spot checks used by the test suite and CLI.
+series summation (accelerated when z < 0), and the machine-precision spot
+checks used by the test suite and CLI.
 
 The closed forms are products of Pochhammer symbols at rational offsets, so
 everything reduces to a log-gamma kernel (Lanczos approximation, g = 7, with
@@ -31,7 +31,6 @@ __all__ = [
     "poch_numeric",
     "rhs_numeric",
     "series_numeric",
-    "term_numeric",
     "trig_identity_check",
     "trig_root_residuals",
 ]
@@ -43,16 +42,12 @@ class NoConvergence(ArithmeticError):
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Knobs for series evaluation.
-
-    acceleration: "none" sums directly with an alternating/decreasing tail
-    bound; "alternating" applies the Chebyshev-weighted accelerator (only
-    valid when consecutive terms truly alternate in sign).
-    """
+    """Knobs for series evaluation: the absolute tolerance to reach and the
+    most terms to use.  Whether a series is accelerated is not a knob: it
+    follows from the sign of z (see series_numeric)."""
 
     target_abs_tol: float = 1e-10
     max_terms: int = 10000
-    acceleration: str = "none"
 
 
 # -- log-gamma kernel ----------------------------------------------------------
@@ -123,14 +118,10 @@ def rhs_numeric(rhs: ClosedForm, n: float) -> float:
     return value
 
 
-def term_numeric(t: HyperTerm, n: float, k: int) -> float:
-    """Summand value at real n and integer k >= 0 (prefactors included)."""
-    value = float(t.prefactor_rational) * math.sqrt(float(t.prefactor_sqrt))
-    value *= float(t.z) ** k * float(p_eval(t, k))
-    for f in t.poch:
-        value *= poch_numeric(f.n_coeff * n + float(f.offset), k) ** f.power
-    value /= math.factorial(k) ** t.fact_pow
-    return value
+def _first_term(t: HyperTerm) -> float:
+    """t(0), prefactors included: every Pochhammer factor, z^0 and 0! are 1."""
+    return (float(t.prefactor_rational) * math.sqrt(float(t.prefactor_sqrt))
+            * float(p_eval(t, 0)))
 
 
 def _term_ratio(t: HyperTerm, n: float) -> Callable[[int], float]:
@@ -154,7 +145,7 @@ def _term_ratio(t: HyperTerm, n: float) -> Callable[[int], float]:
         for f in t.poch:
             v = f.n_coeff * n + float(f.offset) + k
             if not v and f.power < 0:
-                arg = Poly2({(1, 0): f.n_coeff, (0, 0): f.offset})
+                arg = Poly2.linear(f.n_coeff, 0, f.offset)
                 raise PoleError(
                     f"denominator factor ({arg})_k vanishes at n={n}, k={k + 1}")
             r *= v ** f.power
@@ -193,7 +184,7 @@ def _accelerated_sum(
     )
     m = min(m, cfg.max_terms)
     ratio = _term_ratio(t, n)
-    t0 = term_numeric(t, n, 0)
+    t0 = _first_term(t)
     a = [abs(t0)]
     for k in range(m - 1):
         rk = ratio(k)
@@ -209,26 +200,30 @@ def series_numeric(
 ) -> float:
     """Sum the series over k >= 0 at a real argument n.
 
-    Direct summation (with math.fsum) stops on an alternating tail once the
-    next term is below tolerance and shrinking, on a tail of one sign once
-    |t(k+1)|/(1 - rho) < tol/2 with rho = max(t(k+1)/t(k), |z|).  The
-    accelerated path needs only O(digits) terms of a strictly alternating series.
+    A series with z < 0 goes to the accelerator, which needs only O(digits)
+    terms and raises ValueError unless the terms strictly alternate in sign.
+    Any other series is summed directly (with math.fsum).  The walk stops on
+    an alternating tail once the next term is below tolerance and shrinking,
+    on a tail of one sign once |t(k+1)|/(1 - rho) < tol/2 with
+    rho = max(t(k+1)/t(k), |z|), and at a zero term t(k+1) with p(k+1) != 0:
+    the Pochhammer part has terminated.  A zero of p(k+1) does not stop it;
+    the next ratio raises PoleError there.
     """
     if isinstance(t, WZIdentity):
         t = t.term
     cfg = cfg or NumericConfig()
-    if cfg.acceleration == "alternating":
-        if float(t.z) >= 0:
-            raise ValueError("alternating acceleration needs negative z")
+    if float(t.z) < 0:
         return _accelerated_sum(t, n, cfg)
     ratio = _term_ratio(t, n)
     terms = []
-    tk = term_numeric(t, n, 0)
+    tk = _first_term(t)
     for k in range(cfg.max_terms):
         terms.append(tk)
         rk = ratio(k)
         nxt = tk * rk
-        if rk <= 0 or nxt == 0:
+        if nxt == 0:
+            done = p_eval(t, k + 1) != 0
+        elif rk < 0:
             done = abs(nxt) <= cfg.target_abs_tol and abs(nxt) <= abs(tk)
         else:  # half the tolerance is left for the rounding of the terms
             rho = max(rk, abs(float(t.z)))
@@ -270,14 +265,19 @@ def carlson_point_check(
     *,
     point: Optional[Fraction] = None,
 ) -> CarlsonCheck:
-    """Evaluate closed form and series at n = -1/(2a) (or a supplied point)."""
+    """Evaluate closed form and series at n = -1/(2a) (or a supplied point).
+
+    The default tolerance is 1e-12.  Every catalog identity with a
+    continuation point has z < 0, so series_numeric accelerates its series;
+    at a point where the terms do not alternate that raises ValueError.
+    """
     if point is None:
         if ident.carlson_a is None:
             raise ValueError(f"{ident.name} has no continuation point")
         point = Fraction(-1, 2 * ident.carlson_a)
     if ident.rhs is None:
         raise ValueError(f"{ident.name} has no closed form")
-    cfg = cfg or NumericConfig(target_abs_tol=1e-12, acceleration="alternating")
+    cfg = cfg or NumericConfig(target_abs_tol=1e-12)
     target = 2.0 / math.pi
     rhs_value = rhs_numeric(ident.rhs, float(point))
     series_value = series_numeric(ident.term, float(point), cfg)
@@ -315,7 +315,7 @@ def pi_from_series(
     if float(t.z) < 0:
         return 2.0 / _accelerated_sum(t, 0.0, cfg, terms)
     total = 0.0
-    tk = term_numeric(t, 0.0, 0)
+    tk = _first_term(t)
     ratio = _term_ratio(t, 0.0)
     limit = terms if terms is not None else cfg.max_terms
     for k in range(limit):

@@ -200,10 +200,6 @@ def multiplier(t: HyperTerm) -> Poly2:
     return Poly2({(0, i): c for i, c in enumerate(t.p)})
 
 
-def _linear(b: int, c: Rat, k_coeff: int = 1) -> Poly2:
-    return Poly2({(1, 0): Fraction(b), (0, 1): Fraction(k_coeff), (0, 0): Fraction(c)})
-
-
 def shift_quotient_k_parts(t: HyperTerm) -> "tuple[list[Poly2], list[Poly2], Rat]":
     """Factored F(n,k+1)/F(n,k) without the multiplier's p(k+1)/p(k):
     (numerator factors, denominator factors, scalar), each factor k + a(n)."""
@@ -212,9 +208,9 @@ def shift_quotient_k_parts(t: HyperTerm) -> "tuple[list[Poly2], list[Poly2], Rat
     for f in t.poch:
         target = num if f.power > 0 else den
         for _ in range(abs(f.power)):
-            target.append(_linear(f.n_coeff, f.offset))
+            target.append(Poly2.linear(f.n_coeff, 1, f.offset))
     for _ in range(t.fact_pow):
-        den.append(Poly2({(0, 1): Fraction(1), (0, 0): Fraction(1)}))  # k + 1
+        den.append(Poly2.linear(0, 1, 1))  # k + 1
     return num, den, t.z
 
 
@@ -253,12 +249,12 @@ def shift_quotient_n_parts(t: HyperTerm, rhs: ClosedForm) \
         pieces: list[tuple[Poly2, Poly2]] = []  # (numerator, denominator) pairs
         if b > 0:
             for j in range(b):
-                pieces.append((_linear(b, f.offset + j),
-                               _linear(b, f.offset + j, k_coeff=0)))
+                pieces.append((Poly2.linear(b, 1, f.offset + j),
+                               Poly2.linear(b, 0, f.offset + j)))
         else:
             for j in range(1, -b + 1):
-                pieces.append((_linear(b, f.offset - j, k_coeff=0),
-                               _linear(b, f.offset - j)))
+                pieces.append((Poly2.linear(b, 0, f.offset - j),
+                               Poly2.linear(b, 1, f.offset - j)))
         for (pn, pd) in pieces:
             for _ in range(abs(f.power)):
                 if f.power > 0:
@@ -268,7 +264,7 @@ def shift_quotient_n_parts(t: HyperTerm, rhs: ClosedForm) \
                     num.append(pd)
                     den.append(pn)
     for (arg, e) in rhs.poch_n:
-        piece = Poly2({(1, 0): Fraction(1), (0, 0): Fraction(arg)})  # arg + n
+        piece = Poly2.linear(1, 0, arg)  # arg + n
         for _ in range(abs(e)):
             (den if e > 0 else num).append(piece)
     return num, den, scal

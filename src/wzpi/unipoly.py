@@ -175,9 +175,6 @@ class UniPoly:
                 r.pop()
         return UniPoly(q), UniPoly(r)
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
 
@@ -193,9 +190,6 @@ class UniPoly:
         if not isinstance(other, UniPoly):
             return NotImplemented
         return self.c == other.c
-
-    def __hash__(self) -> int:
-        return hash(self.c)
 
     def eval(self, x: Scalar) -> Rat:
         x = Fraction(x)
@@ -390,9 +384,6 @@ class RatFn:
         if not isinstance(other, RatFn):
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def eval(self, x: Scalar) -> Rat:
         d = self.den.eval(x)

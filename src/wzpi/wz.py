@@ -203,16 +203,3 @@ def g_value(ident: WZIdentity, n: int, k: int) -> Rat:
     if ord_b < ord_a:
         return Fraction(0)
     return a_defl.eval(n) / b_defl.eval(n) / rhs_val
-
-
-def telescoping_probe(ident: WZIdentity, n: int, k_max: int) -> Rat:
-    """Exact sum of G(n,k+1) - G(n,k) over k = 0..k_max.
-
-    Telescopes to G(n, k_max+1) - G(n, 0); every intermediate G value is
-    evaluated exactly, so a genuine certificate pole inside the range raises
-    PoleOnLattice rather than being silently skipped.
-    """
-    values = [g_value(ident, n, k) for k in range(k_max + 2)]
-    total = sum(values[k + 1] - values[k] for k in range(k_max + 1))
-    assert total == values[-1] - values[0]
-    return total

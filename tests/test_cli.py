@@ -363,6 +363,32 @@ def test_broken_pipe_exits_quietly_with_its_code(capsys, monkeypatch, tmp_path):
     assert target.read_bytes() == b""
 
 
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(argv.split(), code, id=argv) for argv, code in (
+        ("pi --series ramanujan --tol 0", EXIT_USAGE),
+        ("pi --series ramanujan --tol -1", EXIT_USAGE),
+        ("pi --series ramanujan --tol nan", EXIT_USAGE),
+        ("numeric --id theorem1 --tol 0", EXIT_USAGE),
+        ("numeric --id theorem1 --tol inf", EXIT_USAGE),
+        ("numeric --id theorem1 --point=171", EXIT_CHECK_FAILED),
+        ("numeric --id theorem1 --point=-1000", EXIT_CHECK_FAILED),
+        ("numeric --id theorem1 --point=1e400", EXIT_CHECK_FAILED),
+        # the accelerator's (3 + sqrt(8))^m overflows from m = 403 on
+        ("pi --series ramanujan --terms 410", EXIT_CHECK_FAILED),
+    )
+])
+def test_out_of_range_numbers_end_with_their_code_and_no_traceback(capsys, argv,
+                                                                  expected):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse ends usage errors this way
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == expected
+    assert out == ""
+    assert "error: " in err and "Traceback" not in err
+
+
 def test_conflicting_verify_selectors():
     with pytest.raises(SystemExit) as info:
         main(["verify", "--id", "theorem1", "--all"])

@@ -81,7 +81,7 @@ def test_tower_denominator_clearing(a):
     assert not L.is_zero
     for i, c in enumerate(cleared):
         assert f.coeff(i) * RatFn(L) == RatFn(c)
-    assert f.to_ratfunc2().equal(RatFunc2(a, 1))
+    assert f.to_ratfunc2() == RatFunc2(a, 1)
 
 
 # -- dispersion ------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def check_normal_form(parts):
     # defining equation: ratio(k) = (q/r) * p(k+1)/p(k)
     lhs = expand(parts) * p.to_ratfunc2() * r.to_ratfunc2()
     rhs = q.to_ratfunc2() * p.shift(1).to_ratfunc2()
-    assert lhs.equal(rhs)
+    assert lhs == rhs
     # shifted coprimality
     if q.degree() > 0 and r.degree() > 0:
         for j in range(0, 8):
@@ -341,7 +341,7 @@ def test_synthesis_reproduces_printed_certificates(name, synthesis):
 def test_synthesis_exposes_the_sign_error_in_the_flagged_certificate(synthesis):
     printed = load_builtin("theorem2").certificate
     synth = synthesis.get("theorem2").certificate
-    assert not synth.equal(printed)
+    assert synth != printed
     assert normalised_terms(synth) == normalised_terms(RatFunc2(-printed.num, printed.den))
 
 

@@ -1,9 +1,10 @@
 """Floating-point layer: log-gamma, numeric closed forms, series summation
-with alternating-series acceleration, and the machine-precision pi targets."""
+(accelerated when z < 0), and the machine-precision pi targets."""
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -44,7 +45,7 @@ CATALAN_TERM = HyperTerm(poch=(PochFactor(0, Fraction(1, 2), 2),
                          fact_pow=0, z=-1, p=(1,))
 CATALAN = 0.915965594177219015054603514932
 
-ALT_CFG = NumericConfig(target_abs_tol=1e-12, acceleration="alternating")
+TIGHT_CFG = NumericConfig(target_abs_tol=1e-12)
 
 
 # -- log-gamma ----------------------------------------------------------------------
@@ -187,17 +188,17 @@ def test_direct_summation_raises_on_slow_series():
 
 
 def test_accelerator_reaches_ln2():
-    v = series_numeric(LN2_TERM, 0, ALT_CFG)
+    v = series_numeric(LN2_TERM, 0, TIGHT_CFG)
     assert abs(v - math.log(2.0)) < 1e-10
 
 
 def test_accelerator_reaches_pi_over_4():
-    v = series_numeric(LEIBNIZ_TERM, 0, ALT_CFG)
+    v = series_numeric(LEIBNIZ_TERM, 0, TIGHT_CFG)
     assert abs(v - math.pi / 4.0) < 1e-10
 
 
 def test_accelerator_reaches_catalan_constant():
-    v = series_numeric(CATALAN_TERM, 0, ALT_CFG)
+    v = series_numeric(CATALAN_TERM, 0, TIGHT_CFG)
     assert abs(v - CATALAN) < 1e-10
     assert abs(CATALAN - float(mpmath.catalan)) < 1e-15
 
@@ -207,7 +208,7 @@ def test_accelerator_rejects_terms_that_do_not_alternate():
     term = HyperTerm(poch=(PochFactor(0, Fraction(-5, 2), 1),), fact_pow=1,
                      z=Fraction(-1, 2), p=(1,))
     with pytest.raises(ValueError, match="term ratio 1.25 at k=0 is not negative"):
-        series_numeric(term, 0, ALT_CFG)
+        series_numeric(term, 0, TIGHT_CFG)
 
 
 @pytest.mark.parametrize("term, n, where", [
@@ -218,9 +219,26 @@ def test_accelerator_rejects_terms_that_do_not_alternate():
      r"p\(k\) vanishes at k=0"),
 ])
 def test_term_ratio_names_the_factor_that_vanishes(term, n, where):
-    for cfg in (NumericConfig(), ALT_CFG):
+    for z in (term.z, -term.z):  # the accelerated path, then the direct one
         with pytest.raises(PoleError, match=where):
-            series_numeric(term, n, cfg)
+            series_numeric(replace(term, z=z), n)
+
+
+def test_a_zero_of_the_multiplier_does_not_end_direct_summation():
+    # p(k) = k - 1 makes t(1) = 0 although the sum is -e^(1/2)/2, not t(0) = -1;
+    # the walk cannot pass the zero by term ratios, so it must raise
+    term = HyperTerm(poch=(), fact_pow=1, z=Fraction(1, 2), p=(-1, 1))
+    with pytest.raises(PoleError, match=r"p\(k\) vanishes at k=1"):
+        series_numeric(term, 0)
+
+
+@pytest.mark.parametrize("p, exact", [
+    ((1,), 0.125),     # sum (-3)_k (1/2)^k / k! = (1 - 1/2)^3
+    ((-5, 1), -1.0),   # p(5) = 0 lies past the last nonzero term, t(3)
+])
+def test_direct_summation_ends_where_the_pochhammer_part_terminates(p, exact):
+    term = HyperTerm(poch=(PochFactor(0, -3, 1),), fact_pow=1, z=Fraction(1, 2), p=p)
+    assert abs(series_numeric(term, 0) - exact) < 1e-15
 
 
 # -- rational-point checks --------------------------------------------------------------
@@ -276,8 +294,7 @@ def test_one_term_estimate_matches_frozen_error():
 
 
 def test_accelerated_alternating_estimate():
-    est = pi_from_series("ramanujan", NumericConfig(target_abs_tol=1e-12,
-                                                    acceleration="alternating"))
+    est = pi_from_series("ramanujan", NumericConfig(target_abs_tol=1e-12))
     assert abs(est - math.pi) < 1e-12
 
 
