@@ -56,7 +56,6 @@ from .numeric import (
     rhs_numeric,
     series_numeric,
     trig_identity_check,
-    trig_root_residuals,
 )
 from .terms import (
     ClosedForm,
@@ -129,7 +128,6 @@ __all__ = [
     "term_value",
     "termination_bound",
     "trig_identity_check",
-    "trig_root_residuals",
     "verify_certificate",
     "verify_exact_sums",
     "wz_residual",

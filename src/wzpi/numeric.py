@@ -32,7 +32,6 @@ __all__ = [
     "rhs_numeric",
     "series_numeric",
     "trig_identity_check",
-    "trig_root_residuals",
 ]
 
 
@@ -111,11 +110,22 @@ def poch_numeric(arg: float, count: float) -> float:
 
 
 def rhs_numeric(rhs: ClosedForm, n: float) -> float:
-    """Closed-form value base^n * prod (arg)_n^e at a real argument n."""
-    value = float(rhs.base) ** float(n)
-    for arg, power in rhs.poch_n:
-        value *= poch_numeric(float(arg), n) ** power
-    return value
+    """Closed-form value base^n * prod (arg)_n^e at a real argument n.
+
+    The logs n*log(base) and e*(log Gamma(arg + n) - log Gamma(arg)) are
+    added, with their signs kept apart, and exponentiated once, so that large
+    factors of a small value do not overflow on the way.
+    """
+    n = float(n)
+    log_value = n * math.log(float(rhs.base))
+    sign = 1
+    if n:  # (arg)_0 = 1, also where Gamma(arg) has a pole
+        for arg, power in rhs.poch_n:
+            la, sa = log_gamma(float(arg) + n)
+            lb, sb = log_gamma(float(arg))
+            log_value += power * (la - lb)
+            sign *= (sa * sb) ** power
+    return sign * math.exp(log_value)
 
 
 def _first_term(t: HyperTerm) -> float:
@@ -156,17 +166,37 @@ def _term_ratio(t: HyperTerm, n: float) -> Callable[[int], float]:
 
 
 def _accelerated_alternating(a: list[float]) -> float:
-    """Chebyshev-weighted sum of sum_k (-1)^k a_k from the first len(a) terms."""
+    """Chebyshev-weighted sum of sum_k (-1)^k a_k from the first len(a) terms.
+
+    The weights are c_k/d with d = T_m(3) = ((3 + sqrt 8)^m + (3 - sqrt 8)^m)/2,
+    which passes the largest double from m = 403 on.  There c, s and d are
+    kept as multiples of 2^-shift and b as a mantissa with its own exponent,
+    so that nothing overflows; d is then the integer T_m(3) rounded once.
+    Scaling by a power of two rounds nothing, and up to m = 402 shift is 0,
+    so there every value is the one the unscaled recurrence gives.
+    """
     m = len(a)
-    d = (3.0 + math.sqrt(8.0)) ** m
-    d = (d + 1.0 / d) / 2.0
-    b = -1.0
+    x = 3.0 + math.sqrt(8.0)
+    log2_d = m * math.log2(x)
+    if log2_d < 1023:
+        shift = 0
+        d = x ** m
+        d = (d + 1.0 / d) / 2.0
+    else:
+        shift = math.ceil(log2_d) - 1000
+        t_prev, t = 1, 3  # T_0(3), T_1(3); T_(j+1) = 6 T_j - T_(j-1)
+        for _ in range(m - 1):
+            t_prev, t = t, 6 * t - t_prev
+        d = t / (1 << shift)
+    b_mant, b_exp = -1.0, 0  # b = b_mant * 2^b_exp
     c = -d
     s = 0.0
     for k in range(m):
-        c = b - c
+        c = math.ldexp(b_mant, b_exp - shift) - c
         s += c * a[k]
-        b *= (k + m) * (k - m) / ((k + 0.5) * (k + 1.0))
+        b_mant, e = math.frexp(
+            b_mant * ((k + m) * (k - m) / ((k + 0.5) * (k + 1.0))))
+        b_exp += e
     return s / d
 
 
@@ -335,12 +365,3 @@ def pi_from_series(
 def trig_identity_check() -> float:
     """|cos(pi/5) + cos(2 pi/5) - sqrt(5)/2| (exactly zero in real arithmetic)."""
     return abs(math.cos(math.pi / 5) + math.cos(2 * math.pi / 5) - math.sqrt(5) / 2)
-
-
-def trig_root_residuals() -> tuple[float, float]:
-    """Residuals of 4x^2 - 2x - 1 at its two roots cos(pi/5) and cos(3 pi/5)."""
-
-    def quad(x: float) -> float:
-        return 4 * x * x - 2 * x - 1
-
-    return quad(math.cos(math.pi / 5)), quad(math.cos(3 * math.pi / 5))

@@ -66,20 +66,25 @@ class ClosedForm:
 
 
 def poch_exact(arg: "Rat | int", count: int) -> Rat:
-    """Rising factorial (arg)_count for integer count (negative allowed)."""
+    """Rising factorial (arg)_count for integer count (negative allowed).
+
+    For arg = a/b, (a/b)_m = prod (a + j*b) / b^m and (a/b)_(-m) =
+    b^m / prod (a - j*b): the products run in ints and one Fraction is built.
+    """
     arg = Fraction(arg)
+    a, b = arg.numerator, arg.denominator
     if count >= 0:
-        v = Fraction(1)
+        v = 1
         for j in range(count):
-            v *= arg + j
-        return v
-    v = Fraction(1)
+            v *= a + j * b
+        return Fraction(v, b ** count)
+    v = 1
     for j in range(1, -count + 1):
-        f = arg - j
+        f = a - j * b
         if not f:
             raise PoleError(f"({arg})_{count} hits a zero factor")
         v *= f
-    return 1 / v
+    return Fraction(b ** -count, v)
 
 
 def p_eval(t: HyperTerm, k: "Rat | int") -> Rat:
@@ -167,16 +172,17 @@ def termination_bound(t: HyperTerm, n: int) -> Optional[int]:
     does not terminate at this n.
 
     A numerator factor with argument v a nonpositive integer kills every
-    k > -v, so the bound is min(-v) over such factors.
+    k > -v, so the bound is min(-v) over such factors.  For integer n,
+    v = c + b*n is an integer exactly when the offset c is, so the test runs
+    in ints.
     """
     bound: Optional[int] = None
     for f in t.poch:
-        if f.power <= 0:
+        if f.power <= 0 or f.offset.denominator != 1:
             continue
-        v = f.arg_at(n)
-        if v.denominator == 1 and v <= 0:
-            b = -int(v)
-            bound = b if bound is None else min(bound, b)
+        v = f.offset.numerator + f.n_coeff * n
+        if v <= 0:
+            bound = -v if bound is None else min(bound, -v)
     return bound
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Rat, RatFunc2
+from .algebra import Rat, RatFunc2, _cleared
 from .terms import (ClosedForm, HyperTerm, p_eval, poch_exact, rhs_exact,
                     shift_quotient_k, shift_quotient_n, term_sum,
                     term_value, termination_bound)
@@ -84,6 +84,9 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
 
     Also scans the summation support for certificate-denominator zeros up to
     n = n_scan; hits are reported in failure_detail but do not flip any flag.
+    The scan clears the denominator once, to L*den with integer coefficients
+    and the same zeros, forms each row's coefficients in k once, and
+    evaluates the row by Horner's rule in ints.
     The symbolic identity is a statement about rational functions, so it
     holds whatever the lattice values; g_value resolves G at such a point
     when a caller needs it, but nothing here calls it.
@@ -110,13 +113,23 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
     if not report.base_case_ok:
         problems.append("base case n = 0 sum differs")
 
+    # the (n-power, coefficient) pairs of L*den, grouped by power of k,
+    # highest first, for Horner's rule in k
+    coeffs, _ = _cleared(cert.den)
+    by_k: list[list[tuple[int, int]]] = [[] for _ in range(cert.den.degree("k") + 1)]
+    for (i, j), c in coeffs.items():
+        by_k[-1 - j].append((i, c))
     poles = []
     for n in range(n_scan + 1):
         bound = termination_bound(ident.term, n)
         if bound is None:
             break
+        row = [sum(c * n ** i for i, c in col) for col in by_k]
         for k in range(bound + 1):
-            if not cert.den.eval(n, k):
+            v = 0
+            for c in row:
+                v = v * k + c
+            if not v:
                 poles.append((n, k))
     if poles:
         problems.append(f"certificate denominator vanishes on support at {poles[:4]}")

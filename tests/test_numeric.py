@@ -11,6 +11,7 @@ import mpmath
 import pytest
 
 from wzpi import (
+    ClosedForm,
     HyperTerm,
     NoConvergence,
     NumericConfig,
@@ -26,9 +27,8 @@ from wzpi import (
     rhs_exact,
     rhs_numeric,
     trig_identity_check,
-    trig_root_residuals,
 )
-from wzpi.numeric import series_numeric
+from wzpi.numeric import _accelerated_alternating, series_numeric
 
 from conftest import THEOREM_NAMES, WZ_NAMES
 
@@ -140,24 +140,32 @@ def test_poch_numeric_matches_exact_values():
 @pytest.mark.parametrize("name", WZ_NAMES)
 def test_rhs_numeric_tracks_exact_rhs(name):
     rhs = load_builtin(name).rhs
-    for n in range(16):
+    # at n = 171 single factors of the product pass the largest double
+    for n in [*range(41), 171]:
         exact = float(rhs_exact(rhs, n))
         got = rhs_numeric(rhs, n)
         assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
 def test_rhs_numeric_at_rational_points_matches_oracle():
+    # Gamma(3/4 + n) < 0 at n = -9/10, so the sign of the product is -1;
+    # at n = -13/10 two such factors cancel their signs
     rhs = load_builtin("theorem1").rhs
-    pt = Fraction(-1, 2)
-    got = rhs_numeric(rhs, pt)
-    # closed form: base^n * prod Gamma-ratio factors, via high precision
-    expected = mpmath.mpf(1)
-    expected *= mpmath.power(mpmath.mpf(rhs.base.numerator)
-                             / rhs.base.denominator, mpmath.mpf(-0.5))
-    for arg, e in rhs.poch_n:
-        a = mpmath.mpf(arg.numerator) / arg.denominator
-        expected *= (mpmath.gamma(a + mpmath.mpf(-0.5)) / mpmath.gamma(a)) ** e
-    assert abs(got - float(expected)) < 1e-13
+    for pt in (Fraction(-1, 2), Fraction(-9, 10), Fraction(-13, 10), Fraction(37, 10)):
+        got = rhs_numeric(rhs, pt)
+        # closed form: base^n * prod Gamma-ratio factors, via high precision
+        x = mpmath.mpf(pt.numerator) / pt.denominator
+        expected = mpmath.power(mpmath.mpf(rhs.base.numerator)
+                                / rhs.base.denominator, x)
+        for arg, e in rhs.poch_n:
+            a = mpmath.mpf(arg.numerator) / arg.denominator
+            expected *= (mpmath.gamma(a + x) / mpmath.gamma(a)) ** e
+        assert abs(got - float(expected)) < 1e-13 * max(1.0, abs(float(expected))), pt
+
+
+def test_closed_form_at_n_zero_is_one_even_at_a_gamma_pole():
+    # (arg)_0 = 1 for every arg, as poch_numeric(arg, 0) gives
+    assert rhs_numeric(ClosedForm(base=3, poch_n=((-2, 1), (0, -2))), 0) == 1.0
 
 
 # -- series summation ------------------------------------------------------------------
@@ -276,8 +284,9 @@ def test_theorem6_closed_form_special_value():
 
 def test_half_angle_cosine_sum_identity():
     assert trig_identity_check() < 1e-15
-    r1, r2 = trig_root_residuals()
-    assert abs(r1) < 1e-12 and abs(r2) < 1e-12
+    # cos(pi/5) and cos(3 pi/5) are the two roots of 4x^2 - 2x - 1
+    for x in (math.cos(math.pi / 5), math.cos(3 * math.pi / 5)):
+        assert abs(4 * x * x - 2 * x - 1) < 1e-12
 
 
 # -- pi estimates ------------------------------------------------------------------------
@@ -291,6 +300,38 @@ def test_one_term_estimate_matches_frozen_error():
     est = pi_from_series("r1103", terms=1)
     err = abs(est - math.pi)
     assert 7.5e-8 < err < 7.8e-8
+
+
+def _unscaled_accelerator(a):
+    """The Chebyshev-weighted sum in plain floats, finite up to 402 terms."""
+    m = len(a)
+    d = (3.0 + math.sqrt(8.0)) ** m
+    d = (d + 1.0 / d) / 2.0
+    b = -1.0
+    c = -d
+    s = 0.0
+    for k in range(m):
+        c = b - c
+        s += c * a[k]
+        b *= (k + m) * (k - m) / ((k + 0.5) * (k + 1.0))
+    return s / d
+
+
+def test_accelerator_matches_the_unscaled_recurrence_bit_for_bit():
+    rng = random.Random(402)
+    for m in range(1, 403):
+        a = [rng.uniform(0.0, 2.0) / (k + 1) ** rng.random() for k in range(m)]
+        assert _accelerated_alternating(a) == _unscaled_accelerator(a), m
+
+
+def test_accelerator_past_the_overflow_of_its_weights():
+    # rounding moves the estimate by a few ulp from one m to the next (402
+    # terms happen to land one ulp from pi), so the bar is the largest error
+    # of the last counts the unscaled weights reach
+    bar = max(abs(pi_from_series("ramanujan", terms=m) - math.pi)
+              for m in range(390, 403))
+    for m in (403, 1000):
+        assert abs(pi_from_series("ramanujan", terms=m) - math.pi) <= bar, m
 
 
 def test_accelerated_alternating_estimate():

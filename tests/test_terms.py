@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from wzpi import (
@@ -68,6 +68,42 @@ def test_pochhammer_negative_count_inverts_falling_product(a, m):
         v *= a - j
     assert poch_exact(a, -m) == 1 / v
     assert poch_exact(a, -m) * poch_exact(a - m, m) == 1
+
+
+def _schoolbook_poch(a, count):
+    """(a)_count one Fraction factor at a time."""
+    v = Fraction(1)
+    if count >= 0:
+        for j in range(count):
+            v *= a + j
+        return v
+    for j in range(1, -count + 1):
+        v *= a - j
+    return 1 / v
+
+
+@given(st.fractions(min_value=Fraction(-40), max_value=Fraction(40),
+                    max_denominator=12),
+       st.integers(min_value=-8, max_value=30))
+@example(Fraction(3), -5)
+@example(Fraction(1), -1)
+@example(Fraction(-7, 3), 30)
+def test_pochhammer_matches_the_schoolbook_product(a, count):
+    if count < 0 and a.denominator == 1 and 1 <= a <= -count:
+        with pytest.raises(PoleError, match=re.escape(f"({a})_{count} hits a zero factor")):
+            poch_exact(a, count)
+    else:
+        assert poch_exact(a, count) == _schoolbook_poch(a, count)
+
+
+@pytest.mark.parametrize("name", WZ_NAMES)
+def test_rhs_matches_the_schoolbook_product(name):
+    rhs = builtin_record(name).to_identity().rhs
+    for n in range(41):
+        expected = rhs.base ** n
+        for arg, e in rhs.poch_n:
+            expected *= _schoolbook_poch(arg, n) ** e
+        assert rhs_exact(rhs, n) == expected, n
 
 
 def test_pochhammer_negative_count_pole():

@@ -88,6 +88,55 @@ def test_residual_is_invariant_under_certificate_rescaling(c):
     assert wz_residual(ident, scaled).num.is_zero
 
 
+# -- certificate-denominator zeros on the summation support --------------------------
+
+N, K = Poly2.var("n"), Poly2.var("k")
+POLES_PREFIX = "certificate denominator vanishes on support at "
+
+
+def _with_common_factor(ident, factor):
+    cert = ident.certificate
+    return replace(ident, certificate=RatFunc2(cert.num * factor, cert.den * factor))
+
+
+@pytest.mark.parametrize("factor, n_scan, detail", [
+    (K - 2, 20, POLES_PREFIX + "[(2, 2), (3, 2), (4, 2), (5, 2)]"),
+    (N - K, 20, POLES_PREFIX + "[(0, 0), (1, 1), (2, 2), (3, 3)]"),
+    (2 * K - 3, 20, ""),
+    (K * K * Fraction(1, 3) - N * Fraction(3, 7), 20,
+     POLES_PREFIX + "[(0, 0), (7, 3)]"),
+    (K * K * Fraction(1, 3) - N * Fraction(3, 7), 6, POLES_PREFIX + "[(0, 0)]"),
+    (K - 2, 3, POLES_PREFIX + "[(2, 2), (3, 2)]"),
+])
+def test_denominator_zeros_on_the_support_are_reported_in_order(factor, n_scan, detail):
+    # a factor common to num and den leaves the rational function, so every
+    # flag, as it is; only the lattice scan sees where it vanishes
+    ident = _with_common_factor(load_builtin("theorem1"), factor)
+    report = verify_certificate(ident, n_scan=n_scan)
+    assert (report.symbolic_ok, report.boundary_ok, report.base_case_ok) == (True, True, True)
+    assert report.exact_sums_ok is None and report.ok
+    assert report.failure_detail == detail
+
+
+small_rationals = st.fractions(min_value=Fraction(-3), max_value=Fraction(3),
+                               max_denominator=3)
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       small_rationals, min_size=1, max_size=4).map(Poly2)
+       .filter(lambda p: not p.is_zero),
+       st.integers(min_value=0, max_value=8))
+def test_reported_denominator_zeros_match_a_pointwise_scan(factor, n_scan):
+    ident = _with_common_factor(load_builtin("theorem1"), factor)
+    den = ident.certificate.den
+    poles = [(n, k) for n in range(n_scan + 1)
+             for k in range(termination_bound(ident.term, n) + 1)
+             if not den.eval(n, k)]
+    detail = verify_certificate(ident, n_scan=n_scan).failure_detail
+    assert detail.endswith(POLES_PREFIX + str(poles[:4])) == bool(poles)
+    assert (POLES_PREFIX in detail) == bool(poles)
+
+
 def test_non_wz_identities_are_rejected():
     ident = load_builtin("ramanujan")
     with pytest.raises(ValueError):
