@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Write, or check, the golden CLI outputs under tests/data/cli_golden/.
+
+Each file holds one command's exit code, stdout and stderr, run in-process
+through ``wzpi.cli.main``, with the timings (``[N ms]`` and ``"millis": N``)
+masked so that the text depends on the results alone.  The commands are
+``verify --all --allow-errata`` with and without ``--json``, ``synth --id X``
+for every ``wz`` record and ``sum --id X --n 5`` for every record.
+
+Usage:  PYTHONPATH=src python3 scripts/cli_golden.py [--check]
+"""
+from __future__ import annotations
+
+import argparse
+import io
+import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from wzpi import BUILTIN_NAMES, builtin_record
+from wzpi.cli import main as cli_main
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "data" / "cli_golden"
+
+_TIMINGS = (re.compile(r"\[\d+ ms\]"), "[N ms]"), (re.compile(r'"millis": \d+'), '"millis": N')
+
+
+def cases() -> dict[str, list[str]]:
+    """File name -> CLI arguments."""
+    out = {"verify-all.txt": ["verify", "--all", "--allow-errata"],
+           "verify-all-json.txt": ["verify", "--all", "--allow-errata", "--json"]}
+    for name in BUILTIN_NAMES:
+        if builtin_record(name).kind == "wz":
+            out[f"synth-{name}.txt"] = ["synth", "--id", name]
+    for name in BUILTIN_NAMES:
+        out[f"sum-{name}.txt"] = ["sum", "--id", name, "--n", "5"]
+    return out
+
+
+def render(argv: list[str]) -> str:
+    """Exit code, stdout and stderr of one CLI run, timings masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(argv)
+    text = (f"$ wzpi {' '.join(argv)}\nexit {code}\n"
+            f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+    for pattern, mask in _TIMINGS:
+        text = pattern.sub(mask, text)
+    return text
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the files instead of writing them")
+    args = parser.parse_args()
+    stale = []
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for fname, argv in cases().items():
+        path = GOLDEN_DIR / fname
+        text = render(argv)
+        if args.check:
+            if not path.exists() or path.read_bytes() != text.encode("utf-8"):
+                stale.append(fname)
+        else:
+            path.write_bytes(text.encode("utf-8"))
+    for fname in stale:
+        print(f"differs: {fname}", file=sys.stderr)
+    return 1 if stale else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,7 +52,6 @@ from .numeric import (
     carlson_point_check,
     log_gamma,
     pi_from_series,
-    poch_numeric,
     rhs_numeric,
     series_numeric,
     trig_identity_check,
@@ -118,7 +117,6 @@ __all__ = [
     "parse_identity",
     "pi_from_series",
     "poch_exact",
-    "poch_numeric",
     "reduces_to_ramanujan",
     "rhs_exact",
     "rhs_numeric",

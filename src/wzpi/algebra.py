@@ -1,26 +1,27 @@
 """Exact arithmetic in Q[n, k] and Q(n, k).
 
 A bivariate polynomial is stored sparsely as a dict mapping exponent pairs
-``(i, j)`` (power of n, power of k) to nonzero ``Fraction`` coefficients.
-Rational functions keep their numerator/denominator exactly as constructed
-(no gcd cancellation); equality is decided by cross-multiplication, which is
-sound and complete over an integral domain.
+``(i, j)`` (power of n, power of k) to nonzero int coefficients, over one
+positive int denominator, in lowest terms: the gcd of the denominator and
+every coefficient is 1.  That form is canonical, so equality and hashing
+compare the stored pair.  Rational functions keep their numerator/denominator
+exactly as constructed (no gcd cancellation); equality is decided by
+cross-multiplication, which is sound and complete over an integral domain.
 
 All scalars are ``fractions.Fraction`` (aliased ``Rat``): arbitrary precision,
-normalized sign, always in lowest terms.  The two hot operations run on
-Python ints instead.  A product clears each operand's denominators, packs the
-integer coefficients into one int by Kronecker substitution (k -> x,
-n -> x^w, x -> 2^s, where w exceeds the product's degree in k and the s-bit
-slots hold any signed coefficient of the product), does one bigint multiply
-and unpacks the slots with borrow; only the final coefficients become
-Fractions.  ``eval`` clears the denominators of the coefficients and of the
-point, sums in ints and builds one Fraction.
+normalized sign, always in lowest terms.  Polynomial arithmetic runs on
+Python ints and ends with one gcd that brings the result to lowest terms.  A
+product packs both integer coefficient sets into one int each by Kronecker
+substitution (k -> x, n -> x^w, x -> 2^s, where w exceeds the product's
+degree in k and the s-bit slots hold any signed coefficient of the product),
+does one bigint multiply and unpacks the slots with borrow.  A Fraction is
+built only for a value handed back: ``eval``, ``eval_k``, ``coeff``,
+``coeffs_in_k`` and the read-only ``terms`` mapping.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from typing import Mapping, Union
 
 Rat = Fraction
@@ -41,83 +42,85 @@ def _binomial_row(m: int) -> list[int]:
 class Poly2:
     """Sparse polynomial in the two variables n and k over Q.
 
-    Instances are treated as immutable; every operation returns a fresh Poly2.
+    ``ints`` maps (i, j) to the nonzero int coefficient of n^i k^j times
+    ``den``, the least positive common denominator.  Instances are treated
+    as immutable; every operation returns a fresh Poly2.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("ints", "den")
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        clean: dict[tuple[int, int], Rat] = {}
-        if terms:
-            for (i, j), c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[(int(i), int(j))] = c
-        self.terms = clean
+        fracs = {(int(i), int(j)): Fraction(c) for (i, j), c in (terms or {}).items()}
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        self.ints = {e: c.numerator * (den // c.denominator)
+                     for e, c in fracs.items() if c}
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, c: Scalar) -> "Poly2":
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def var(cls, name: str) -> "Poly2":
         if name == "n":
-            return cls({(1, 0): Fraction(1)})
+            return cls({(1, 0): 1})
         if name == "k":
-            return cls({(0, 1): Fraction(1)})
+            return cls({(0, 1): 1})
         raise ValueError(f"unknown variable {name!r}")
 
     @classmethod
     def linear(cls, n_coeff: Scalar, k_coeff: Scalar, const: Scalar) -> "Poly2":
-        return cls({(1, 0): Fraction(n_coeff), (0, 1): Fraction(k_coeff),
-                    (0, 0): Fraction(const)})
+        return cls({(1, 0): n_coeff, (0, 1): k_coeff, (0, 0): const})
 
     # -- basic queries ------------------------------------------------------
 
     @property
+    def terms(self) -> dict[tuple[int, int], Rat]:
+        """The nonzero coefficients as Fractions, built on each read."""
+        return {e: Fraction(c, self.den) for e, c in self.ints.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def degree(self, var: str) -> int:
         """Degree in ``var`` ('n' or 'k'); the zero polynomial has degree -1."""
-        if not self.terms:
+        if not self.ints:
             return -1
         pos = 0 if var == "n" else 1
-        return max(e[pos] for e in self.terms)
+        return max(e[pos] for e in self.ints)
 
     def coeff(self, i: int, j: int) -> Rat:
-        return self.terms.get((i, j), Fraction(0))
+        return Fraction(self.ints.get((i, j), 0), self.den)
 
     def coeffs_in_k(self) -> list[dict[int, Rat]]:
         """Coefficients of k^0..k^deg, each a map {n-power: coefficient}."""
         out: list[dict[int, Rat]] = [{} for _ in range(self.degree("k") + 1)]
-        for (i, j), c in self.terms.items():
-            out[j][i] = c
+        for (i, j), c in self.ints.items():
+            out[j][i] = Fraction(c, self.den)
         return out
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "Poly2 | Scalar") -> "Poly2":
         other = _coerce(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        out = Poly2.__new__(Poly2)
-        out.terms = terms
-        return out
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        ints = {e: c * sa for e, c in self.ints.items()}
+        for e, c in other.ints.items():
+            ints[e] = ints.get(e, 0) + c * sb
+        return _lowest(ints, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly2":
-        out = Poly2.__new__(Poly2)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _lowest({e: -c for e, c in self.ints.items()}, self.den)
 
     def __sub__(self, other: "Poly2 | Scalar") -> "Poly2":
         return self + (-_coerce(other))
@@ -128,13 +131,11 @@ class Poly2:
     def __mul__(self, other: "Poly2 | Scalar") -> "Poly2":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            out = Poly2.__new__(Poly2)
-            out.terms = {} if not c else {e: a * c for e, a in self.terms.items()}
-            return out
-        if not self.terms or not other.terms:
+            return _lowest({e: a * c.numerator for e, a in self.ints.items()},
+                           self.den * c.denominator)
+        if not self.ints or not other.ints:
             return Poly2()
-        a, a_den = _cleared(self)
-        b, b_den = _cleared(other)
+        a, b = self.ints, other.ints
         # slot (i, j) of the product sits at i*width + j; each coefficient is a
         # sum of at most min(len(a), len(b)) products, so it fits in ``size``
         # bytes with the top bit left for the sign
@@ -145,9 +146,8 @@ class Poly2:
         slots = (max(a)[0] + max(b)[0] + 1) * width         # max(a)[0]: degree in n
         packed = (_pack(a, width, size) * _pack(b, width, size)).to_bytes(
             slots * size, "little", signed=True)
-        den = a_den * b_den
         half = 1 << (8 * size - 1)
-        terms: dict[tuple[int, int], Rat] = {}
+        ints: dict[tuple[int, int], int] = {}
         blank = bytes(size)
         borrow = 0
         for e in range(slots):
@@ -159,10 +159,8 @@ class Poly2:
             if borrow:
                 c -= half << 1
             if c:
-                terms[divmod(e, width)] = Fraction(c, den)
-        out = Poly2.__new__(Poly2)
-        out.terms = terms
-        return out
+                ints[divmod(e, width)] = c
+        return _lowest(ints, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -183,70 +181,65 @@ class Poly2:
             other = _coerce(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.ints.items())))
 
     # -- evaluation and substitution -----------------------------------------
 
     def eval(self, n: Scalar, k: Scalar) -> Rat:
         """Value at a rational point (n, k) = (a/b, c/d): the ints
-        C_ij a^i b^(dn-i) c^j d^(dk-j) summed over L b^dn d^dk, where C = L*coeff
-        and dn, dk are the degrees."""
-        if not self.terms:
+        C_ij a^i b^(dn-i) c^j d^(dk-j) summed over den b^dn d^dk, where C are
+        the stored ints and dn, dk are the degrees."""
+        if not self.ints:
             return Fraction(0)
         n = Fraction(n)
         k = Fraction(k)
-        coeffs, den = _cleared(self)
         dn = self.degree("n")
         dk = self.degree("k")
         npow = [n.numerator ** i * n.denominator ** (dn - i) for i in range(dn + 1)]
         kpow = [k.numerator ** j * k.denominator ** (dk - j) for j in range(dk + 1)]
         total = 0
-        for (i, j), c in coeffs.items():
+        for (i, j), c in self.ints.items():
             total += c * npow[i] * kpow[j]
-        return Fraction(total, den * n.denominator ** dn * k.denominator ** dk)
+        return Fraction(total, self.den * n.denominator ** dn * k.denominator ** dk)
 
     def eval_k(self, k: Scalar) -> list[Rat]:
         """Substitute a rational for k; coefficients of n^0..n^deg remain."""
         k = Fraction(k)
-        deg = self.degree("n")
-        out = [Fraction(0)] * (deg + 1)
-        for (i, j), c in self.terms.items():
-            out[i] += c * k ** j
+        dk = self.degree("k")
+        kpow = [k.numerator ** j * k.denominator ** (dk - j) for j in range(dk + 1)]
+        out = [0] * (self.degree("n") + 1)
+        for (i, j), c in self.ints.items():
+            out[i] += c * kpow[j]
         while out and not out[-1]:
             out.pop()
-        return out
+        den = self.den * k.denominator ** dk
+        return [Fraction(c, den) for c in out]
 
     def shift(self, var: str, delta: Scalar) -> "Poly2":
-        """Substitute var -> var + delta, expanding binomially."""
-        delta = Fraction(delta)
-        if not delta:
-            return self
-        pos = 0 if var == "n" else 1
+        """Substitute var -> var + delta for delta = a/b, in ints: c*v^m
+        becomes c * sum_t binom(m, t) v^t a^(m-t) b^(top-m+t) over den*b^top,
+        where top is the degree in var."""
         if var not in ("n", "k"):
             raise ValueError(f"unknown variable {var!r}")
-        terms: dict[tuple[int, int], Rat] = {}
-        rows: dict[int, list[int]] = {}
-        dpow: dict[int, Rat] = {0: Fraction(1)}
-        for (i, j), c in self.terms.items():
+        delta = Fraction(delta)
+        top = self.degree(var)
+        if not delta or top <= 0:
+            return self
+        pos = 0 if var == "n" else 1
+        a, b = delta.numerator, delta.denominator
+        apow = [a ** t for t in range(top + 1)]
+        bpow = [b ** t for t in range(top + 1)]
+        rows = [_binomial_row(m) for m in range(top + 1)]
+        ints: dict[tuple[int, int], int] = {}
+        for (i, j), c in self.ints.items():
             m = (i, j)[pos]
-            if m not in rows:
-                rows[m] = _binomial_row(m)
-            row = rows[m]
-            for t in range(m + 1):
-                if m - t not in dpow:
-                    dpow[m - t] = delta ** (m - t)
+            for t, binom in enumerate(rows[m]):
                 e = (t, j) if pos == 0 else (i, t)
-                s = terms.get(e, Fraction(0)) + c * row[t] * dpow[m - t]
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        out = Poly2.__new__(Poly2)
-        out.terms = terms
-        return out
+                ints[e] = ints.get(e, 0) + c * binom * apow[m - t] * bpow[top - m + t]
+        return _lowest(ints, self.den * bpow[top])
 
     # -- printing -------------------------------------------------------------
 
@@ -254,12 +247,12 @@ class Poly2:
         """Canonical text form: graded-lex monomial order (n before k),
         explicit ``*`` everywhere, explicit numeric coefficient whenever the
         sign is negative (the grammar's unary minus binds tighter than ^)."""
-        if not self.terms:
+        if not self.ints:
             return "0"
-        keys = sorted(self.terms, key=lambda e: (-(e[0] + e[1]), -e[0]))
+        keys = sorted(self.ints, key=lambda e: (-(e[0] + e[1]), -e[0]))
         parts: list[str] = []
         for idx, e in enumerate(keys):
-            c = self.terms[e]
+            c = Fraction(self.ints[e], self.den)
             i, j = e
             mono: list[str] = []
             if i:
@@ -278,10 +271,15 @@ class Poly2:
         return f"Poly2({str(self)})"
 
 
-def _cleared(p: Poly2) -> tuple[dict[tuple[int, int], int], int]:
-    """(integer coefficients, common denominator L) with p = ints / L."""
-    den = reduce(math.lcm, [c.denominator for c in p.terms.values()])
-    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
+def _lowest(ints: dict[tuple[int, int], int], den: int) -> Poly2:
+    """The Poly2 ints/den: zero coefficients dropped, then divided by
+    gcd(den, *ints)."""
+    ints = {e: c for e, c in ints.items() if c}
+    g = math.gcd(den, *ints.values())
+    out = Poly2.__new__(Poly2)
+    out.ints = {e: c // g for e, c in ints.items()} if g > 1 else ints
+    out.den = den // g
+    return out
 
 
 def _pack(coeffs: dict[tuple[int, int], int], width: int, size: int) -> int:

@@ -1,6 +1,6 @@
 """Floating-point evaluation of the catalog: closed forms at real arguments,
-series summation (accelerated when z < 0), and the machine-precision spot
-checks used by the test suite and CLI.
+series summation (exact where the series terminates, accelerated when
+z < 0), and the machine-precision spot checks used by the test suite and CLI.
 
 The closed forms are products of Pochhammer symbols at rational offsets, so
 everything reduces to a log-gamma kernel (Lanczos approximation, g = 7, with
@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebra import Poly2
-from .terms import ClosedForm, HyperTerm, PoleError, p_eval
+from .terms import (ClosedForm, HyperTerm, PoleError, p_eval, term_sum,
+                    termination_bound)
 from .wz import WZIdentity
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "carlson_point_check",
     "log_gamma",
     "pi_from_series",
-    "poch_numeric",
     "rhs_numeric",
     "series_numeric",
     "trig_identity_check",
@@ -93,17 +93,6 @@ def log_gamma(x: float) -> tuple[float, int]:
     s = _sinpi(x)
     value = math.log(math.pi / abs(s)) - log_gamma(1.0 - x)[0]
     return value, 1 if s > 0 else -1
-
-
-def poch_numeric(arg: float, count: float) -> float:
-    """Pochhammer (arg)_count = Gamma(arg + count)/Gamma(arg) for real count."""
-    arg = float(arg)
-    count = float(count)
-    if count == 0.0:
-        return 1.0
-    la, sa = log_gamma(arg + count)
-    lb, sb = log_gamma(arg)
-    return sa * sb * math.exp(la - lb)
 
 
 # -- closed form and term values at real arguments ------------------------------
@@ -230,7 +219,10 @@ def series_numeric(
 ) -> float:
     """Sum the series over k >= 0 at a real argument n.
 
-    A series with z < 0 goes to the accelerator, which needs only O(digits)
+    Where the series terminates, at a nonnegative integer n, its terms are
+    summed exactly (term_sum) and the sum is rounded once; NoConvergence is
+    raised when that takes more than cfg.max_terms terms.  Otherwise a
+    series with z < 0 goes to the accelerator, which needs only O(digits)
     terms and raises ValueError unless the terms strictly alternate in sign.
     Any other series is summed directly (with math.fsum).  The walk stops on
     an alternating tail once the next term is below tolerance and shrinking,
@@ -242,6 +234,12 @@ def series_numeric(
     if isinstance(t, WZIdentity):
         t = t.term
     cfg = cfg or NumericConfig()
+    bound = termination_bound(t, int(n)) if n >= 0 and float(n).is_integer() else None
+    if bound is not None:
+        if bound >= cfg.max_terms:
+            raise NoConvergence(f"series terminates only after {bound + 1} terms, "
+                                f"more than {cfg.max_terms}")
+        return float(term_sum(t, int(n), bound)) * math.sqrt(float(t.prefactor_sqrt))
     if float(t.z) < 0:
         return _accelerated_sum(t, n, cfg)
     ratio = _term_ratio(t, n)

@@ -1,6 +1,7 @@
 """Ring and field axioms for the bivariate polynomial / rational-function layer."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wzpi import DivisionByZeroFunction, Poly2, RatFunc2
+from wzpi.catalog import parse_poly
 
 from conftest import lattice_points, nonzero_poly2s, poly2s, rationals, small_ints
 
@@ -137,6 +139,80 @@ def test_eval_matches_fraction_reference_at_negative_lattice_points(a, pt):
 @given(big_poly2s(), big_coefficients, rationals)
 def test_eval_matches_fraction_reference_at_rational_points(a, n, k):
     assert a.eval(n, k) == fraction_value(a, n, k)
+
+
+# -- the integer representation against Fraction-dict references ---------------------
+
+def fraction_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    """{exponent: Fraction} of a + sign*b, zeros dropped."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def fraction_shift(a: dict, var: str, delta: Fraction) -> dict:
+    """{exponent: Fraction} of a with var -> var + delta, by the binomial theorem."""
+    pos = 0 if var == "n" else 1
+    out: dict = {}
+    for e, c in a.items():
+        m = e[pos]
+        for t in range(m + 1):
+            f = (t, e[1]) if pos == 0 else (e[0], t)
+            out[f] = out.get(f, Fraction(0)) + c * math.comb(m, t) * delta ** (m - t)
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_canonical(p: Poly2) -> None:
+    assert p.den > 0 and all(p.ints.values())
+    assert math.gcd(p.den, *p.ints.values()) == 1
+
+
+# zero, constants, linear polynomials and polynomials of higher degree, with
+# coefficients up to 10^40
+shiftable_poly2s = st.one_of(st.just(Poly2()), big_coefficients.map(Poly2.const),
+                             big_poly2s(max_degree=1, max_terms=4),
+                             big_poly2s(max_degree=5, max_terms=8))
+# deltas with denominators up to 10^6, zero included
+deltas = st.fractions(min_value=-1000, max_value=1000, max_denominator=10 ** 6)
+
+
+@given(big_poly2s(), big_poly2s())
+def test_sum_and_difference_match_fraction_reference(a, b):
+    for got, want in ((a + b, fraction_sum(a.terms, b.terms)),
+                      (a - b, fraction_sum(a.terms, b.terms, -1))):
+        assert got.terms == want
+        assert got == Poly2(want)
+        assert_canonical(got)
+
+
+@given(shiftable_poly2s, deltas, st.sampled_from("nk"))
+def test_shift_matches_fraction_reference(a, delta, var):
+    got = a.shift(var, delta)
+    assert got.terms == fraction_shift(a.terms, var, delta)
+    assert_canonical(got)
+
+
+@given(big_poly2s(), st.one_of(big_coefficients, deltas))
+def test_eval_k_and_coeffs_in_k_match_fraction_reference(a, k):
+    row = [Fraction(0)] * (a.degree("n") + 1)
+    cols: list = [{} for _ in range(a.degree("k") + 1)]
+    for (i, j), c in a.terms.items():
+        row[i] += c * k ** j
+        cols[j][i] = c
+    while row and not row[-1]:
+        row.pop()
+    assert a.eval_k(k) == row
+    assert a.coeffs_in_k() == cols
+
+
+@given(big_poly2s(), big_coefficients.filter(bool))
+def test_representation_is_canonical(a, c):
+    back = (a * c) * (1 / c)
+    assert back == a and hash(back) == hash(a)
+    assert_canonical(a * c)
+    assert a - a == Poly2() and hash(a - a) == hash(Poly2())
+    assert parse_poly(str(a)) == a
 
 
 # -- evaluation is a ring homomorphism ----------------------------------------------

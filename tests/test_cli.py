@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from wzpi import (BUILTIN_NAMES, Poly2, RatFunc2, builtin_record, parse_identity,
-                  serialize_identity)
+                  rhs_exact, serialize_identity)
 from wzpi import cli
 from wzpi.cli import (
     EXIT_BROKEN_PIPE,
@@ -280,6 +280,21 @@ def test_numeric_reports_a_pole_of_the_series_without_a_traceback(capsys):
     assert code == EXIT_CHECK_FAILED
     assert out == ""
     assert err == "error: denominator factor (2*n+3/2)_k vanishes at n=-0.75, k=1\n"
+
+
+def test_numeric_at_a_terminating_point_sums_the_series_exactly(capsys):
+    # at n = 5 the series ends with t(5): its last term ratio is -0
+    code, out, _ = run(capsys, "numeric", "--id", "theorem1", "--point=5")
+    assert code == EXIT_OK
+    assert "series_vs_closed_form: pass" in out
+    # the closed form at n = 171 is 2.7e-101, far below the absolute --tol,
+    # so only a relative bound shows that the series sums to it
+    code, rep, _ = run_json(capsys, "numeric", "--id", "theorem1", "--point=171")
+    assert code == EXIT_OK
+    detail = rep["checks"][0]["detail"]
+    assert detail.startswith("point 171: |series - rhs| = ")
+    rhs = float(rhs_exact(builtin_record("theorem1").to_identity().rhs, 171))
+    assert float(detail.rsplit("= ", 1)[1]) <= 1e-12 * abs(rhs)
 
 
 def test_numeric_tolerance_is_enforced(capsys):

@@ -23,7 +23,6 @@ from wzpi import (
     log_gamma,
     pi_from_series,
     poch_exact,
-    poch_numeric,
     rhs_exact,
     rhs_numeric,
     trig_identity_check,
@@ -118,12 +117,17 @@ def test_gamma_quarter_ratio_against_frozen_oracle():
 
 # -- numeric Pochhammer and closed forms ----------------------------------------------
 
-def test_poch_numeric_of_zero_count_is_exactly_one():
-    assert poch_numeric(Fraction(3, 7), 0) == 1.0
-    assert poch_numeric(-2.5, 0) == 1.0
+def pochhammer(arg) -> ClosedForm:
+    """(arg)_n as a closed form: base 1 and the single factor (arg)^1."""
+    return ClosedForm(base=1, poch_n=((arg, 1),))
 
 
-def test_poch_numeric_matches_exact_values():
+def test_rhs_numeric_of_a_pochhammer_at_zero_count_is_exactly_one():
+    assert rhs_numeric(pochhammer(Fraction(3, 7)), 0) == 1.0
+    assert rhs_numeric(pochhammer(-2.5), 0) == 1.0
+
+
+def test_rhs_numeric_of_a_pochhammer_matches_exact_values():
     rng = random.Random(7)
     checked = 0
     while checked < 100:
@@ -132,7 +136,7 @@ def test_poch_numeric_matches_exact_values():
         if arg.denominator == 1 and arg <= 0:
             continue    # gamma pole: outside the numeric contract
         exact = poch_exact(arg, count)
-        got = poch_numeric(arg, count)
+        got = rhs_numeric(pochhammer(arg), count)
         assert abs(got - float(exact)) <= 1e-11 * abs(float(exact))
         checked += 1
 
@@ -164,7 +168,7 @@ def test_rhs_numeric_at_rational_points_matches_oracle():
 
 
 def test_closed_form_at_n_zero_is_one_even_at_a_gamma_pole():
-    # (arg)_0 = 1 for every arg, as poch_numeric(arg, 0) gives
+    # (arg)_0 = 1 for every arg, also where Gamma(arg) has a pole
     assert rhs_numeric(ClosedForm(base=3, poch_n=((-2, 1), (0, -2))), 0) == 1.0
 
 
@@ -245,8 +249,25 @@ def test_a_zero_of_the_multiplier_does_not_end_direct_summation():
     ((-5, 1), -1.0),   # p(5) = 0 lies past the last nonzero term, t(3)
 ])
 def test_direct_summation_ends_where_the_pochhammer_part_terminates(p, exact):
-    term = HyperTerm(poch=(PochFactor(0, -3, 1),), fact_pow=1, z=Fraction(1, 2), p=p)
-    assert abs(series_numeric(term, 0) - exact) < 1e-15
+    # (-3)_k at n = 0 is summed exactly; (n + 2)_k at n = -5 is the same
+    # factor, but a negative n leaves it to the walk over term ratios
+    for factor, n in ((PochFactor(0, -3, 1), 0), (PochFactor(1, 2, 1), -5)):
+        term = HyperTerm(poch=(factor,), fact_pow=1, z=Fraction(1, 2), p=p)
+        assert abs(series_numeric(term, n) - exact) < 1e-15
+
+
+@pytest.mark.parametrize("name", WZ_NAMES)
+def test_terminating_series_is_the_exact_sum_rounded(name):
+    ident = load_builtin(name)
+    for n in range(41):
+        expected = float(rhs_exact(ident.rhs, n))
+        assert abs(series_numeric(ident, n) - expected) <= 1e-12 * abs(expected), n
+
+
+def test_terminating_series_longer_than_max_terms_is_not_summed():
+    # theorem1 terminates at k = n here; summing 10^6 exact terms would not end
+    with pytest.raises(NoConvergence, match="1000001 terms, more than 10000"):
+        series_numeric(load_builtin("theorem1"), 10 ** 6)
 
 
 # -- rational-point checks --------------------------------------------------------------
