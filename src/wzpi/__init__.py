@@ -11,10 +11,10 @@ Layers, bottom up:
   catalog identity to the classical alternating series.
 - ``wz``: certificate verification (symbolic residual, boundary column, base
   case) and exact finite-sum checks.
-- ``gosper``: certificate synthesis over Q(n) — the factored shift quotient,
+- ``gosper``: certificate synthesis in Q[n][k] — the factored shift quotient,
   the normal form from integer shifts between its linear factors,
-  degree-bounded back-substitution for Gosper's equation, verified
-  reassembly.
+  fraction-free back-substitution for Gosper's equation, verified
+  reassembly in lowest terms.
 - ``numeric``: log-gamma kernel, series evaluation (accelerated when the
   terms alternate, z < 0), continuation-point spot checks, pi estimators.
 - ``catalog``: the built-in identity database and the identity file format.

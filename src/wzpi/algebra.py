@@ -95,6 +95,10 @@ class Poly2:
     def coeff(self, i: int, j: int) -> Rat:
         return Fraction(self.ints.get((i, j), 0), self.den)
 
+    def k_coeff(self, j: int) -> "Poly2":
+        """The coefficient of k^j, a polynomial in n."""
+        return _lowest({(i, 0): c for (i, m), c in self.ints.items() if m == j}, self.den)
+
     def coeffs_in_k(self) -> list[dict[int, Rat]]:
         """Coefficients of k^0..k^deg, each a map {n-power: coefficient}."""
         out: list[dict[int, Rat]] = [{} for _ in range(self.degree("k") + 1)]
@@ -175,6 +179,37 @@ class Poly2:
             base = base * base if m > 1 else base
             m >>= 1
         return Poly2.const(1) if out is None else out
+
+    def divide(self, f: "Poly2") -> "Poly2 | None":
+        """self / f when f divides self in Q[n, k], else None: long division
+        in k, or in n when the leading coefficient of f in k is not a
+        constant; in that variable it must be.  It runs on the ints, scaling
+        the remainder where c, the leading int of f, does not divide a column."""
+        for var, pos in (("k", 1), ("n", 0)):
+            m = f.degree(var)
+            lead = [e for e in f.ints if e[pos] == m]
+            if lead == [(0, m) if pos else (m, 0)]:
+                break
+        else:
+            raise ValueError(f"{f} has no constant leading coefficient in k or n")
+        c = f.ints[lead[0]]
+        rest, quo, scale = dict(self.ints), {}, 1
+        for top in range(self.degree(var), m - 1, -1):
+            col = {e: v for e, v in rest.items() if e[pos] == top and v}
+            s = abs(c) // math.gcd(c, *col.values())
+            if s > 1:
+                rest = {e: v * s for e, v in rest.items()}
+                quo = {e: v * s for e, v in quo.items()}
+                scale *= s
+            for (i, j), v in col.items():
+                q = (i, j - m) if pos else (i - m, j)
+                quo[q] = t = v * s // c
+                for (a, b), fc in f.ints.items():
+                    e = (q[0] + a, q[1] + b)
+                    rest[e] = rest.get(e, 0) - t * fc
+        if any(rest.values()):
+            return None
+        return _lowest({e: v * f.den for e, v in quo.items()}, self.den * scale)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -1,5 +1,5 @@
 """Certificate synthesis for the telescoping identities, built on Gosper's
-algorithm over the coefficient field Q(n).
+algorithm with coefficients that depend on n.
 
 The summand of each identity is hypergeometric in k, so the difference
 ``H(k) = Fhat(n+1, k) - Fhat(n, k)`` (with ``Fhat`` the summand divided by the
@@ -21,14 +21,17 @@ Pipeline (names follow the classical presentation):
                          top factor k+a is paired with a bottom factor k+b at
                          the smallest positive integer j = a - b (see
                          ``dispersion_candidates``), and (k+b)...(k+b+j-1)
-                         moves into p.
+                         moves into p.  p, q and r are ``UniPolyQn`` whose
+                         coefficients are polynomials in n.
 3. ``gosper_solve``   -- degree-bound the unknown polynomial x(k) and solve
                          ``q(k) x(k+1) - r(k-1) x(k) = p(k)`` by back-
-                         substitution: the system is triangular with at most
-                         one zero pivot, whose unknown the rows left over fix.
+                         substitution on ``Poly2`` without fractions: the
+                         system is triangular with at most one zero pivot,
+                         whose unknown the rows left over fix; x = X(n,k)/D(n).
 4. ``synthesize_certificate`` -- assemble ``R = (r(k-1) x(k) / p(k))(s - 1)``
-                         in lowest terms from the factor lists (*A = B* ch. 5-7);
-                         accept it only after the full verifier passes.
+                         as a ``Poly2`` quotient in lowest terms from the
+                         factor lists (*A = B* ch. 5-7); accept it only after
+                         the full verifier passes.
 """
 from __future__ import annotations
 
@@ -63,36 +66,23 @@ class DegenerateRatio(ArithmeticError):
 # -- polynomials in k over the field Q(n) -------------------------------------
 
 
-def _ratfn(x) -> RatFn:
-    if isinstance(x, RatFn):
-        return x
-    return RatFn.const(x)
-
-
 class UniPolyQn:
     """Dense polynomial in k whose coefficients are rational functions of n."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[RatFn | Rat | int] = ()):
-        cs = [_ratfn(c) for c in coeffs]
+        cs = [c if isinstance(c, RatFn) else RatFn.const(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         self.coeffs: tuple[RatFn, ...] = tuple(cs)
 
     @classmethod
     def from_poly2(cls, p: Poly2) -> "UniPolyQn":
-        out = []
-        for col in p.coeffs_in_k():
-            width = max(col) + 1 if col else 0
-            out.append(RatFn(UniPoly([col.get(i, 0) for i in range(width)]), 1))
-        return cls(out)
+        return cls([RatFn(UniPoly(p.k_coeff(j).eval_k(0)), 1, _reduced=True)
+                    for j in range(p.degree("k") + 1)])
 
     # structure
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
@@ -113,35 +103,6 @@ class UniPolyQn:
     def __repr__(self) -> str:
         return f"UniPolyQn({list(self.coeffs)!r})"
 
-    # arithmetic
-    def __add__(self, other: "UniPolyQn") -> "UniPolyQn":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UniPolyQn(out)
-
-    def __neg__(self) -> "UniPolyQn":
-        return UniPolyQn([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UniPolyQn") -> "UniPolyQn":
-        return self + (-other)
-
-    def __mul__(self, other: "UniPolyQn") -> "UniPolyQn":
-        if self.is_zero or other.is_zero:
-            return UniPolyQn()
-        out = [RatFn.const(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return UniPolyQn(out)
-
     def shift(self, delta) -> "UniPolyQn":
         """Substitute k -> k + delta for a rational constant delta."""
         delta = Fraction(delta)
@@ -157,16 +118,6 @@ class UniPolyQn:
                 power *= delta
         return UniPolyQn(out)
 
-    def __divmod__(self, d: "UniPolyQn") -> "tuple[UniPolyQn, UniPolyQn]":
-        """Long division by a nonzero d."""
-        rem = list(self.coeffs)
-        quo = [RatFn.const(0)] * max(len(rem) - d.degree(), 0)
-        for i in range(len(quo) - 1, -1, -1):
-            t = quo[i] = rem[i + d.degree()] / d.lc
-            for j, c in enumerate(d.coeffs):
-                rem[i + j] = rem[i + j] - t * c
-        return UniPolyQn(quo), UniPolyQn(rem)
-
     def eval_n(self, n0: Rat) -> UniPoly:
         """Specialize n, returning a univariate polynomial in k over Q.
 
@@ -174,22 +125,17 @@ class UniPolyQn:
         """
         return UniPoly([c.eval(n0) for c in self.coeffs])
 
-    def clear_denominators(self) -> tuple[list[UniPoly], UniPoly]:
-        """Return (coefficients scaled to Q[n], common multiplier L(n))."""
+    def to_ratfunc2(self) -> RatFunc2:
+        """Express as a bivariate quotient num(n,k)/den(n)."""
         L = UniPoly.const(1)
         for c in self.coeffs:
             L = L.lcm(c.den)
-        return [c.num * L.exact_div(c.den) for c in self.coeffs], L
+        return RatFunc2(Poly2({(i, j): a for j, c in enumerate(self.coeffs)
+                               for i, a in enumerate((c.num * L.exact_div(c.den)).c)}),
+                        _unipoly_to_poly2_n(L))
 
-    def to_ratfunc2(self) -> RatFunc2:
-        """Express as a bivariate quotient num(n,k)/den(n)."""
-        cleared, L = self.clear_denominators()
-        terms: dict[tuple[int, int], Fraction] = {}
-        for j, c in enumerate(cleared):
-            for i, a in enumerate(c.c):
-                if a:
-                    terms[(i, j)] = a
-        return RatFunc2(Poly2(terms), _unipoly_to_poly2_n(L))
+
+_K = Poly2.var("k")
 
 
 def _unipoly_to_poly2_n(p: UniPoly) -> Poly2:
@@ -235,7 +181,7 @@ def _primitive(p: UniPolyQn) -> UniPolyQn:
     for c in p.coeffs:
         content = content.gcd(c.num)
     scale = content * p.lc.num.lc
-    return UniPolyQn([c / RatFn(scale) for c in p.coeffs])
+    return UniPolyQn([RatFn(c.num.exact_div(scale), 1, _reduced=True) for c in p.coeffs])
 
 
 # the ratio once its dispersion pairs moved ``moved`` into p = w prod(moved) / c(n)
@@ -288,81 +234,98 @@ def gosper_normal_form(
 # -- polynomial solver ---------------------------------------------------------
 
 
-def _degree_bound(p: UniPolyQn, q: UniPolyQn, rm1: UniPolyQn) -> int:
-    """Upper bound for deg x in q(k) x(k+1) - r(k-1) x(k) = p(k)."""
-    N, M, K = q.degree(), rm1.degree(), p.degree()
-    if N != M or q.lc != rm1.lc:
+def _poly2_of(u: UniPolyQn) -> Poly2:
+    """u as a Poly2; its coefficients must be polynomials in n."""
+    if any(c.den.degree > 0 for c in u.coeffs):
+        raise ValueError("the coefficients in k must be polynomials in n")
+    return Poly2({(i, j): a for j, c in enumerate(u.coeffs) for i, a in enumerate(c.num.c)})
+
+
+def _lc(f: Poly2) -> Poly2:
+    """The leading coefficient in k, a polynomial in n."""
+    return f.k_coeff(f.degree("k"))
+
+
+def _degree_bound(p, q, rm1) -> int:
+    """Upper bound for deg x in q(k) x(k+1) - r(k-1) x(k) = p(k) (UniPolyQn or Poly2)."""
+    P, Q, RM1 = (f if isinstance(f, Poly2) else _poly2_of(f) for f in (p, q, rm1))
+    N, M, K = Q.degree("k"), RM1.degree("k"), P.degree("k")
+    if N != M or _lc(Q) != _lc(RM1):
         return K - max(N, M)
     if N == 0:
         return max(K - N + 1, 0)
-    sigma = (rm1.coeff(N - 1) - q.coeff(N - 1)) / q.lc
-    choices = [K - N + 1]
-    if sigma.is_constant:
-        s = sigma.as_const()
-        if s.denominator == 1 and s >= 0:
-            choices.append(int(s))
-    return max(choices)
+    # sigma = (r(k-1)_{N-1} - q_{N-1}) / lc(q) counts only if it is a constant
+    diff, lc = RM1.k_coeff(N - 1) - Q.k_coeff(N - 1), _lc(Q)
+    sigma = diff.coeff(lc.degree("n"), 0) / lc.coeff(lc.degree("n"), 0)
+    if diff == lc * sigma and sigma.denominator == 1 and sigma >= 0:
+        return max(K - N + 1, int(sigma))
+    return K - N + 1
 
 
-def _back_substitute(
-    rest: UniPolyQn, images: list[UniPolyQn], pivots: list[RatFn], top: int,
-    skip: Optional[int],
-) -> tuple[list[RatFn], UniPolyQn]:
-    """Solve L(x) = rest for x_d, ..., x_0 in turn, x_i from the coefficient
-    of k^(i+top), leaving out the zero-pivot column ``skip``.  Returns x and
-    the rows left over."""
-    x = [RatFn.const(0)] * len(images)
+def _eliminate(rhs: Poly2, images: list[Poly2], pivots: list[Poly2], top: int,
+               skip: Optional[int]) -> tuple[Poly2, Poly2, Poly2]:
+    """Back-substitution without fractions: X(n, k), D(n) and rest with
+    L(X) + rest = D * rhs, taking x_i from the coefficient of k^(i+top) for
+    i = d..0 and leaving out the zero-pivot column ``skip``.  A constant pivot
+    divides the step's multiplier; a pivot in n multiplies X, rest and D."""
+    X, D, rest = Poly2(), Poly2.const(1), rhs
     for i in range(len(images) - 1, -1, -1):
-        if i != skip and not rest.coeff(i + top).is_zero:
-            x[i] = rest.coeff(i + top) / pivots[i]
-            rest = rest - UniPolyQn([x[i]]) * images[i]
-    return x, rest
+        a = rest.k_coeff(i + top)
+        if i == skip or a.is_zero:
+            continue
+        if pivots[i].degree("n") > 0:
+            X, D, rest = X * pivots[i], D * pivots[i], rest * pivots[i]
+        else:
+            a = a * (1 / pivots[i].coeff(0, 0))
+        X = X + a * _K ** i
+        rest = rest - a * images[i]
+    return X, D, rest
 
 
-def gosper_solve(p: UniPolyQn, q: UniPolyQn, r: UniPolyQn) -> Optional[UniPolyQn]:
-    """Find polynomial x(k) with q(k) x(k+1) - r(k-1) x(k) = p(k).
+def gosper_solve(p: UniPolyQn, q: UniPolyQn, r: UniPolyQn) -> Optional[RatFunc2]:
+    """Find x(k) = X(n, k) / D(n), polynomial in k, with
+    q(k) x(k+1) - r(k-1) x(k) = p(k).
 
-    The images L(k^i) = q(k)(k+1)^i - r(k-1)k^i have degree at most i + top,
-    so the system is triangular and x_i is read off the coefficient of
-    k^(i+top), from x_d down.  That pivot vanishes for at most one i = sigma,
-    and only when lc(q) = lc(r(k-1)); x_sigma is then fixed by the rows the
-    back-substitution leaves over.  If those rows leave it free, the equation
-    has a polynomial kernel (the WZ difference is rational in k), and the
-    solution with x(0) = 0 is chosen, so that the certificate vanishes at
-    k = 0.  Returns None when no polynomial solution exists within the
-    degree bound.
+    p, q and r have coefficients in Q[n], as ``gosper_normal_form`` returns
+    them; they are converted to Poly2 once and the solve runs in Poly2
+    arithmetic.  The images L(k^i) = q(k)(k+1)^i - r(k-1)k^i have degree at
+    most i + top, so the system is triangular and x_i is read off the
+    coefficient of k^(i+top), from x_d down.  That pivot is free of k; it
+    vanishes for at most one i = sigma, and only when lc(q) = lc(r(k-1));
+    x_sigma is then fixed by the rows the back-substitution leaves over.  If
+    those rows leave it free, the equation has a polynomial kernel (the WZ
+    difference is rational in k), and the solution with x(0) = 0 is chosen,
+    so that the certificate vanishes at k = 0.  Returns None when no
+    polynomial solution exists within the degree bound.
     """
-    rm1 = r.shift(-1)
-    d = _degree_bound(p, q, rm1)
+    P, Q, RM1 = _poly2_of(p), _poly2_of(q), _poly2_of(r).shift("k", -1)
+    d = _degree_bound(P, Q, RM1)
     if d < 0:
         return None
-    top = max(q.degree(), rm1.degree())
-    if q.degree() == rm1.degree() and q.lc == rm1.lc:
+    top = max(Q.degree("k"), RM1.degree("k"))
+    if Q.degree("k") == RM1.degree("k") and _lc(Q) == _lc(RM1):
         top -= 1
-    images = [q * UniPolyQn([comb(i, t) for t in range(i + 1)])
-              - UniPolyQn([0] * i + list(rm1.coeffs)) for i in range(d + 1)]
-    pivots = [f.coeff(i + top) for i, f in enumerate(images)]
+    images = [Q * (_K + 1) ** i - RM1 * _K ** i for i in range(d + 1)]
+    pivots = [f.k_coeff(i + top) for i, f in enumerate(images)]
     sigma = next((i for i, c in enumerate(pivots) if c.is_zero), None)
-    xs, rest = _back_substitute(p, images, pivots, top, sigma)
+    X, D, rest = _eliminate(P, images, pivots, top, sigma)
     if sigma is not None:
-        # the direction h = k^sigma + g, with L(g) = -L(k^sigma) on the pivot rows
-        hs, rest_h = _back_substitute(-images[sigma], images, pivots, top, sigma)
-        hs[sigma] = RatFn.const(1)
+        # the direction h = Dh k^sigma + Xh has L(h) = -rest_h; x becomes
+        # (u X - v h) / (u D), with u, v chosen to clear the top row of rest
+        Xh, Dh, rest_h = _eliminate(-images[sigma], images, pivots, top, sigma)
+        h = Dh * _K ** sigma + Xh
         if not rest_h.is_zero:
-            t = -rest.coeff(rest_h.degree()) / rest_h.lc
-        elif not hs[0].is_zero:
-            t = -xs[0] / hs[0]  # h is a kernel element: choose x(0) = 0
-        else:
-            t = RatFn.const(0)
-        xs = [a + t * b for a, b in zip(xs, hs)]
-        rest = rest + UniPolyQn([t]) * rest_h
+            u, v = _lc(rest_h), rest.k_coeff(rest_h.degree("k"))
+        else:  # h is a kernel element: choose x(0) = 0 if h(0) is not 0
+            u, v = h.k_coeff(0), X.k_coeff(0)
+        if not u.is_zero:
+            X, D, rest = u * X - v * h, u * D, u * rest - v * rest_h
     if not rest.is_zero:
         return None
-    x = UniPolyQn(xs)
     # independent confirmation of the recurrence
-    if q * x.shift(1) - rm1 * x != p:
+    if Q * X.shift("k", 1) - RM1 * X != D * P:
         raise RuntimeError("solver produced a non-solution")
-    return x
+    return RatFunc2(X, D)
 
 
 # -- ratio assembly ---------------------------------------------------------------
@@ -413,37 +376,39 @@ class GosperResult:
     report: Optional[CertReport] = None
 
 
-def _divide_out(num: UniPolyQn, below: list[Poly2]) -> tuple[UniPolyQn, list[Poly2]]:
-    """Divide num by each factor of ``below`` that divides it, one trial per
-    item; returns the quotient and the factors that did not divide."""
-    left = []
-    for f in below:
-        quo, rem = divmod(num, UniPolyQn.from_poly2(f))
-        if rem.is_zero:
-            num = quo
-        else:
-            left.append(f)
-    return num, left
-
-
 def _certificate_from_solution(
-    ident: WZIdentity, x: UniPolyQn, lists: FactorLists, p: UniPolyQn
+    ident: WZIdentity, x: RatFunc2, lists: FactorLists, p: UniPolyQn
 ) -> RatFunc2:
     """R = r(k-1) x(k) (s - 1) / p(k) in lowest terms.  As p = w prod(moved) / c(n)
     and w = numerator(s - 1) * multiplier, R = c r(k-1) x(k) / (den(s) *
-    multiplier * prod(moved)): numerator(s - 1) is never expanded."""
+    multiplier * prod(moved)): numerator(s - 1) is never expanded.  The
+    factors with k of the denominator are divided out where they divide; Q[n]
+    gcds with the columns of k, until one is 1, cancel what is left in n."""
     _, s_den, scal = shift_quotient_n_parts(ident.term, ident.rhs)
     den = lists.moved + s_den + [multiplier(ident.term), Poly2.const(scal.denominator)]
-    kfree = factor_product([f for f in den if f.degree("k") <= 0])
-    c = UniPolyQn.from_poly2(lists.w).lc / p.lc / UniPolyQn.from_poly2(kfree).lc
     # equal factors of r(k-1) and the denominator cancel as list items
     above = Counter(b.shift("k", -1) for b in lists.bottom)
     below = Counter(f for f in den if f.degree("k") > 0)
     above, below = above - below, below - above
-    num = UniPolyQn([c]) * x * UniPolyQn.from_poly2(factor_product(list(above.elements())))
-    num, left = _divide_out(num, list(below.elements()))
-    cert = num.to_ratfunc2()
-    return RatFunc2(cert.num, cert.den * factor_product(left))
+    num = x.num * _lc(lists.w) * factor_product(list(above.elements()))
+    left = []
+    for f in below.elements():
+        quo = num.divide(f)
+        if quo is None:
+            left.append(f)
+        else:
+            num = quo
+    kfree = factor_product([f for f in den if f.degree("k") <= 0])
+    d = UniPoly((x.den * _unipoly_to_poly2_n(p.lc.num) * kfree).eval_k(0))
+    g = d
+    for j in range(num.degree("k") + 1):
+        if g.degree == 0:
+            break
+        g = g.gcd(UniPoly(num.k_coeff(j).eval_k(0)))
+    # the denominator d / g made monic in n, as UniPolyQn.to_ratfunc2 leaves it
+    d = d.exact_div(g)
+    num = num.divide(_unipoly_to_poly2_n(g * d.lc))
+    return RatFunc2(num, _unipoly_to_poly2_n(d.monic()) * factor_product(left))
 
 
 def synthesize_certificate(ident: WZIdentity) -> GosperResult:
@@ -457,7 +422,7 @@ def synthesize_certificate(ident: WZIdentity) -> GosperResult:
     """
     lists = _pair_factors(h_ratio(ident))
     p, q, r, confirmed = _normal_form_impl(lists)
-    bound = _degree_bound(p, q, r.shift(-1))
+    bound = _degree_bound(p, q, _poly2_of(r).shift("k", -1))
     x = gosper_solve(p, q, r)
     if x is None:
         return GosperResult("NotSummable", None, bound, confirmed)

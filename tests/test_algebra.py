@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from wzpi import DivisionByZeroFunction, Poly2, RatFunc2
 from wzpi.catalog import parse_poly
 
-from conftest import lattice_points, nonzero_poly2s, poly2s, rationals, small_ints
+from conftest import (lattice_points, nonzero_poly2s, nonzero_rationals, poly2s, rationals,
+                      small_ints)
 
 
 # -- Poly2 ring axioms --------------------------------------------------------------
@@ -213,6 +214,39 @@ def test_representation_is_canonical(a, c):
     assert_canonical(a * c)
     assert a - a == Poly2() and hash(a - a) == hash(Poly2())
     assert parse_poly(str(a)) == a
+
+
+# -- exact division -------------------------------------------------------------------
+
+polys_in_n = st.lists(rationals, max_size=4).map(
+    lambda cs: Poly2({(i, 0): c for i, c in enumerate(cs)}))
+K = Poly2.var("k")
+
+
+@given(big_poly2s(max_degree=4, max_terms=8), polys_in_n, nonzero_rationals,
+       polys_in_n.filter(lambda h: not h.is_zero), lattice_points)
+def test_division_by_a_factor_linear_in_k(g, a, c, h, pt):
+    # f = c k + a(n), the shape of the factors the certificate assembly
+    # divides out (c = 1, or the multiplier's leading coefficient)
+    f = c * K + a
+    quo = (g * f).divide(f)
+    assert quo == g
+    assert_canonical(quo)
+    # a remainder free of k is left over, so f does not divide
+    assert (g * f + h).divide(f) is None
+    n, k = pt
+    assert quo.eval(n, k) * f.eval(n, k) == (g * f).eval(n, k)
+    assert quo.eval(n, k) == g.eval(n, k)
+
+
+@given(poly2s(), polys_in_n.filter(lambda d: d.degree("n") > 0), rationals)
+def test_division_by_a_factor_free_of_k_runs_in_n(g, d, e):
+    # lc_k(d) = d is no constant, so the division runs in n
+    assert (g * d).divide(d) == g
+    if e:
+        assert (g * d + e).divide(d) is None
+    with pytest.raises(ValueError):
+        g.divide(d * K + 1)
 
 
 # -- evaluation is a ring homomorphism ----------------------------------------------

@@ -29,10 +29,11 @@ from wzpi import (
     term_value,
     wz_residual,
 )
-from wzpi.gosper import _divide_out, dispersion_candidates
+from wzpi.gosper import _unipoly_to_poly2_n, dispersion_candidates
 from wzpi.terms import factor_product
 
-from conftest import chu_vandermonde, normalised_terms, pfaff_saalschuetz, poly2s
+from conftest import (chu_vandermonde, nonzero_unipolys, normalised_terms,
+                      pfaff_saalschuetz, poly2s, rationals)
 
 K = Poly2.var("k")
 N = Poly2.var("n")
@@ -55,16 +56,6 @@ def expand(parts) -> RatFunc2:
 
 # -- coefficient tower ---------------------------------------------------------------
 
-@given(poly2s(), poly2s())
-def test_tower_arithmetic_matches_bivariate_arithmetic(a, b):
-    fa, fb = uqn(a), uqn(b)
-    for n0 in (0, 1, Fraction(5, 2)):
-        for k0 in (-1, 0, 3):
-            assert (fa + fb).eval_n(n0).eval(k0) == (a + b).eval(n0, k0)
-            assert (fa * fb).eval_n(n0).eval(k0) == (a * b).eval(n0, k0)
-            assert (-fa).eval_n(n0).eval(k0) == -a.eval(n0, k0)
-
-
 @given(poly2s(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
 def test_tower_shift_commutes_with_eval(a, delta):
     f = uqn(a)
@@ -73,15 +64,15 @@ def test_tower_shift_commutes_with_eval(a, delta):
         assert shifted.eval_n(n0) == f.eval_n(n0).shift(delta)
 
 
-@given(poly2s())
-def test_tower_denominator_clearing(a):
+@given(poly2s(), nonzero_unipolys)
+def test_tower_denominator_clearing(a, d):
     from wzpi import RatFn
-    f = uqn(a)
-    cleared, L = f.clear_denominators()
-    assert not L.is_zero
-    for i, c in enumerate(cleared):
-        assert f.coeff(i) * RatFn(L) == RatFn(c)
-    assert f.to_ratfunc2() == RatFunc2(a, 1)
+    assert uqn(a).to_ratfunc2() == RatFunc2(a, 1)
+    # coefficients a_j(n) / d(n), each reduced on its own, clear to a / d
+    f = UniPolyQn([c / RatFn(d) for c in uqn(a).coeffs])
+    cert = f.to_ratfunc2()
+    assert cert.den.degree("k") <= 0 and cert.den.coeff(cert.den.degree("n"), 0) == 1
+    assert cert == RatFunc2(a, _unipoly_to_poly2_n(d))
 
 
 # -- dispersion ------------------------------------------------------------------------
@@ -215,20 +206,23 @@ def test_zero_ratio_is_degenerate():
 def test_solver_sums_the_identity_summand_k():
     p, q, r = gosper_normal_form(ratio([K + 1], [K]))
     x = gosper_solve(p, q, r)
-    assert x == UniPolyQn([0, Fraction(-1, 2), Fraction(1, 2)])
+    assert x == RatFunc2(K * (K - 1), 2)
+    assert [x.eval(3, k0) for k0 in range(5)] == [0, 0, 1, 3, 6]
 
 
 @pytest.mark.parametrize("b, expected", [
     # of the solutions x = t(k+2) - 1, x(0) = 0 picks k/2
-    (2, [0, Fraction(1, 2)]),
+    (2, K * Fraction(1, 2)),
     # every solution t*k - 1 has x(0) = -1; x_sigma = 0 picks -1
-    (0, [-1]),
+    (0, Poly2.const(-1)),
 ])
 def test_solver_picks_the_kernel_solution_that_vanishes_at_zero(b, expected):
     # a_k = 1/((k+b)(k+b+1)): q = k+b, r(k-1) = k+b+1, sigma = 1, and x = k+b
     # spans the kernel
     p, q, r = gosper_normal_form(ratio([K + b], [K + b + 2]))
-    assert gosper_solve(p, q, r) == UniPolyQn(expected)
+    x = gosper_solve(p, q, r)
+    assert x == RatFunc2(expected)
+    assert [x.eval(1, k0) for k0 in range(3)] == [expected.eval(1, k0) for k0 in range(3)]
 
 
 def test_solver_rejects_factorial_growth():
@@ -250,12 +244,11 @@ def test_solver_handles_power_sums(power):
     assert x is not None
     # verify: with a_k = k^power, the antidifference S satisfies
     # S(k+1) - S(k) = a_k; reconstruct S/a as r(k-1) x / p and check values
-    from wzpi.unipoly import RatFn
     rm1 = r.shift(-1)
     for k0 in range(2, 8):
-        s_over_a = (rm1.eval_n(0).eval(k0) * x.eval_n(0).eval(k0)
+        s_over_a = (rm1.eval_n(0).eval(k0) * x.eval(0, k0)
                     / p.eval_n(0).eval(k0))
-        s_over_a_next = (rm1.eval_n(0).eval(k0 + 1) * x.eval_n(0).eval(k0 + 1)
+        s_over_a_next = (rm1.eval_n(0).eval(k0 + 1) * x.eval(0, k0 + 1)
                          / p.eval_n(0).eval(k0 + 1))
         a_k = Fraction(k0) ** power
         a_k1 = Fraction(k0 + 1) ** power
@@ -268,20 +261,51 @@ def test_solver_handles_power_sums(power):
        st.integers(min_value=0, max_value=3))
 def test_solver_recovers_a_planted_solution(x2, q2, r2, equal_lc, sigma):
     # the k^sigma term makes x_sigma, the unknown of a zero pivot, nonzero
-    x, q, rm1 = uqn(x2 + K ** sigma), uqn(q2), uqn(r2)
+    x, q, rm1 = x2 + K ** sigma, q2, r2
     assume(not x.is_zero and not q.is_zero and not rm1.is_zero)
     if equal_lc:
         # lc(r(k-1)) = lc(q), with the pivot of x_sigma zero (sigma = 0 when
         # q is a constant)
-        top = q.degree()
-        lower = [rm1.coeff(i) for i in range(top - 1)]
-        rm1 = q if top == 0 else UniPolyQn(
-            lower + [q.coeff(top - 1) + q.lc * sigma, q.lc])
-    p = q * x.shift(1) - rm1 * x
+        top = q.degree("k")
+        rm1 = q if top == 0 else with_top_columns(
+            rm1, q, q.k_coeff(top - 1) + q.k_coeff(top) * sigma)
+    p = q * x.shift("k", 1) - rm1 * x
     assume(not p.is_zero)
-    got = gosper_solve(p, q, rm1.shift(1))
+    got = gosper_solve(uqn(p), uqn(q), uqn(rm1.shift("k", 1)))
     assert got is not None
-    assert q * got.shift(1) - rm1 * got == p
+    assert got.shift("k", 1) * q - got * rm1 == p
+
+
+def with_top_columns(low: Poly2, q: Poly2, below_top: Poly2) -> Poly2:
+    """The columns of ``low`` under k^(top-1), then ``below_top`` k^(top-1)
+    and lc(q) k^top, where top = deg_k q."""
+    top = q.degree("k")
+    return (sum((low.k_coeff(i) * K ** i for i in range(top - 1)), Poly2())
+            + below_top * K ** (top - 1) + q.k_coeff(top) * K ** top)
+
+
+@settings(max_examples=40)
+@given(poly2s(max_degree=2, max_terms=4), poly2s(max_degree=2, max_terms=4),
+       poly2s(max_degree=2, max_terms=4), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=-3, max_value=3).filter(bool),
+       st.integers(min_value=1, max_value=3), rationals,
+       rationals.filter(bool))
+def test_solver_recovers_a_planted_solution_with_pivots_in_n(
+        x2, q2, r2, lead_n, lead_c, degree, sigma0, b):
+    # lc(r(k-1)) = lc(q) and sigma(n) = sigma0 + b n: the pivot of x_i is
+    # lc(q) (i - sigma(n)), which depends on n, so x = X(n, k) / D(n) with
+    # D not constant
+    x = x2 + K ** degree
+    top = max(q2.degree("k"), 0) + 1
+    q = q2 + (lead_c + lead_n * N) * K ** top
+    rm1 = with_top_columns(r2, q, q.k_coeff(top - 1) + q.k_coeff(top) * (sigma0 + b * N))
+    p = q * x.shift("k", 1) - rm1 * x
+    got = gosper_solve(uqn(p), uqn(q), uqn(rm1.shift("k", 1)))
+    assert got is not None
+    assert got.shift("k", 1) * q - got * rm1 == p
+    assert got.den.degree("k") == 0 and got.den.degree("n") > 0
+    # no pivot vanishes, so the planted solution is the only one
+    assert got == x
 
 
 # -- ratio assembly -----------------------------------------------------------------
@@ -399,11 +423,17 @@ def test_pfaff_saalschuetz_with_a_zero_pivot_is_summable(a, b, c, sigma):
 # -- certificate assembly ------------------------------------------------------------
 
 def test_trial_division_cancels_each_listed_factor_once():
-    num = uqn(3 * (K + N) ** 2 * (K + 1) * (2 * N + 1))
-    quo, left = _divide_out(num, [K + N, K + 2, K + N, K + N, Poly2.const(3), 2 * N + 1])
+    # one trial per listed factor, as the certificate assembly makes them
+    num, left = 3 * (K + N) ** 2 * (K + 1) * (2 * N + 1), []
+    for f in [K + N, K + 2, K + N, K + N, Poly2.const(3), 2 * N + 1]:
+        quo = num.divide(f)
+        if quo is None:
+            left.append(f)
+        else:
+            num = quo
     # the repeated factor divides twice but not a third time, k + 2 does not
-    # divide, and the constant and the k-free factor fold into the coefficients
-    assert quo == uqn(K + 1)
+    # divide, and the constant and the k-free factor divide out
+    assert num == K + 1
     assert left == [K + 2, K + N]
 
 
