@@ -8,10 +8,14 @@ masked so that the text depends on the results alone.  The commands are
 for every ``wz`` record and ``sum --id X --n 5`` for every record.
 
 Usage:  PYTHONPATH=src python3 scripts/cli_golden.py [--check]
+
+With ``--check`` nothing is written; each file that differs is named on
+stderr, followed by a unified diff of it (at most 40 lines).
 """
 from __future__ import annotations
 
 import argparse
+import difflib
 import io
 import re
 import sys
@@ -24,6 +28,7 @@ from wzpi.cli import main as cli_main
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "data" / "cli_golden"
 
 _TIMINGS = (re.compile(r"\[\d+ ms\]"), "[N ms]"), (re.compile(r'"millis": \d+'), '"millis": N')
+DIFF_LINES = 40
 
 
 def cases() -> dict[str, list[str]]:
@@ -61,12 +66,17 @@ def main() -> int:
         path = GOLDEN_DIR / fname
         text = render(argv)
         if args.check:
-            if not path.exists() or path.read_bytes() != text.encode("utf-8"):
-                stale.append(fname)
+            old = path.read_bytes().decode("utf-8") if path.exists() else ""
+            if old != text:
+                stale.append((fname, old, text))
         else:
             path.write_bytes(text.encode("utf-8"))
-    for fname in stale:
+    for fname, old, text in stale:
         print(f"differs: {fname}", file=sys.stderr)
+        diff = difflib.unified_diff(old.splitlines(keepends=True), text.splitlines(keepends=True),
+                                    f"golden/{fname}", f"now/{fname}")
+        for line in list(diff)[:DIFF_LINES]:
+            sys.stderr.write(line if line.endswith("\n") else line + "\n")
     return 1 if stale else 0
 
 

@@ -5,7 +5,8 @@ Layers, bottom up:
 
 - ``algebra``: exact arithmetic in Q[n,k] and unreduced quotients with
   cross-multiplication equality.
-- ``unipoly``: univariate polynomials and reduced rational functions over Q.
+- ``unipoly``: univariate polynomials over Q (gcds, root deflation) and
+  reduced quotients of them, without field arithmetic.
 - ``terms``: hypergeometric summands (Pochhammer factor lists), closed forms,
   exact values, shift quotients, and the substitution that collapses every
   catalog identity to the classical alternating series.

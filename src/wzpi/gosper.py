@@ -8,7 +8,8 @@ of k with coefficients in Q(n).  Gosper's algorithm decides whether H has a
 hypergeometric antidifference ``T`` with ``T(k+1) - T(k) = H(k)``; when it
 does, ``T(k) = y(k) * H(k)`` for a rational function y, and the telescoping
 certificate is ``R = y * (s - 1)`` where ``s`` is the n-shift quotient of the
-normalized summand.
+normalized summand.  Every factor of that ratio is linear in n and k, so the
+algorithm runs in Q[n][k] on ``Poly2`` and never divides in Q(n).
 
 Pipeline (names follow the classical presentation):
 
@@ -21,8 +22,8 @@ Pipeline (names follow the classical presentation):
                          top factor k+a is paired with a bottom factor k+b at
                          the smallest positive integer j = a - b (see
                          ``dispersion_candidates``), and (k+b)...(k+b+j-1)
-                         moves into p.  p, q and r are ``UniPolyQn`` whose
-                         coefficients are polynomials in n.
+                         moves into p.  p, q and r are ``UniPolyQn``, views
+                         of one ``Poly2`` each: polynomials in k over Q[n].
 3. ``gosper_solve``   -- degree-bound the unknown polynomial x(k) and solve
                          ``q(k) x(k+1) - r(k-1) x(k) = p(k)`` by back-
                          substitution on ``Poly2`` without fractions: the
@@ -37,13 +38,10 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import Poly2, RatFunc2, Rat
-from .terms import (factor_product, multiplier, shift_quotient_k_parts,
-                    shift_quotient_n, shift_quotient_n_parts)
+from .terms import factor_product, multiplier, shift_quotient_k_parts, shift_quotient_n_parts
 from .unipoly import RatFn, UniPoly
 from .wz import CertReport, WZIdentity, verify_certificate
 
@@ -63,76 +61,46 @@ class DegenerateRatio(ArithmeticError):
     """The WZ difference vanishes identically, so there is nothing to sum."""
 
 
-# -- polynomials in k over the field Q(n) -------------------------------------
+# -- polynomials in k with coefficients in Q[n] ---------------------------------
 
 
 class UniPolyQn:
-    """Dense polynomial in k whose coefficients are rational functions of n."""
+    """A polynomial in k with coefficients in Q[n], viewed through one Poly2.
 
-    __slots__ = ("coeffs",)
+    The solve and the assembly read ``poly``.  The class stays only because
+    the benchmark's probes read the normal form through ``eval_n``,
+    ``coeffs`` and ``shift`` (and ``_degree_bound`` on it); it waits for
+    ROADMAP item 1 to drop them."""
 
-    def __init__(self, coeffs: Sequence[RatFn | Rat | int] = ()):
-        cs = [c if isinstance(c, RatFn) else RatFn.const(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs: tuple[RatFn, ...] = tuple(cs)
+    __slots__ = ("poly",)
 
-    @classmethod
-    def from_poly2(cls, p: Poly2) -> "UniPolyQn":
-        return cls([RatFn(UniPoly(p.k_coeff(j).eval_k(0)), 1, _reduced=True)
-                    for j in range(p.degree("k") + 1)])
+    def __init__(self, poly: Poly2):
+        self.poly = poly
 
-    # structure
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.poly.degree("k")
 
     @property
-    def lc(self) -> RatFn:
-        if not self.coeffs:
-            return RatFn.const(0)
-        return self.coeffs[-1]
+    def lc(self) -> Poly2:
+        return _lc(self.poly)
 
-    def coeff(self, i: int) -> RatFn:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return RatFn.const(0)
+    def coeff(self, i: int) -> Poly2:
+        return self.poly.k_coeff(i)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UniPolyQn) and self.coeffs == other.coeffs
+    def _columns(self) -> list[UniPoly]:
+        return [UniPoly(self.coeff(j).eval_k(0)) for j in range(self.degree() + 1)]
 
-    def __repr__(self) -> str:
-        return f"UniPolyQn({list(self.coeffs)!r})"
+    @property
+    def coeffs(self) -> tuple[RatFn, ...]:
+        return tuple(RatFn(c, 1, _reduced=True) for c in self._columns())
 
     def shift(self, delta) -> "UniPolyQn":
         """Substitute k -> k + delta for a rational constant delta."""
-        delta = Fraction(delta)
-        if not self.coeffs or delta == 0:
-            return self
-        out = [RatFn.const(0)] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            power = Fraction(1)
-            for t in range(i, -1, -1):
-                out[t] = out[t] + c * (comb(i, t) * power)
-                power *= delta
-        return UniPolyQn(out)
+        return UniPolyQn(self.poly.shift("k", delta))
 
     def eval_n(self, n0: Rat) -> UniPoly:
-        """Specialize n, returning a univariate polynomial in k over Q.
-
-        Raises ZeroDivisionError if any coefficient denominator vanishes.
-        """
-        return UniPoly([c.eval(n0) for c in self.coeffs])
-
-    def to_ratfunc2(self) -> RatFunc2:
-        """Express as a bivariate quotient num(n,k)/den(n)."""
-        L = UniPoly.const(1)
-        for c in self.coeffs:
-            L = L.lcm(c.den)
-        return RatFunc2(Poly2({(i, j): a for j, c in enumerate(self.coeffs)
-                               for i, a in enumerate((c.num * L.exact_div(c.den)).c)}),
-                        _unipoly_to_poly2_n(L))
+        """Specialize n, returning a univariate polynomial in k over Q."""
+        return UniPoly([c.eval(n0) for c in self._columns()])
 
 
 _K = Poly2.var("k")
@@ -140,6 +108,11 @@ _K = Poly2.var("k")
 
 def _unipoly_to_poly2_n(p: UniPoly) -> Poly2:
     return Poly2({(i, 0): c for i, c in enumerate(p.c) if c})
+
+
+def _lc(f: Poly2) -> Poly2:
+    """The leading coefficient in k, a polynomial in n."""
+    return f.k_coeff(f.degree("k"))
 
 
 # -- normal form ---------------------------------------------------------------
@@ -174,14 +147,13 @@ def dispersion_candidates(
 
 
 def _primitive(p: UniPolyQn) -> UniPolyQn:
-    """p over its content in Q[n], scaled so that lc_k(p) is monic in n.
-
-    The coefficients of p are polynomials in n."""
+    """p over its content in Q[n], scaled so that lc_k(p) is monic in n."""
+    columns = p._columns()
     content = UniPoly()
-    for c in p.coeffs:
-        content = content.gcd(c.num)
-    scale = content * p.lc.num.lc
-    return UniPolyQn([RatFn(c.num.exact_div(scale), 1, _reduced=True) for c in p.coeffs])
+    for c in columns:
+        content = content.gcd(c)
+    scale = content * columns[-1].lc
+    return UniPolyQn(p.poly.divide(_unipoly_to_poly2_n(scale)))
 
 
 # the ratio once its dispersion pairs moved ``moved`` into p = w prod(moved) / c(n)
@@ -209,9 +181,9 @@ def _pair_factors(ratio: tuple[Rat, list[Poly2], list[Poly2], Poly2]) -> FactorL
 def _normal_form_impl(
     lists: FactorLists,
 ) -> tuple[UniPolyQn, UniPolyQn, UniPolyQn, tuple[int, ...]]:
-    p = _primitive(UniPolyQn.from_poly2(factor_product(lists.moved) * lists.w))
-    q = UniPolyQn.from_poly2(factor_product(lists.top, lists.z))
-    r = UniPolyQn.from_poly2(factor_product(lists.bottom))
+    p = _primitive(UniPolyQn(factor_product(lists.moved) * lists.w))
+    q = UniPolyQn(factor_product(lists.top, lists.z))
+    r = UniPolyQn(factor_product(lists.bottom))
     return p, q, r, lists.shifts
 
 
@@ -234,21 +206,10 @@ def gosper_normal_form(
 # -- polynomial solver ---------------------------------------------------------
 
 
-def _poly2_of(u: UniPolyQn) -> Poly2:
-    """u as a Poly2; its coefficients must be polynomials in n."""
-    if any(c.den.degree > 0 for c in u.coeffs):
-        raise ValueError("the coefficients in k must be polynomials in n")
-    return Poly2({(i, j): a for j, c in enumerate(u.coeffs) for i, a in enumerate(c.num.c)})
-
-
-def _lc(f: Poly2) -> Poly2:
-    """The leading coefficient in k, a polynomial in n."""
-    return f.k_coeff(f.degree("k"))
-
-
-def _degree_bound(p, q, rm1) -> int:
-    """Upper bound for deg x in q(k) x(k+1) - r(k-1) x(k) = p(k) (UniPolyQn or Poly2)."""
-    P, Q, RM1 = (f if isinstance(f, Poly2) else _poly2_of(f) for f in (p, q, rm1))
+def _degree_bound(p: UniPolyQn, q: UniPolyQn, rm1: UniPolyQn) -> int:
+    """Upper bound for deg x in q(k) x(k+1) - r(k-1) x(k) = p(k), read off
+    the ``poly`` of each argument."""
+    P, Q, RM1 = p.poly, q.poly, rm1.poly
     N, M, K = Q.degree("k"), RM1.degree("k"), P.degree("k")
     if N != M or _lc(Q) != _lc(RM1):
         return K - max(N, M)
@@ -286,20 +247,21 @@ def gosper_solve(p: UniPolyQn, q: UniPolyQn, r: UniPolyQn) -> Optional[RatFunc2]
     """Find x(k) = X(n, k) / D(n), polynomial in k, with
     q(k) x(k+1) - r(k-1) x(k) = p(k).
 
-    p, q and r have coefficients in Q[n], as ``gosper_normal_form`` returns
-    them; they are converted to Poly2 once and the solve runs in Poly2
-    arithmetic.  The images L(k^i) = q(k)(k+1)^i - r(k-1)k^i have degree at
-    most i + top, so the system is triangular and x_i is read off the
-    coefficient of k^(i+top), from x_d down.  That pivot is free of k; it
-    vanishes for at most one i = sigma, and only when lc(q) = lc(r(k-1));
-    x_sigma is then fixed by the rows the back-substitution leaves over.  If
-    those rows leave it free, the equation has a polynomial kernel (the WZ
-    difference is rational in k), and the solution with x(0) = 0 is chosen,
-    so that the certificate vanishes at k = 0.  Returns None when no
-    polynomial solution exists within the degree bound.
+    p, q and r are ``UniPolyQn``, as ``gosper_normal_form`` returns them; the
+    solve runs in the Poly2 arithmetic of their ``poly``.  The images
+    L(k^i) = q(k)(k+1)^i - r(k-1)k^i have degree at most i + top, so the
+    system is triangular and x_i is read off the coefficient of k^(i+top),
+    from x_d down.  That pivot is free of k; it vanishes for at most one
+    i = sigma, and only when lc(q) = lc(r(k-1)); x_sigma is then fixed by
+    the rows the back-substitution leaves over.  If those rows leave it free,
+    the equation has a polynomial kernel (the WZ difference is rational in
+    k), and the solution with x(0) = 0 is chosen, so that the certificate
+    vanishes at k = 0.  Returns None when no polynomial solution exists
+    within the degree bound.
     """
-    P, Q, RM1 = _poly2_of(p), _poly2_of(q), _poly2_of(r).shift("k", -1)
-    d = _degree_bound(P, Q, RM1)
+    rm1 = r.shift(-1)
+    d = _degree_bound(p, q, rm1)
+    P, Q, RM1 = p.poly, q.poly, rm1.poly
     if d < 0:
         return None
     top = max(Q.degree("k"), RM1.degree("k"))
@@ -341,9 +303,9 @@ def h_ratio(ident: WZIdentity) -> tuple[Rat, list[Poly2], list[Poly2], Poly2]:
     s, and w is numerator(s - 1) times the summand's multiplier p(k).
     """
     rk_num, rk_den, z = shift_quotient_k_parts(ident.term)
-    _, s_den, _ = shift_quotient_n_parts(ident.term, ident.rhs)
-    s = shift_quotient_n(ident.term, ident.rhs)
-    w = (s.num - s.den) * multiplier(ident.term)
+    s_num, s_den, scal = shift_quotient_n_parts(ident.term, ident.rhs)
+    w = (factor_product(s_num, scal.numerator)
+         - factor_product(s_den, scal.denominator)) * multiplier(ident.term)
     if w.is_zero:
         raise DegenerateRatio("n-shift quotient is identically 1")
     # factors of s without k cancel in (s(k+1) - 1)/(s(k) - 1)
@@ -399,13 +361,13 @@ def _certificate_from_solution(
         else:
             num = quo
     kfree = factor_product([f for f in den if f.degree("k") <= 0])
-    d = UniPoly((x.den * _unipoly_to_poly2_n(p.lc.num) * kfree).eval_k(0))
+    d = UniPoly((x.den * p.lc * kfree).eval_k(0))
     g = d
     for j in range(num.degree("k") + 1):
         if g.degree == 0:
             break
         g = g.gcd(UniPoly(num.k_coeff(j).eval_k(0)))
-    # the denominator d / g made monic in n, as UniPolyQn.to_ratfunc2 leaves it
+    # the denominator d / g, made monic in n
     d = d.exact_div(g)
     num = num.divide(_unipoly_to_poly2_n(g * d.lc))
     return RatFunc2(num, _unipoly_to_poly2_n(d.monic()) * factor_product(left))
@@ -422,7 +384,7 @@ def synthesize_certificate(ident: WZIdentity) -> GosperResult:
     """
     lists = _pair_factors(h_ratio(ident))
     p, q, r, confirmed = _normal_form_impl(lists)
-    bound = _degree_bound(p, q, _poly2_of(r).shift("k", -1))
+    bound = _degree_bound(p, q, r.shift(-1))
     x = gosper_solve(p, q, r)
     if x is None:
         return GosperResult("NotSummable", None, bound, confirmed)

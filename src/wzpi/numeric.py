@@ -334,7 +334,8 @@ def pi_from_series(
 
     The alternating series sums to 2/pi (accelerated; `terms` caps the number
     of accelerator terms), the positive geometric one to 1/pi (summed
-    directly; each term adds roughly eight digits).
+    directly; each term adds roughly eight digits, and the sum stops once a
+    term underflows to 0.0).
     """
     from .catalog import load_builtin
 
@@ -351,6 +352,8 @@ def pi_from_series(
         if terms is None and abs(tk) < cfg.target_abs_tol * abs(total):
             break
         tk *= ratio(k)
+        if not tk:  # underflow: every later term adds 0.0
+            break
     else:
         if terms is None:
             raise NoConvergence("series did not settle within max_terms")

@@ -1,10 +1,13 @@
-"""Exact univariate polynomial and rational-function arithmetic over Q.
+"""Exact univariate polynomials over Q, and reduced quotients of them.
 
 ``UniPoly`` stores dense coefficient tuples (ascending powers, trailing zeros
 stripped; the zero polynomial is the empty tuple).  Gcds run on integer
 primitive parts with a primitive pseudo-remainder sequence, which keeps
-intermediate coefficients bounded.  ``RatFn`` is a reduced quotient with a
-monic denominator, so equality is structural.
+intermediate coefficients bounded; the certificate assembly takes its few
+Q[n] gcds here.  ``RatFn`` is a reduced quotient with a monic denominator, so
+equality is structural; it has no arithmetic.  ``RatFn`` and ``interpolate``
+are read only by the benchmark's probes of the normal form, and wait for
+ROADMAP item 1 to drop them.
 """
 from __future__ import annotations
 
@@ -101,9 +104,6 @@ class UniPoly:
     def lc(self) -> Rat:
         return self.c[-1] if self.c else Fraction(0)
 
-    def coeff(self, i: int) -> Rat:
-        return self.c[i] if 0 <= i < len(self.c) else Fraction(0)
-
     def __add__(self, other: "UniPoly | Scalar") -> "UniPoly":
         other = _coerce(other)
         a, b = self.c, other.c
@@ -114,16 +114,11 @@ class UniPoly:
             c[i] += x
         return UniPoly(c)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "UniPoly":
         return UniPoly(tuple(-x for x in self.c))
 
     def __sub__(self, other: "UniPoly | Scalar") -> "UniPoly":
         return self + (-_coerce(other))
-
-    def __rsub__(self, other: Scalar) -> "UniPoly":
-        return _coerce(other) - self
 
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
         if isinstance(other, (int, Fraction)):
@@ -141,8 +136,6 @@ class UniPoly:
             for j, y in enumerate(b):
                 out[i + j] += x * y
         return UniPoly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, m: int) -> "UniPoly":
         if m < 0:
@@ -198,16 +191,6 @@ class UniPoly:
             v = v * x + a
         return v
 
-    def shift(self, delta: Scalar) -> "UniPoly":
-        """Substitute x -> x + delta."""
-        delta = Fraction(delta)
-        if not delta or self.is_zero:
-            return self
-        out = UniPoly()
-        for a in reversed(self.c):
-            out = out * UniPoly((delta, 1)) + UniPoly.const(a)
-        return out
-
     def monic(self) -> "UniPoly":
         if self.is_zero or self.lc == 1:
             return self
@@ -230,11 +213,6 @@ class UniPoly:
         a, _ = self.int_coeffs()
         b, _ = other.int_coeffs()
         return UniPoly(_igcd_poly(a, b)).monic()
-
-    def lcm(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero or other.is_zero:
-            return UniPoly()
-        return (self * other).exact_div(self.gcd(other))
 
     def div_linear(self, x0: Scalar) -> "tuple[UniPoly, Rat]":
         """Synthetic division by (x - x0): returns (quotient, remainder)."""
@@ -328,59 +306,7 @@ class RatFn:
         self.num = num
         self.den = den
 
-    @classmethod
-    def const(cls, x: Scalar) -> "RatFn":
-        return cls(UniPoly.const(x), UniPoly.const(1), _reduced=True)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def as_const(self) -> Rat:
-        if not self.is_constant:
-            raise ValueError("not a constant")
-        return self.num.coeff(0)
-
-    def __add__(self, other: "RatFn | Scalar") -> "RatFn":
-        other = _coerce_rf(other)
-        if self.den == other.den:
-            return RatFn(self.num + other.num, self.den)
-        return RatFn(self.num * other.den + other.num * self.den,
-                     self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFn":
-        return RatFn(-self.num, self.den, _reduced=True)
-
-    def __sub__(self, other: "RatFn | Scalar") -> "RatFn":
-        return self + (-_coerce_rf(other))
-
-    def __rsub__(self, other: Scalar) -> "RatFn":
-        return _coerce_rf(other) - self
-
-    def __mul__(self, other: "RatFn | Scalar") -> "RatFn":
-        other = _coerce_rf(other)
-        return RatFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "RatFn | Scalar") -> "RatFn":
-        other = _coerce_rf(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFn(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other: Scalar) -> "RatFn":
-        return _coerce_rf(other) / self
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = _coerce_rf(other)
         if not isinstance(other, RatFn):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -392,15 +318,10 @@ class RatFn:
         return self.num.eval(x) / d
 
     def __str__(self) -> str:
-        if self.den.degree == 0 and self.den.coeff(0) == 1:
+        if self.den == 1:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
     def __repr__(self) -> str:
         return f"RatFn({self})"
 
-
-def _coerce_rf(x: "RatFn | Scalar") -> RatFn:
-    if isinstance(x, RatFn):
-        return x
-    return RatFn.const(x)

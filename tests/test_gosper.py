@@ -29,18 +29,14 @@ from wzpi import (
     term_value,
     wz_residual,
 )
-from wzpi.gosper import _unipoly_to_poly2_n, dispersion_candidates
+from wzpi.gosper import dispersion_candidates
 from wzpi.terms import factor_product
 
-from conftest import (chu_vandermonde, nonzero_unipolys, normalised_terms,
-                      pfaff_saalschuetz, poly2s, rationals)
+from conftest import (chu_vandermonde, normalised_terms, pfaff_saalschuetz, poly2s,
+                      rationals)
 
 K = Poly2.var("k")
 N = Poly2.var("n")
-
-
-def uqn(p: Poly2) -> UniPolyQn:
-    return UniPolyQn.from_poly2(p)
 
 
 def ratio(top, bottom, z=1, w=Poly2.const(1)):
@@ -54,25 +50,21 @@ def expand(parts) -> RatFunc2:
     return RatFunc2(factor_product(top, z) * w.shift("k", 1), factor_product(bottom) * w)
 
 
-# -- coefficient tower ---------------------------------------------------------------
+# -- the UniPolyQn view of a Poly2 ---------------------------------------------------
 
-@given(poly2s(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
-def test_tower_shift_commutes_with_eval(a, delta):
-    f = uqn(a)
+@given(poly2s(), st.fractions(min_value=-3, max_value=3, max_denominator=4),
+       rationals, rationals)
+def test_tower_shift_commutes_with_eval(a, delta, n0, k0):
+    f = UniPolyQn(a)
     shifted = f.shift(delta)
-    for n0 in (0, 2):
-        assert shifted.eval_n(n0) == f.eval_n(n0).shift(delta)
-
-
-@given(poly2s(), nonzero_unipolys)
-def test_tower_denominator_clearing(a, d):
-    from wzpi import RatFn
-    assert uqn(a).to_ratfunc2() == RatFunc2(a, 1)
-    # coefficients a_j(n) / d(n), each reduced on its own, clear to a / d
-    f = UniPolyQn([c / RatFn(d) for c in uqn(a).coeffs])
-    cert = f.to_ratfunc2()
-    assert cert.den.degree("k") <= 0 and cert.den.coeff(cert.den.degree("n"), 0) == 1
-    assert cert == RatFunc2(a, _unipoly_to_poly2_n(d))
+    assert shifted.poly == a.shift("k", delta)
+    assert shifted.eval_n(n0).eval(k0) == a.eval(n0, k0 + delta)
+    assert f.eval_n(n0).eval(k0) == a.eval(n0, k0)
+    # the k-columns, as polynomials in n over denominator 1
+    assert len(f.coeffs) == f.degree() + 1 == a.degree("k") + 1
+    for j, c in enumerate(f.coeffs):
+        assert c.den.degree == 0
+        assert c.num.eval(n0) == a.k_coeff(j).eval(n0, 0)
 
 
 # -- dispersion ------------------------------------------------------------------------
@@ -148,15 +140,15 @@ def coprime_at(q: UniPolyQn, r: UniPolyQn, j: int) -> bool:
     coefficient vanishes.  n0 is no integer, so that roots k = -(b*n + c)
     with small b do not meet by accident."""
     n0 = next(n0 for n0 in (m + Fraction(1, 97) for m in range(2, 64))
-              if q.lc.eval(n0) and r.lc.eval(n0))
+              if q.lc.eval(n0, 0) and r.lc.eval(n0, 0))
     return q.eval_n(n0).gcd(r.shift(j).eval_n(n0)).degree == 0
 
 
 def check_normal_form(parts):
     p, q, r = gosper_normal_form(parts)
     # defining equation: ratio(k) = (q/r) * p(k+1)/p(k)
-    lhs = expand(parts) * p.to_ratfunc2() * r.to_ratfunc2()
-    rhs = q.to_ratfunc2() * p.shift(1).to_ratfunc2()
+    lhs = expand(parts) * (p.poly * r.poly)
+    rhs = RatFunc2(q.poly * p.shift(1).poly)
     assert lhs == rhs
     # shifted coprimality
     if q.degree() > 0 and r.degree() > 0:
@@ -166,21 +158,22 @@ def check_normal_form(parts):
 
 
 def test_normal_form_known_shapes():
+    one = Poly2.const(1)
     p, q, r = check_normal_form(ratio([K + 2], [K]))
-    assert p == UniPolyQn([0, 1, 1])           # k(k+1)
-    assert q == UniPolyQn([1]) and r == UniPolyQn([1])
+    assert p.poly == K * (K + 1)
+    assert q.poly == one and r.poly == one
 
     p, q, r = check_normal_form(ratio([], []))
-    assert p == q == r == UniPolyQn([1])
+    assert p.poly == q.poly == r.poly == one
 
     p, q, r = check_normal_form(ratio([], [], z=5))
-    assert q == UniPolyQn([5])
-    assert p == r == UniPolyQn([1])
+    assert q.poly == Poly2.const(5)
+    assert p.poly == r.poly == one
 
     # w goes into p, made primitive over Q[n] with a monic k-leading coefficient
     p, q, r = check_normal_form(ratio([K + N], [K], w=(2 * N + 4) * (3 * K + N)))
-    assert p == uqn(K + N * Fraction(1, 3))
-    assert q == uqn(K + N) and r == uqn(K)
+    assert p.poly == K + N * Fraction(1, 3)
+    assert q.poly == K + N and r.poly == K
 
 
 def test_normal_form_with_parameter():
@@ -271,7 +264,7 @@ def test_solver_recovers_a_planted_solution(x2, q2, r2, equal_lc, sigma):
             rm1, q, q.k_coeff(top - 1) + q.k_coeff(top) * sigma)
     p = q * x.shift("k", 1) - rm1 * x
     assume(not p.is_zero)
-    got = gosper_solve(uqn(p), uqn(q), uqn(rm1.shift("k", 1)))
+    got = gosper_solve(UniPolyQn(p), UniPolyQn(q), UniPolyQn(rm1.shift("k", 1)))
     assert got is not None
     assert got.shift("k", 1) * q - got * rm1 == p
 
@@ -300,7 +293,7 @@ def test_solver_recovers_a_planted_solution_with_pivots_in_n(
     q = q2 + (lead_c + lead_n * N) * K ** top
     rm1 = with_top_columns(r2, q, q.k_coeff(top - 1) + q.k_coeff(top) * (sigma0 + b * N))
     p = q * x.shift("k", 1) - rm1 * x
-    got = gosper_solve(uqn(p), uqn(q), uqn(rm1.shift("k", 1)))
+    got = gosper_solve(UniPolyQn(p), UniPolyQn(q), UniPolyQn(rm1.shift("k", 1)))
     assert got is not None
     assert got.shift("k", 1) * q - got * rm1 == p
     assert got.den.degree("k") == 0 and got.den.degree("n") > 0
@@ -413,7 +406,7 @@ def test_pfaff_saalschuetz_with_a_zero_pivot_is_summable(a, b, c, sigma):
     # the pivot of x_sigma vanishes, and sigma, not deg p - deg q + 1, sets
     # the degree bound
     assert rm1.degree() == top and rm1.lc == q.lc
-    assert (rm1.coeff(top - 1) - q.coeff(top - 1)) / q.lc == sigma
+    assert rm1.coeff(top - 1) - q.coeff(top - 1) == q.lc * sigma
     assert p.degree() - top + 1 < sigma
     result = synthesize_certificate(ident)
     assert result.status == "Summable"

@@ -27,6 +27,7 @@ from wzpi import (
     rhs_numeric,
     trig_identity_check,
 )
+from wzpi import numeric
 from wzpi.numeric import _accelerated_alternating, series_numeric
 
 from conftest import THEOREM_NAMES, WZ_NAMES
@@ -321,6 +322,28 @@ def test_one_term_estimate_matches_frozen_error():
     est = pi_from_series("r1103", terms=1)
     err = abs(est - math.pi)
     assert 7.5e-8 < err < 7.8e-8
+
+
+def test_direct_sum_stops_once_its_terms_underflow(monkeypatch):
+    # r1103's terms shrink by about 1e-8 a step and reach 0.0 within 50 steps;
+    # a million requested terms must not cost a million ratio evaluations
+    calls = 0
+    term_ratio = numeric._term_ratio
+
+    def counting(t, n):
+        ratio = term_ratio(t, n)
+
+        def counted(k):
+            nonlocal calls
+            calls += 1
+            assert calls <= 1000, "ratio evaluated past the underflow of the terms"
+            return ratio(k)
+        return counted
+
+    monkeypatch.setattr(numeric, "_term_ratio", counting)
+    est = pi_from_series("r1103", terms=10 ** 6)
+    assert calls < 100
+    assert est == pi_from_series("r1103", terms=100)
 
 
 def _unscaled_accelerator(a):
