@@ -11,10 +11,11 @@ cross-multiplication, which is sound and complete over an integral domain.
 All scalars are ``fractions.Fraction`` (aliased ``Rat``): arbitrary precision,
 normalized sign, always in lowest terms.  Polynomial arithmetic runs on
 Python ints and ends with one gcd that brings the result to lowest terms.  A
-product packs both integer coefficient sets into one int each by Kronecker
-substitution (k -> x, n -> x^w, x -> 2^s, where w exceeds the product's
-degree in k and the s-bit slots hold any signed coefficient of the product),
-does one bigint multiply and unpacks the slots with borrow.  A Fraction is
+product with a linear factor or another few-term operand is formed term by
+term; any other packs both integer coefficient sets into one int each by
+Kronecker substitution (k -> x, n -> x^w, x -> 2^s, where w exceeds the
+product's degree in k and the s-bit slots hold any signed coefficient), does
+one bigint multiply and unpacks the slots with borrow.  A Fraction is
 built only for a value handed back: ``eval``, ``eval_k``, ``coeff``,
 ``coeffs_in_k`` and the read-only ``terms`` mapping.
 """
@@ -26,6 +27,9 @@ from typing import Mapping, Union
 
 Rat = Fraction
 Scalar = Union[Rat, int]
+# on the residual's and synthesis's operands a product is faster term by term
+# up to about 9 terms in one operand, and by Kronecker packing from about 11
+SCHOOLBOOK_TERMS = 8
 
 
 class DivisionByZeroFunction(ZeroDivisionError):
@@ -140,6 +144,15 @@ class Poly2:
         if not self.ints or not other.ints:
             return Poly2()
         a, b = self.ints, other.ints
+        a, b = (a, b) if len(a) >= len(b) else (b, a)
+        if len(b) <= SCHOOLBOOK_TERMS:  # term by term, b the shorter operand
+            ((i0, j0), c0), *rest = b.items()
+            ints = {(i + i0, j + j0): c * c0 for (i, j), c in a.items()}
+            for (i0, j0), c0 in rest:
+                for (i, j), c in a.items():
+                    e = (i + i0, j + j0)
+                    ints[e] = ints.get(e, 0) + c * c0
+            return _lowest(ints, self.den * other.den)
         # slot (i, j) of the product sits at i*width + j; each coefficient is a
         # sum of at most min(len(a), len(b)) products, so it fits in ``size``
         # bytes with the top bit left for the sign

@@ -440,10 +440,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.close(devnull)
         return EXIT_BROKEN_PIPE
     except (ParseError, SemanticError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        print(f"error: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UnknownIdentity as exc:
-        print(f"unknown identity: {exc}", file=sys.stderr)
+        print(f"error: unknown identity: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)

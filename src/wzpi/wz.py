@@ -5,18 +5,22 @@ certificate R(n, k) proves the identity when   s - 1 = R(n,k+1) * r - R(n,k)
 holds as a rational-function identity, where r = F(n,k+1)/F(n,k) and
 s = Fhat(n+1,k)/Fhat(n,k).  That is the WZ relation
 Fhat(n+1,k) - Fhat(n,k) = G(n,k+1) - G(n,k) with G = R * Fhat, divided
-through by Fhat; cross-multiplication decides it exactly.
+through by Fhat; cross-multiplication decides it exactly.  ``wz_residual``
+builds it over the least common multiple of the three terms' denominators,
+whose linear factors cancel before anything is expanded.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Rat, RatFunc2
-from .terms import (ClosedForm, HyperTerm, p_eval, poch_exact, rhs_exact,
-                    shift_quotient_k, shift_quotient_n, term_sum,
-                    term_value, termination_bound)
+from .algebra import Poly2, Rat, RatFunc2
+from .terms import (ClosedForm, HyperTerm, factor_product, multiplier, p_eval,
+                    poch_exact, rhs_exact, shift_quotient_k_parts,
+                    shift_quotient_n_parts, term_sum, term_value,
+                    termination_bound)
 from .unipoly import UniPoly
 
 
@@ -65,18 +69,71 @@ def _require_wz(ident: WZIdentity) -> None:
         raise ValueError(f"{ident.name}: not a terminating identity with a closed form")
 
 
+def _split(b: Poly2, candidates: "list[Poly2]") -> "list[Poly2]":
+    """Factors of b: each candidate (monic, linear) as often as it divides, then the rest."""
+    fs, rows = [], {}
+    for g in candidates:
+        # g = k + a*n + c vanishes at n = 1/7, k = u/v; g = n + c at n = u/v
+        pos, a, c = int((0, 1) in g.ints), g.ints.get((1, 0), 0), g.ints.get((0, 0), 0)
+        u, v = (-(a + 7 * c), 7 * g.den) if pos else (-c, g.den)
+        while True:
+            if pos not in rows:  # 7^top * b with the other variable at 1/7
+                top, rows[pos] = b.degree("nk"[1 - pos]), [0] * (b.degree("nk"[pos]) + 1)
+                for e, x in b.ints.items():
+                    rows[pos][e[pos]] += x * 7 ** (top - e[1 - pos])
+            if sum(x * u ** j * v ** (len(rows[pos]) - 1 - j)
+                   for j, x in enumerate(rows[pos])) or (q := b.divide(g)) is None:
+                break
+            fs.append(g)
+            b, rows = q, {}
+    return fs + [b]
+
+
 def wz_residual(ident: WZIdentity, certificate: Optional[RatFunc2] = None) -> RatFunc2:
     """(s - 1) - (R(n,k+1)*r - R(n,k)) as an exact rational function.
 
-    Zero iff the certificate proves the identity.
+    Zero iff the certificate proves the identity.  With R = A/B it is built
+    over the lcm of the denominators Sd, B(k+1)*den(r) and B as multisets of
+    monic factors: B is split by trial division by the linear factors of both
+    shift quotients (and p(k) if linear), each tried only where B vanishes at
+    a point of its zero line; the rest is one cofactor, whose k-shift serves
+    B(k+1).  Each numerator gains exactly the factors its denominator lacks,
+    so it equals the residual over the full product Sd*B(k+1)*den(r)*B.
     """
     _require_wz(ident)
     cert = certificate if certificate is not None else ident.certificate
     if cert is None:
         raise MissingCertificate(f"{ident.name} carries no certificate")
-    r = shift_quotient_k(ident.term)
-    s = shift_quotient_n(ident.term, ident.rhs)
-    return (s - 1) - (cert.shift("k", 1) * r - cert)
+    s_num, s_den, scal = shift_quotient_n_parts(ident.term, ident.rhs)
+    k_num, k_den, z = shift_quotient_k_parts(ident.term)
+    p = multiplier(ident.term)
+    index: dict[Poly2, int] = {}  # monic factors, numbered as first seen
+
+    def count(fs: "list[Poly2]", scale: Rat = 1) -> "tuple[Rat, Counter]":
+        m: Counter = Counter()  # scale * prod(fs) = c * prod(g^m[g]), g monic
+        for f in fs:  # g's leading term, highest in k and then in n, is 1
+            lead = Fraction(f.ints[max(f.ints, key=lambda e: (e[1], e[0]))], f.den)
+            g, scale = (f if lead == 1 else f * (1 / lead)), scale * lead
+            if g.ints != {(0, 0): 1}:
+                m[index.setdefault(g, len(index))] += 1
+        return scale, m
+
+    c1, d1 = count(s_den, scal.denominator)
+    count(s_num + k_num + k_den + [p])  # registers the remaining candidates
+    b = _split(cert.den, [g for g in index if max(map(sum, g.ints)) == 1])
+    cb, d3 = count(b)
+    c2, d2 = count(k_den + [p] + [g.shift("k", 1) for g in b])
+    factors, lcm = list(index), d1 | d2 | d3
+
+    def product(m: Counter, extra: "tuple[Poly2, ...]" = (), scale: Rat = 1) -> Poly2:
+        return factor_product([*map(factors.__getitem__, m.elements()), *extra], scale)
+
+    rest = product(lcm - d3)  # lcm * cb = rest * B; every term below is times cb
+    num = ((factor_product(s_num, scal.numerator * cb / c1) - product(d1, scale=cb))
+           * product(lcm - d1)
+           + cert.num.shift("k", 1) * product(lcm - d2, (*k_num, p.shift("k", 1)), -z * cb / c2)
+           + cert.num * rest)
+    return RatFunc2(num, rest * cert.den)
 
 
 def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wzpi import DivisionByZeroFunction, Poly2, RatFunc2
+from wzpi.algebra import SCHOOLBOOK_TERMS
 from wzpi.catalog import parse_poly
 
 from conftest import (lattice_points, nonzero_poly2s, nonzero_rationals, poly2s, rationals,
@@ -113,6 +114,28 @@ def test_products_whose_terms_cancel_match_schoolbook_reference(a, b):
     product = (a + b) * (a - b)
     assert product == schoolbook_product(a + b, a - b)
     assert product == a * a - b * b
+
+
+@given(st.one_of(big_poly2s(max_degree=1, max_terms=3), big_poly2s(max_terms=3)),
+       big_poly2s())
+def test_products_with_a_few_term_operand_match_schoolbook_reference(a, b):
+    # zero, constants and linear factors against anything: the term-by-term path
+    product = a * b
+    assert product == schoolbook_product(a, b) == b * a
+    assert_canonical(product)
+
+
+@pytest.mark.parametrize("m", [SCHOOLBOOK_TERMS, SCHOOLBOOK_TERMS + 1])
+def test_products_on_both_sides_of_the_term_threshold(m):
+    # m terms against m + 3, so term by term at the threshold and Kronecker
+    # packing one term above it; coefficients of both signs past 2^64
+    a = Poly2({(i, m - i): Fraction((-1) ** i * (2 ** 70 + i), 3 + i) for i in range(m)})
+    b = Poly2({(i % 4, i // 4): Fraction((-1) ** i * (2 ** 65 - i), 7) for i in range(m + 3)})
+    assert len(a.ints) == m
+    for x, y in ((a, b), (a, a), (a, -a)):
+        product = x * y
+        assert product == schoolbook_product(x, y) == y * x
+        assert_canonical(product)
 
 
 def test_product_edge_cases():

@@ -115,7 +115,7 @@ def test_verify_file_round_trip(capsys, tmp_path):
 def test_verify_unknown_identity(capsys):
     code, _, err = run(capsys, "verify", "--id", "theorem99")
     assert code == EXIT_USAGE
-    assert "unknown identity" in err
+    assert err.startswith("error: ") and "unknown identity" in err
 
 
 def test_verify_missing_file(capsys):
@@ -146,7 +146,7 @@ def test_verify_malformed_file(capsys, tmp_path):
     path.write_text("[identity]\nname = broken\n", encoding="utf-8")
     code, _, err = run(capsys, "verify", "--file", str(path))
     assert code == EXIT_USAGE
-    assert "parse error" in err
+    assert err.startswith("error: ") and "parse error" in err
 
 
 # -- sum ----------------------------------------------------------------------------

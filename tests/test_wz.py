@@ -17,18 +17,23 @@ from wzpi import (
     g_value,
     load_builtin,
     rhs_exact,
+    synthesize_certificate,
     term_value,
     termination_bound,
     verify_certificate,
     verify_exact_sums,
     wz_residual,
 )
+from wzpi.terms import (multiplier, shift_quotient_k, shift_quotient_k_parts,
+                        shift_quotient_n, shift_quotient_n_parts)
+from wzpi.wz import _split
 
-from conftest import WZ_NAMES, nonzero_poly2s
+from conftest import WZ_NAMES, chu_vandermonde, nonzero_poly2s, pfaff_saalschuetz
 
 PRINTED_OK = ("theorem1", "theorem3", "theorem4", "theorem5", "theorem6",
               "theorem7", "theorem8")
 PRINTED_BAD = ("theorem2", "theorem9")
+N, K = Poly2.var("n"), Poly2.var("k")
 
 
 # -- the certificate identity --------------------------------------------------------
@@ -88,9 +93,102 @@ def test_residual_is_invariant_under_certificate_rescaling(c):
     assert wz_residual(ident, scaled).num.is_zero
 
 
+# -- the residual against the formula over the full product of denominators --------
+
+def reference_residual(ident, cert):
+    """(s - 1) - (R(n,k+1)*r - R(n,k)) by RatFunc2 arithmetic, over
+    den(s)*B(k+1)*den(r)*B."""
+    r = shift_quotient_k(ident.term)
+    s = shift_quotient_n(ident.term, ident.rhs)
+    return (s - 1) - (cert.shift("k", 1) * r - cert)
+
+
+def residual_is_zero(ident, cert):
+    """Whether the residual is zero, after checking that it equals the
+    reference as a rational function and is zero exactly when that is."""
+    new, ref = wz_residual(ident, cert), reference_residual(ident, cert)
+    assert new.num * ref.den == ref.num * new.den
+    assert new.num.is_zero == ref.num.is_zero
+    return new.num.is_zero
+
+
+def shift_quotient_factor(ident, poly):
+    """A nonconstant factor of the shift quotients or p(k) that divides poly."""
+    s_num, s_den, _ = shift_quotient_n_parts(ident.term, ident.rhs)
+    k_num, k_den, _ = shift_quotient_k_parts(ident.term)
+    return next(f for f in s_num + s_den + k_num + k_den + [multiplier(ident.term)]
+                if f.degree("n") + f.degree("k") and poly.divide(f) is not None)
+
+
+def assert_mutants_match_reference(ident, cert):
+    """Mutants of a valid certificate: each residual equals the reference,
+    and is zero exactly when the mutant is still a proof."""
+    a, b = cert.num, cert.den
+    g = shift_quotient_factor(ident, b)
+    opaque = N * N + K * K + 1               # no candidate divides it
+    for label, mutant, proves in [
+            ("sign flip", RatFunc2(-a, b), False),
+            ("one numerator coefficient", RatFunc2(a + Poly2({max(a.ints): 1}), b), False),
+            ("dropped factor", RatFunc2(a, b.divide(g)), False),
+            ("repeated factor", RatFunc2(a * g, b * g), True),
+            ("k-free factor", RatFunc2(a * (2 * N + 3), b * (2 * N + 3)), True),
+            ("opaque cofactor", RatFunc2(a * opaque, b * opaque), True),
+            ("opaque factor in B only", RatFunc2(a, b * opaque), False)]:
+        assert residual_is_zero(ident, mutant) == proves, label
+
+
+def test_split_divides_out_each_candidate_as_often_as_it_divides():
+    g, free, opaque = K + 3 * N + Fraction(1, 2), N + Fraction(3, 4), N * N + K * K + 1
+    # g twice, the factor free of k once, k + 1 not at all, the rest as one
+    assert _split(5 * g ** 2 * free * opaque, [g, K + 1, free]) == [g, g, free, 5 * opaque]
+    assert _split(Poly2.const(3), [g, free]) == [Poly2.const(3)]
+
+
+@pytest.mark.parametrize("name, num_terms, den_terms", [
+    ("theorem1", 0, 66), ("theorem2", 95, 94), ("theorem4", 0, 154), ("theorem9", 79, 193)])
+def test_residual_is_built_over_the_lcm_of_the_factor_multisets(name, num_terms, den_terms):
+    # over the full product den(s)*B(k+1)*den(r)*B, the denominators have 137,
+    # 262, 475 and 682 terms and the printed errata leave 262 and 464 on top
+    residual = wz_residual(load_builtin(name))
+    assert (len(residual.num.ints), len(residual.den.ints)) == (num_terms, den_terms)
+
+
+FAMILIES = {
+    "chu_vandermonde(9, 8/7)": lambda: chu_vandermonde(Fraction(9), Fraction(8, 7)),
+    "chu_vandermonde(1/3, 8/7)": lambda: chu_vandermonde(Fraction(1, 3), Fraction(8, 7)),
+    "pfaff_saalschuetz(2, 8/3, 8/7)":
+        lambda: pfaff_saalschuetz(Fraction(2), Fraction(8, 3), Fraction(8, 7)),
+    "pfaff_saalschuetz(11/2, 5, 8/7)":
+        lambda: pfaff_saalschuetz(Fraction(11, 2), Fraction(5), Fraction(8, 7)),
+}
+
+
+@pytest.mark.parametrize("name", PRINTED_OK + PRINTED_BAD)
+def test_residual_of_printed_certificates_matches_reference(name):
+    ident = load_builtin(name)
+    assert residual_is_zero(ident, ident.certificate) == (name in PRINTED_OK)
+    if name in PRINTED_OK:
+        assert_mutants_match_reference(ident, ident.certificate)
+
+
+@pytest.mark.parametrize("name", WZ_NAMES)
+def test_residual_of_synthesized_certificates_matches_reference(name, synthesis):
+    ident = load_builtin(name)
+    cert = synthesis.get(name).certificate
+    assert residual_is_zero(ident, cert)
+    assert_mutants_match_reference(ident, cert)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_residual_of_family_certificates_matches_reference(family):
+    ident = FAMILIES[family]()
+    cert = synthesize_certificate(ident).certificate
+    assert residual_is_zero(ident, cert)
+    assert_mutants_match_reference(ident, cert)
+
+
 # -- certificate-denominator zeros on the summation support --------------------------
 
-N, K = Poly2.var("n"), Poly2.var("k")
 POLES_PREFIX = "certificate denominator vanishes on support at "
 
 
