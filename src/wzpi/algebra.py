@@ -76,7 +76,15 @@ class Poly2:
 
     @classmethod
     def linear(cls, n_coeff: Scalar, k_coeff: Scalar, const: Scalar) -> "Poly2":
-        return cls({(1, 0): n_coeff, (0, 1): k_coeff, (0, 0): const})
+        """n_coeff*n + k_coeff*k + const, built on the ints: an int or a
+        Fraction in lowest terms reads as numerator/denominator, so over the
+        lcm of the denominators the pair is already in lowest terms."""
+        terms = (((1, 0), n_coeff), ((0, 1), k_coeff), ((0, 0), const))
+        den = math.lcm(n_coeff.denominator, k_coeff.denominator, const.denominator)
+        out = cls.__new__(cls)
+        out.ints = {e: c.numerator * (den // c.denominator) for e, c in terms if c}
+        out.den = den
+        return out
 
     # -- basic queries ------------------------------------------------------
 
@@ -197,7 +205,9 @@ class Poly2:
         """self / f when f divides self in Q[n, k], else None: long division
         in k, or in n when the leading coefficient of f in k is not a
         constant; in that variable it must be.  It runs on the ints, scaling
-        the remainder where c, the leading int of f, does not divide a column."""
+        the remainder where c, the leading int of f, does not divide a column.
+        The remainder is kept by column (power of the division variable), so
+        eliminating a column reads only that column."""
         for var, pos in (("k", 1), ("n", 0)):
             m = f.degree(var)
             lead = [e for e in f.ints if e[pos] == m]
@@ -206,21 +216,28 @@ class Poly2:
         else:
             raise ValueError(f"{f} has no constant leading coefficient in k or n")
         c = f.ints[lead[0]]
-        rest, quo, scale = dict(self.ints), {}, 1
+        # f's terms below the lead as (power of var, power of the other, int)
+        tail = [(e[pos], e[1 - pos], v) for e, v in f.ints.items() if e[pos] < m]
+        rest: dict[int, dict[int, int]] = {}
+        for e, v in self.ints.items():
+            rest.setdefault(e[pos], {})[e[1 - pos]] = v
+        quo, scale = {}, 1
         for top in range(self.degree(var), m - 1, -1):
-            col = {e: v for e, v in rest.items() if e[pos] == top and v}
+            col = {o: v for o, v in rest.pop(top, {}).items() if v}
+            if not col:
+                continue
             s = abs(c) // math.gcd(c, *col.values())
             if s > 1:
-                rest = {e: v * s for e, v in rest.items()}
+                rest = {t: {o: v * s for o, v in row.items()} for t, row in rest.items()}
+                col = {o: v * s for o, v in col.items()}
                 quo = {e: v * s for e, v in quo.items()}
                 scale *= s
-            for (i, j), v in col.items():
-                q = (i, j - m) if pos else (i - m, j)
-                quo[q] = t = v * s // c
-                for (a, b), fc in f.ints.items():
-                    e = (q[0] + a, q[1] + b)
-                    rest[e] = rest.get(e, 0) - t * fc
-        if any(rest.values()):
+            for o, v in col.items():
+                quo[(o, top - m) if pos else (top - m, o)] = t = v // c
+                for fp, fo, fc in tail:
+                    row = rest.setdefault(top - m + fp, {})
+                    row[o + fo] = row.get(o + fo, 0) - t * fc
+        if any(v for row in rest.values() for v in row.values()):
             return None
         return _lowest({e: v * f.den for e, v in quo.items()}, self.den * scale)
 

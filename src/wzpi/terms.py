@@ -4,8 +4,8 @@ A summand F(n, k) is a product of Pochhammer factors (c + b*n)_k to integer
 powers, divided by k!^fact_pow, times z^k, a polynomial multiplier p(k), and a
 constant prefactor.  Right-hand sides are closed forms base^n * prod (a_i)_n^e_i.
 
-Everything here is exact: lattice values are Fractions, shift quotients are
-rational functions of (n, k).
+Everything here is exact: lattice values are Fractions, row sums are
+quotients of ints, shift quotients are rational functions of (n, k).
 """
 from __future__ import annotations
 
@@ -118,16 +118,18 @@ def term_value(t: HyperTerm, n: int, k: int) -> Rat:
     return v
 
 
-def term_sum(t: HyperTerm, n: int, bound: int) -> Rat:
-    """Exact sum of term_value(t, n, k) over k = 0..bound, in one walk over k.
+def term_sum_parts(t: HyperTerm, n: int, bound: int) -> tuple[int, int]:
+    """The sum of term_value(t, n, k) over k = 0..bound as an unreduced
+    quotient of ints (num, den) with den > 0, in one walk over k.
 
     The Pochhammer part P(k) = z^k prod (arg)_k^e / k!^fact_pow is an
     unreduced quotient of ints, advanced by the term ratio
     z prod (arg + k)^e / (k + 1)^fact_pow; p(k) multiplies each P(k) apart from
     it, so a zero of p(k) does not stop the walk.  The sum is kept over the
-    current denominator of P and becomes a Fraction once, at the end.  Raises
-    the PoleError term_value raises, at the first k where a denominator
-    factor vanishes.
+    current denominator of P.  A factor argument c + b*n with c = u/v is read
+    as the int pair (u + b*n*v, v), which is in lowest terms because u and v
+    are; a Fraction is built only for the message of a PoleError, raised at
+    the first k where a denominator factor vanishes, as term_value raises it.
     """
     p_den = math.lcm(*(c.denominator for c in t.p))
     p_int = [c.numerator * (p_den // c.denominator) for c in reversed(t.p)]
@@ -138,33 +140,41 @@ def term_sum(t: HyperTerm, n: int, bound: int) -> Rat:
             v = v * k + c
         return v
 
-    # arg + k = (a + k*b)/b for arg = a/b: the powers of b are the same at
+    # arg + k = (a + k*d)/d for arg = a/d: the powers of d are the same at
     # every step and fold into the constant part of the ratio
-    factors = [(f.arg_at(n), f.power) for f in t.poch]
+    factors = [(f.offset.numerator + f.n_coeff * n * f.offset.denominator,
+                f.offset.denominator, f.power) for f in t.poch]
     const_num, const_den = t.z.numerator, t.z.denominator
-    for arg, e in factors:
+    for _, d, e in factors:
         if e > 0:
-            const_den *= arg.denominator ** e
+            const_den *= d ** e
         else:
-            const_num *= arg.denominator ** -e
+            const_num *= d ** -e
     num, den = 1, 1
     total = p_at(0)
     for k in range(bound):
         step_num, step_den = const_num, const_den * (k + 1) ** t.fact_pow
-        for arg, e in factors:
-            v = arg.numerator + k * arg.denominator
+        for a, d, e in factors:
+            v = a + k * d
             if e > 0:
                 step_num *= v ** e
             elif v:
                 step_den *= v ** -e
             else:
-                raise PoleError(
-                    f"denominator factor ({arg})_{k + 1} vanishes at n={n}, k={k + 1}")
+                raise PoleError(f"denominator factor ({Fraction(a, d)})_{k + 1} "
+                                f"vanishes at n={n}, k={k + 1}")
         num *= step_num
         den *= step_den
         total = total * step_den + p_at(k + 1) * num
     pre = t.prefactor_rational
-    return Fraction(total * pre.numerator, den * p_den * pre.denominator)
+    num, den = total * pre.numerator, den * p_den * pre.denominator
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def term_sum(t: HyperTerm, n: int, bound: int) -> Rat:
+    """Exact sum of term_value(t, n, k) over k = 0..bound: term_sum_parts
+    reduced to one Fraction."""
+    return Fraction(*term_sum_parts(t, n, bound))
 
 
 def termination_bound(t: HyperTerm, n: int) -> Optional[int]:

@@ -8,6 +8,12 @@ Fhat(n+1,k) - Fhat(n,k) = G(n,k+1) - G(n,k) with G = R * Fhat, divided
 through by Fhat; cross-multiplication decides it exactly.  ``wz_residual``
 builds it over the least common multiple of the three terms' denominators,
 whose linear factors cancel before anything is expanded.
+
+The exact row sums are checked apart from any certificate, in one walk over
+n on ints: each row sum is an unreduced int quotient, the closed form an int
+pair moved from row to row by its n-ratio, and the two are compared by
+cross-multiplication.  Fractions are built for the values row_sum and g_value
+hand back and for the message of a mismatch.
 """
 from __future__ import annotations
 
@@ -19,8 +25,8 @@ from typing import Optional
 from .algebra import Poly2, Rat, RatFunc2
 from .terms import (ClosedForm, HyperTerm, factor_product, multiplier, p_eval,
                     poch_exact, rhs_exact, shift_quotient_k_parts,
-                    shift_quotient_n_parts, term_sum, term_value,
-                    termination_bound)
+                    shift_quotient_n_parts, term_sum, term_sum_parts,
+                    term_value, termination_bound)
 from .unipoly import UniPoly
 
 
@@ -193,29 +199,55 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
     return report
 
 
+def _row_bound(ident: WZIdentity, n: int) -> int:
+    bound = termination_bound(ident.term, n)
+    if bound is None:
+        raise ValueError(f"{ident.name}: series does not terminate at n = {n}")
+    return bound
+
+
 def row_sum(ident: WZIdentity, n: int) -> tuple[Rat, Rat]:
     """Exact (sum of row n over its whole support, closed form at n).
 
     Raises ValueError when the series does not terminate at n.
     """
-    bound = termination_bound(ident.term, n)
-    if bound is None:
-        raise ValueError(f"{ident.name}: series does not terminate at n = {n}")
-    return term_sum(ident.term, n, bound), rhs_exact(ident.rhs, n)
+    return term_sum(ident.term, n, _row_bound(ident, n)), rhs_exact(ident.rhs, n)
 
 
 def verify_exact_sums(ident: WZIdentity, n_max: int = 20) -> CertReport:
-    """Exact row sums against the closed form for n = 0..n_max."""
+    """Exact row sums against the closed form for n = 0..n_max, in one walk
+    over n on ints.
+
+    Each row sum is term_sum_parts' unreduced int quotient.  The closed form
+    is an int pair (rn, rd), moved from row n to row n + 1 by its n-ratio
+    base * prod (a_i + n)^e_i, and the two are compared by cross-multiplying;
+    Fractions are built only for the message of a mismatch.  The errors are
+    row_sum's, row by row: ValueError where the series does not terminate,
+    then term_sum's PoleError, then rhs_exact's where a denominator factor of
+    the closed form has vanished (rd = 0) at a row that is checked.
+    """
     _require_wz(ident)
     report = CertReport(identity_name=ident.name)
+    rhs = ident.rhs
+    # a_i = u/v: a_i + n = (u + n*v)/v
+    ratio = [(a.numerator, a.denominator, e) for a, e in rhs.poch_n]
+    rn, rd = 1, 1
     for n in range(n_max + 1):
-        total, expected = row_sum(ident, n)
-        if total != expected:
+        tn, td = term_sum_parts(ident.term, n, _row_bound(ident, n))
+        if not rd:
+            rhs_exact(rhs, n)  # raises the PoleError of the vanished factor
+        if tn * rd != rn * td:
             report.exact_sums_ok = False
             report.n_checked = n
-            report.failure_detail = (
-                f"row sum mismatch at n = {n}: {total} != {expected}")
+            report.failure_detail = (f"row sum mismatch at n = {n}: "
+                                     f"{Fraction(tn, td)} != {Fraction(rn, rd)}")
             return report
+        rn, rd = rn * rhs.base.numerator, rd * rhs.base.denominator
+        for u, v, e in ratio:
+            if e > 0:
+                rn, rd = rn * (u + n * v) ** e, rd * v ** e
+            else:
+                rn, rd = rn * v ** -e, rd * (u + n * v) ** -e
     report.exact_sums_ok = True
     report.n_checked = n_max
     return report

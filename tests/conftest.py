@@ -89,6 +89,17 @@ def pfaff_saalschuetz(a: Fraction, b: Fraction, c: Fraction) -> WZIdentity:
         [(c - a, 1), (c - b, 1), (c, -1), (c - a - b, -1)])
 
 
+# both signs, so that some denominator factors hit a pole
+family_parameters = st.one_of(
+    st.integers(min_value=-6, max_value=9).map(Fraction),
+    st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7),
+).filter(bool)
+family_identities = st.one_of(
+    st.builds(chu_vandermonde, family_parameters, family_parameters),
+    st.builds(pfaff_saalschuetz, family_parameters, family_parameters,
+              family_parameters))
+
+
 # -- certificates compared term by term ---------------------------------------------
 
 def normalised_terms(cert):

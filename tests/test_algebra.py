@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wzpi import DivisionByZeroFunction, Poly2, RatFunc2
+from wzpi import DivisionByZeroFunction, Poly2, RatFunc2, load_builtin, wz_residual
 from wzpi.algebra import SCHOOLBOOK_TERMS
 from wzpi.catalog import parse_poly
 
-from conftest import (lattice_points, nonzero_poly2s, nonzero_rationals, poly2s, rationals,
-                      small_ints)
+from conftest import (PRINTED_CERT_NAMES, lattice_points, nonzero_poly2s, nonzero_rationals,
+                      poly2s, rationals, small_ints)
 
 
 # -- Poly2 ring axioms --------------------------------------------------------------
@@ -270,6 +270,88 @@ def test_division_by_a_factor_free_of_k_runs_in_n(g, d, e):
         assert (g * d + e).divide(d) is None
     with pytest.raises(ValueError):
         g.divide(d * K + 1)
+
+
+def reference_divide(a: Poly2, f: Poly2):
+    """Poly2.divide as it was written first: the remainder is one dict, and
+    each column is read by a scan over all of it."""
+    for var, pos in (("k", 1), ("n", 0)):
+        m = f.degree(var)
+        lead = [e for e in f.ints if e[pos] == m]
+        if lead == [(0, m) if pos else (m, 0)]:
+            break
+    else:
+        raise ValueError(f"{f} has no constant leading coefficient in k or n")
+    c = f.ints[lead[0]]
+    rest, quo, scale = dict(a.ints), {}, 1
+    for top in range(a.degree(var), m - 1, -1):
+        col = {e: v for e, v in rest.items() if e[pos] == top and v}
+        s = abs(c) // math.gcd(c, *col.values())
+        if s > 1:
+            rest = {e: v * s for e, v in rest.items()}
+            quo = {e: v * s for e, v in quo.items()}
+            scale *= s
+        for (i, j), v in col.items():
+            q = (i, j - m) if pos else (i - m, j)
+            quo[q] = t = v * s // c
+            for (x, y), fc in f.ints.items():
+                e = (q[0] + x, q[1] + y)
+                rest[e] = rest.get(e, 0) - t * fc
+    if any(rest.values()):
+        return None
+    return Poly2({e: Fraction(v * f.den, a.den * scale) for e, v in quo.items()})
+
+
+@st.composite
+def divisors(draw):
+    """c * v^d plus terms of lower degree in v, for v = k or n: a constant
+    leading coefficient in k, or in n where the one in k is not constant."""
+    pos = draw(st.sampled_from((0, 1)))
+    d = draw(st.integers(min_value=0, max_value=3))
+    low = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               st.one_of(big_coefficients, rationals), max_size=5))
+    lead = (0, d) if pos else (d, 0)
+    return Poly2({lead: draw(nonzero_rationals),
+                  **{e: c for e, c in low.items() if e[pos] < d}})
+
+
+@given(big_poly2s(max_degree=4, max_terms=8), divisors(), polys_in_n)
+def test_division_matches_the_reference(g, f, h):
+    # exact products, products plus a remainder (mostly not divisible) and
+    # arbitrary dividends
+    for a in (g * f, g * f + h + 1, g):
+        got = a.divide(f)
+        assert got == reference_divide(a, f)
+        if got is not None:
+            assert_canonical(got)
+    assert (g * f).divide(f) == g
+
+
+def test_division_matches_the_reference_on_the_residual_split(monkeypatch):
+    # the divisions wz_residual makes when it splits the printed denominators
+    calls = []
+    divide = Poly2.divide
+    monkeypatch.setattr(Poly2, "divide", lambda a, f: calls.append((a, f)) or divide(a, f))
+    for name in PRINTED_CERT_NAMES:
+        wz_residual(load_builtin(name))
+    monkeypatch.undo()
+    quotients = [divide(a, f) for a, f in calls]
+    assert len(calls) > 20 and None not in quotients
+    assert quotients == [reference_divide(a, f) for a, f in calls]
+
+
+linear_coefficients = st.one_of(st.just(0), st.just(Fraction(0)),
+                                st.integers(min_value=-10 ** 20, max_value=10 ** 20),
+                                st.fractions(min_value=-50, max_value=50,
+                                             max_denominator=10 ** 6))
+
+
+@given(linear_coefficients, linear_coefficients, linear_coefficients)
+def test_linear_matches_the_general_constructor(a, b, c):
+    got = Poly2.linear(a, b, c)
+    want = Poly2({(1, 0): a, (0, 1): b, (0, 0): c})
+    assert got == want and hash(got) == hash(want)
+    assert_canonical(got)
 
 
 # -- evaluation is a ring homomorphism ----------------------------------------------

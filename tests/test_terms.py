@@ -32,9 +32,10 @@ from wzpi.terms import (
     shift_quotient_k,
     shift_quotient_n,
     term_sum,
+    term_sum_parts,
 )
 
-from conftest import WZ_NAMES, chu_vandermonde, pfaff_saalschuetz, rationals
+from conftest import WZ_NAMES, family_identities, rationals
 
 
 poch_args = st.fractions(min_value=Fraction(-10), max_value=Fraction(10),
@@ -169,21 +170,12 @@ def test_term_sum_matches_the_summed_term_values(name):
     for n in range(21):
         bound = termination_bound(t, n)
         bound = 30 if bound is None else bound
-        assert term_sum(t, n, bound) == term_value_sum(t, n, bound)
+        num, den = term_sum_parts(t, n, bound)
+        assert den > 0
+        assert term_sum(t, n, bound) == Fraction(num, den) == term_value_sum(t, n, bound)
 
 
-# both signs, so that some denominator factors hit a pole
-family_parameters = st.one_of(
-    st.integers(min_value=-6, max_value=9).map(Fraction),
-    st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7),
-).filter(bool)
-
-
-@given(st.one_of(
-    st.builds(chu_vandermonde, family_parameters, family_parameters),
-    st.builds(pfaff_saalschuetz, family_parameters, family_parameters,
-              family_parameters)),
-    st.integers(min_value=0, max_value=10))
+@given(family_identities, st.integers(min_value=0, max_value=10))
 def test_term_sum_matches_the_summed_term_values_on_families(ident, n):
     t = ident.term
     bound = termination_bound(t, n)
@@ -194,6 +186,8 @@ def test_term_sum_matches_the_summed_term_values_on_families(ident, n):
             term_sum(t, n, bound)
     else:
         assert term_sum(t, n, bound) == expected
+        num, den = term_sum_parts(t, n, bound)
+        assert den > 0 and Fraction(num, den) == expected
 
 
 @pytest.mark.parametrize("den_factor, n, pole", [

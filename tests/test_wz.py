@@ -10,7 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wzpi import (
+    CertReport,
+    ClosedForm,
     MissingCertificate,
+    PochFactor,
+    PoleError,
     Poly2,
     RatFunc2,
     builtin_record,
@@ -28,7 +32,8 @@ from wzpi.terms import (multiplier, shift_quotient_k, shift_quotient_k_parts,
                         shift_quotient_n, shift_quotient_n_parts)
 from wzpi.wz import _split
 
-from conftest import WZ_NAMES, chu_vandermonde, nonzero_poly2s, pfaff_saalschuetz
+from conftest import (WZ_NAMES, chu_vandermonde, family_identities, nonzero_poly2s,
+                      pfaff_saalschuetz)
 
 PRINTED_OK = ("theorem1", "theorem3", "theorem4", "theorem5", "theorem6",
               "theorem7", "theorem8")
@@ -270,6 +275,104 @@ def test_scaled_summand_fails_only_the_base_case():
     assert report.symbolic_ok is True and report.boundary_ok is True
     assert report.base_case_ok is False
     assert "base case n = 0 sum differs" in report.failure_detail
+
+
+def reference_exact_sums(ident, n_max):
+    """verify_exact_sums in Fractions, row by row: term_value summed against
+    rhs_exact, with row_sum's errors in row_sum's order."""
+    report = CertReport(identity_name=ident.name)
+    for n in range(n_max + 1):
+        bound = termination_bound(ident.term, n)
+        if bound is None:
+            raise ValueError(f"{ident.name}: series does not terminate at n = {n}")
+        total = sum((term_value(ident.term, n, k) for k in range(bound + 1)), Fraction(0))
+        expected = rhs_exact(ident.rhs, n)
+        if total != expected:
+            report.exact_sums_ok = False
+            report.n_checked = n
+            report.failure_detail = f"row sum mismatch at n = {n}: {total} != {expected}"
+            return report
+    report.exact_sums_ok = True
+    report.n_checked = n_max
+    return report
+
+
+def exact_sums_outcome(check, ident, n_max):
+    try:
+        report = check(ident, n_max)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return report.exact_sums_ok, report.n_checked, report.failure_detail
+
+
+def with_rhs(ident, base=None, poch_n=None):
+    rhs = ident.rhs
+    return replace(ident, rhs=ClosedForm(rhs.base if base is None else base,
+                                         rhs.poch_n if poch_n is None else poch_n))
+
+
+def negative_controls(ident):
+    (a, e), *rest = ident.rhs.poch_n
+    return (with_rhs(ident, base=ident.rhs.base * Fraction(9, 8)),
+            with_rhs(ident, poch_n=((a, 2 * e), *rest)))
+
+
+@pytest.mark.parametrize("name", WZ_NAMES)
+def test_exact_sums_match_the_fraction_reference(name):
+    ident = load_builtin(name)
+    want = exact_sums_outcome(reference_exact_sums, ident, 20)
+    assert exact_sums_outcome(verify_exact_sums, ident, 20) == want == (True, 20, "")
+    for broken in negative_controls(ident):
+        want = exact_sums_outcome(reference_exact_sums, broken, 20)
+        assert want[0] is not True
+        assert exact_sums_outcome(verify_exact_sums, broken, 20) == want
+
+
+@given(family_identities, st.integers(min_value=0, max_value=10), st.booleans())
+def test_exact_sums_match_the_fraction_reference_on_families(ident, n_max, broken):
+    if broken:
+        ident = negative_controls(ident)[0]
+    assert (exact_sums_outcome(verify_exact_sums, ident, n_max)
+            == exact_sums_outcome(reference_exact_sums, ident, n_max))
+
+
+# (-2)_n / (-2)_n leaves the closed form's values alone and vanishes in a
+# denominator from n = 3 on
+CANCELLED_POLE = ((Fraction(-2), 1), (Fraction(-2), -1))
+
+
+@pytest.mark.parametrize("n_max, outcome", [
+    (2, (True, 2, "")),
+    (3, (PoleError, "(-2)_3 vanishes in a denominator")),
+    (20, (PoleError, "(-2)_3 vanishes in a denominator")),
+])
+def test_exact_sums_raise_a_closed_form_pole_only_on_a_checked_row(n_max, outcome):
+    ident = load_builtin("zeilberger")
+    ident = with_rhs(ident, poch_n=ident.rhs.poch_n + CANCELLED_POLE)
+    assert exact_sums_outcome(reference_exact_sums, ident, n_max) == outcome
+    assert exact_sums_outcome(verify_exact_sums, ident, n_max) == outcome
+
+
+def test_exact_sums_raise_the_summand_pole_before_the_closed_form_pole():
+    # c = -2: (c)_k below the summand vanishes at k = 3, so first on row 3,
+    # and (c)_n below the closed form vanishes on row 3 too
+    ident = chu_vandermonde(Fraction(1, 2), Fraction(-2))
+    outcome = (PoleError, "denominator factor (-2)_3 vanishes at n=3, k=3")
+    assert exact_sums_outcome(verify_exact_sums, ident, 2) == (True, 2, "")
+    for check in (reference_exact_sums, verify_exact_sums):
+        assert exact_sums_outcome(check, ident, 3) == outcome
+    with pytest.raises(PoleError, match=r"^\(-2\)_3 vanishes in a denominator$"):
+        rhs_exact(ident.rhs, 3)
+
+
+def test_exact_sums_raise_where_the_series_does_not_terminate():
+    ident = load_builtin("zeilberger")
+    # (2 - n)_k in place of (-n)_k terminates from n = 2 on only
+    term = replace(ident.term, poch=tuple(
+        PochFactor(-1, 2, 1) if f == PochFactor(-1, 0, 1) else f for f in ident.term.poch))
+    outcome = (ValueError, "zeilberger: series does not terminate at n = 0")
+    for check in (reference_exact_sums, verify_exact_sums):
+        assert exact_sums_outcome(check, replace(ident, term=term), 5) == outcome
 
 
 # -- lattice values of G = R * (summand / closed form) -------------------------------
