@@ -3,9 +3,9 @@ telescoping hypergeometric identities whose closed forms continue to 2/pi.
 
 Layers, bottom up:
 
-- ``algebra``: exact arithmetic in Q[n,k] and unreduced quotients with
-  cross-multiplication equality.
-- ``unipoly``: univariate polynomials over Q (gcds, root deflation) and
+- ``algebra``: exact arithmetic in Q[n,k], and certificates as unreduced
+  quotients with cross-multiplication equality and no arithmetic.
+- ``unipoly``: univariate polynomials over Q (the assembly's Q[n] gcds) and
   reduced quotients of them, without field arithmetic.
 - ``terms``: hypergeometric summands (Pochhammer factor lists), closed forms,
   exact values, shift quotients, and the substitution that collapses every
@@ -72,9 +72,7 @@ from .unipoly import RatFn, UniPoly
 from .wz import (
     CertReport,
     MissingCertificate,
-    PoleOnLattice,
     WZIdentity,
-    g_value,
     verify_certificate,
     verify_exact_sums,
     wz_residual,
@@ -96,7 +94,6 @@ __all__ = [
     "ParseError",
     "PochFactor",
     "PoleError",
-    "PoleOnLattice",
     "Poly2",
     "Rat",
     "RatFn",
@@ -108,7 +105,6 @@ __all__ = [
     "WZIdentity",
     "builtin_record",
     "carlson_point_check",
-    "g_value",
     "gosper_normal_form",
     "gosper_solve",
     "h_ratio",

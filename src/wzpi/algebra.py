@@ -1,12 +1,13 @@
-"""Exact arithmetic in Q[n, k] and Q(n, k).
+"""Exact arithmetic in Q[n, k], and quotients of two such polynomials.
 
 A bivariate polynomial is stored sparsely as a dict mapping exponent pairs
 ``(i, j)`` (power of n, power of k) to nonzero int coefficients, over one
 positive int denominator, in lowest terms: the gcd of the denominator and
 every coefficient is 1.  That form is canonical, so equality and hashing
-compare the stored pair.  Rational functions keep their numerator/denominator
-exactly as constructed (no gcd cancellation); equality is decided by
-cross-multiplication, which is sound and complete over an integral domain.
+compare the stored pair.  A certificate is a ``RatFunc2``: a numerator and a
+denominator kept exactly as constructed (no gcd cancellation), with no
+arithmetic; equality is decided by cross-multiplication, which is sound and
+complete over an integral domain.
 
 All scalars are ``fractions.Fraction`` (aliased ``Rat``): arbitrary precision,
 normalized sign, always in lowest terms.  Polynomial arithmetic runs on
@@ -16,8 +17,8 @@ term; any other packs both integer coefficient sets into one int each by
 Kronecker substitution (k -> x, n -> x^w, x -> 2^s, where w exceeds the
 product's degree in k and the s-bit slots hold any signed coefficient), does
 one bigint multiply and unpacks the slots with borrow.  A Fraction is
-built only for a value handed back: ``eval``, ``eval_k``, ``coeff``,
-``coeffs_in_k`` and the read-only ``terms`` mapping.
+built only for a value handed back: ``eval``, ``eval_k``, ``coeff`` and
+the read-only ``terms`` mapping.
 """
 from __future__ import annotations
 
@@ -110,13 +111,6 @@ class Poly2:
     def k_coeff(self, j: int) -> "Poly2":
         """The coefficient of k^j, a polynomial in n."""
         return _lowest({(i, 0): c for (i, m), c in self.ints.items() if m == j}, self.den)
-
-    def coeffs_in_k(self) -> list[dict[int, Rat]]:
-        """Coefficients of k^0..k^deg, each a map {n-power: coefficient}."""
-        out: list[dict[int, Rat]] = [{} for _ in range(self.degree("k") + 1)]
-        for (i, j), c in self.ints.items():
-            out[j][i] = Fraction(c, self.den)
-        return out
 
     # -- ring operations ----------------------------------------------------
 
@@ -369,8 +363,9 @@ def _coerce(x: "Poly2 | Scalar") -> Poly2:
 
 
 class RatFunc2:
-    """Unreduced quotient of two Poly2.  Equality via cross-multiplication,
-    so instances are unhashable."""
+    """Unreduced quotient of two Poly2: a certificate as printed or as
+    synthesized.  Equality is decided by cross-multiplication, so instances
+    are unhashable; there is no arithmetic."""
 
     __slots__ = ("num", "den")
 
@@ -386,61 +381,14 @@ class RatFunc2:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def __add__(self, other: "RatFunc2 | Poly2 | Scalar") -> "RatFunc2":
-        other = _coerce_rf(other)
-        return RatFunc2(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc2":
-        return RatFunc2(-self.num, self.den)
-
-    def __sub__(self, other: "RatFunc2 | Poly2 | Scalar") -> "RatFunc2":
-        return self + (-_coerce_rf(other))
-
-    def __rsub__(self, other: "Poly2 | Scalar") -> "RatFunc2":
-        return _coerce_rf(other) - self
-
-    def __mul__(self, other: "RatFunc2 | Poly2 | Scalar") -> "RatFunc2":
-        other = _coerce_rf(other)
-        return RatFunc2(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "RatFunc2 | Poly2 | Scalar") -> "RatFunc2":
-        other = _coerce_rf(other)
-        if other.num.is_zero:
-            raise DivisionByZeroFunction("division by the zero function")
-        return RatFunc2(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other: "Poly2 | Scalar") -> "RatFunc2":
-        return _coerce_rf(other) / self
-
     def __eq__(self, other: object) -> bool:
         """True iff the two quotients agree as rational functions."""
-        if not isinstance(other, (RatFunc2, Poly2, int, Fraction)):
+        if not isinstance(other, RatFunc2):
             return NotImplemented
-        other = _coerce_rf(other)
-        return (self.num * other.den - other.num * self.den).is_zero
-
-    def shift(self, var: str, delta: Scalar) -> "RatFunc2":
-        return RatFunc2(self.num.shift(var, delta), self.den.shift(var, delta))
-
-    def eval(self, n: Scalar, k: Scalar) -> Rat:
-        d = self.den.eval(n, k)
-        if not d:
-            raise ZeroDivisionError(f"denominator vanishes at (n={n}, k={k})")
-        return self.num.eval(n, k) / d
+        return self.num * other.den == other.num * self.den
 
     def __str__(self) -> str:
         return f"({self.num})/({self.den})"
 
     def __repr__(self) -> str:
         return f"RatFunc2({self})"
-
-
-def _coerce_rf(x: "RatFunc2 | Poly2 | Scalar") -> RatFunc2:
-    if isinstance(x, RatFunc2):
-        return x
-    return RatFunc2(_coerce(x), Poly2.const(1))

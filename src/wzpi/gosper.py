@@ -22,8 +22,10 @@ Pipeline (names follow the classical presentation):
                          top factor k+a is paired with a bottom factor k+b at
                          the smallest positive integer j = a - b (see
                          ``dispersion_candidates``), and (k+b)...(k+b+j-1)
-                         moves into p.  p, q and r are ``UniPolyQn``, views
-                         of one ``Poly2`` each: polynomials in k over Q[n].
+                         moves into p, which keeps w's content in Q[n]
+                         (the assembly cancels it).  p, q and r are
+                         ``UniPolyQn``, views of one ``Poly2`` each:
+                         polynomials in k over Q[n].
 3. ``gosper_solve``   -- degree-bound the unknown polynomial x(k) and solve
                          ``q(k) x(k+1) - r(k-1) x(k) = p(k)`` by back-
                          substitution on ``Poly2`` without fractions: the
@@ -67,10 +69,11 @@ class DegenerateRatio(ArithmeticError):
 class UniPolyQn:
     """A polynomial in k with coefficients in Q[n], viewed through one Poly2.
 
-    The solve and the assembly read ``poly``.  The class stays only because
-    the benchmark's probes read the normal form through ``eval_n``,
-    ``coeffs`` and ``shift`` (and ``_degree_bound`` on it); it waits for
-    ROADMAP item 1 to drop them."""
+    The solve and the assembly read ``poly``, ``shift`` and ``lc``; since the
+    normal form stopped taking p's content, nothing in the package reads the
+    columns.  The class stays only because the benchmark's probes read the
+    normal form through ``eval_n``, ``coeffs`` and ``shift`` (and
+    ``_degree_bound`` on it); it waits for ROADMAP item 1 to drop them."""
 
     __slots__ = ("poly",)
 
@@ -146,17 +149,7 @@ def dispersion_candidates(
     return pairs
 
 
-def _primitive(p: UniPolyQn) -> UniPolyQn:
-    """p over its content in Q[n], scaled so that lc_k(p) is monic in n."""
-    columns = p._columns()
-    content = UniPoly()
-    for c in columns:
-        content = content.gcd(c)
-    scale = content * columns[-1].lc
-    return UniPolyQn(p.poly.divide(_unipoly_to_poly2_n(scale)))
-
-
-# the ratio once its dispersion pairs moved ``moved`` into p = w prod(moved) / c(n)
+# the ratio once its dispersion pairs moved ``moved`` into p = w prod(moved)
 FactorLists = namedtuple("FactorLists", "z top bottom w moved shifts")
 
 
@@ -181,7 +174,7 @@ def _pair_factors(ratio: tuple[Rat, list[Poly2], list[Poly2], Poly2]) -> FactorL
 def _normal_form_impl(
     lists: FactorLists,
 ) -> tuple[UniPolyQn, UniPolyQn, UniPolyQn, tuple[int, ...]]:
-    p = _primitive(UniPolyQn(factor_product(lists.moved) * lists.w))
+    p = UniPolyQn(factor_product(lists.moved) * lists.w)
     q = UniPolyQn(factor_product(lists.top, lists.z))
     r = UniPolyQn(factor_product(lists.bottom))
     return p, q, r, lists.shifts
@@ -195,9 +188,9 @@ def gosper_normal_form(
     ``ratio`` is (z, top, bottom, w), as ``h_ratio`` returns it:
     z * prod(top)/prod(bottom) * w(k+1)/w(k), with top and bottom lists of
     factors k + a(n).  Returns (p, q, r) with gcd(q(k), r(k+j)) = 1 for all
-    integers j >= 0; p is primitive over Q[n] with a k-leading coefficient
-    monic in n.  Constant factors stay inside q, so no separate scalar is
-    returned.
+    integers j >= 0.  p is w times the factors the dispersion pairs moved,
+    with w's content in Q[n] left in it: lc_k(p) = lc_k(w).  Constant
+    factors stay inside q, so no separate scalar is returned.
     """
     p, q, r, _ = _normal_form_impl(_pair_factors(ratio))
     return p, q, r
@@ -341,11 +334,12 @@ class GosperResult:
 def _certificate_from_solution(
     ident: WZIdentity, x: RatFunc2, lists: FactorLists, p: UniPolyQn
 ) -> RatFunc2:
-    """R = r(k-1) x(k) (s - 1) / p(k) in lowest terms.  As p = w prod(moved) / c(n)
-    and w = numerator(s - 1) * multiplier, R = c r(k-1) x(k) / (den(s) *
+    """R = r(k-1) x(k) (s - 1) / p(k) in lowest terms.  As p = w prod(moved)
+    and w = numerator(s - 1) * multiplier, R = r(k-1) x(k) / (den(s) *
     multiplier * prod(moved)): numerator(s - 1) is never expanded.  The
     factors with k of the denominator are divided out where they divide; Q[n]
-    gcds with the columns of k, until one is 1, cancel what is left in n."""
+    gcds with the columns of k, until one is 1, cancel what is left in n,
+    the content of w among it."""
     _, s_den, scal = shift_quotient_n_parts(ident.term, ident.rhs)
     den = lists.moved + s_den + [multiplier(ident.term), Poly2.const(scal.denominator)]
     # equal factors of r(k-1) and the denominator cancel as list items

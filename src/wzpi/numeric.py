@@ -106,15 +106,15 @@ def rhs_numeric(rhs: ClosedForm, n: float) -> float:
     factors of a small value do not overflow on the way.
     """
     n = float(n)
-    log_value = n * math.log(float(rhs.base))
+    log_abs = n * math.log(float(rhs.base))
     sign = 1
     if n:  # (arg)_0 = 1, also where Gamma(arg) has a pole
         for arg, power in rhs.poch_n:
             la, sa = log_gamma(float(arg) + n)
             lb, sb = log_gamma(float(arg))
-            log_value += power * (la - lb)
+            log_abs += power * (la - lb)
             sign *= (sa * sb) ** power
-    return sign * math.exp(log_value)
+    return sign * math.exp(log_abs)
 
 
 def _first_term(t: HyperTerm) -> float:

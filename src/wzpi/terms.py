@@ -239,7 +239,10 @@ def factor_product(factors: list[Poly2], scale: Rat = 1) -> Poly2:
 
 
 def shift_quotient_k(t: HyperTerm) -> RatFunc2:
-    """F(n,k+1)/F(n,k) as an explicit rational function of (n, k)."""
+    """F(n,k+1)/F(n,k) as an explicit rational function of (n, k).
+
+    No product path calls it; the benchmark's algebra probe
+    (perfbench/layers.py::_algebra_probe) multiplies and shifts its parts."""
     num, den, scal = shift_quotient_k_parts(t)
     p = multiplier(t)
     return RatFunc2(factor_product(num, scal) * p.shift("k", 1), factor_product(den) * p)
@@ -284,17 +287,6 @@ def shift_quotient_n_parts(t: HyperTerm, rhs: ClosedForm) \
         for _ in range(abs(e)):
             (den if e > 0 else num).append(piece)
     return num, den, scal
-
-
-def shift_quotient_n(t: HyperTerm, rhs: ClosedForm) -> RatFunc2:
-    """Fhat(n+1,k)/Fhat(n,k) as an explicit rational function of (n, k).
-
-    The scalar 1/base enters as its numerator on top and its denominator
-    below, the scaling synthesized certificates are printed with.
-    """
-    num, den, scal = shift_quotient_n_parts(t, rhs)
-    return RatFunc2(factor_product(num, scal.numerator),
-                    factor_product(den, scal.denominator))
 
 
 # -- structural reduction at the singular parameter value ----------------------

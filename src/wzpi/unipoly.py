@@ -4,10 +4,10 @@
 stripped; the zero polynomial is the empty tuple).  Gcds run on integer
 primitive parts with a primitive pseudo-remainder sequence, which keeps
 intermediate coefficients bounded; the certificate assembly takes its few
-Q[n] gcds here.  ``RatFn`` is a reduced quotient with a monic denominator, so
-equality is structural; it has no arithmetic.  ``RatFn`` and ``interpolate``
-are read only by the benchmark's probes of the normal form, and wait for
-ROADMAP item 1 to drop them.
+Q[n] gcds and exact divisions here.  ``RatFn`` is a reduced quotient with a
+monic denominator, so equality is structural; it has no arithmetic.
+``RatFn`` and ``interpolate`` are read only by the benchmark's probes of the
+normal form, and wait for ROADMAP item 1 to drop them.
 """
 from __future__ import annotations
 
@@ -137,19 +137,6 @@ class UniPoly:
                 out[i + j] += x * y
         return UniPoly(out)
 
-    def __pow__(self, m: int) -> "UniPoly":
-        if m < 0:
-            raise ValueError("negative power")
-        out = UniPoly.const(1)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            if m > 1:
-                base = base * base
-            m >>= 1
-        return out
-
     def __divmod__(self, other: "UniPoly") -> "tuple[UniPoly, UniPoly]":
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
@@ -213,31 +200,6 @@ class UniPoly:
         a, _ = self.int_coeffs()
         b, _ = other.int_coeffs()
         return UniPoly(_igcd_poly(a, b)).monic()
-
-    def div_linear(self, x0: Scalar) -> "tuple[UniPoly, Rat]":
-        """Synthetic division by (x - x0): returns (quotient, remainder)."""
-        x0 = Fraction(x0)
-        if self.is_zero:
-            return UniPoly(), Fraction(0)
-        q: list[Rat] = [Fraction(0)] * (len(self.c) - 1)
-        acc = Fraction(0)
-        for i in range(len(self.c) - 1, 0, -1):
-            acc = acc * x0 + self.c[i]
-            q[i - 1] = acc
-        rem = acc * x0 + self.c[0]
-        return UniPoly(q), rem
-
-    def root_multiplicity(self, x0: Scalar) -> "tuple[int, UniPoly]":
-        """Order of vanishing at x0 and the fully deflated quotient."""
-        mult = 0
-        p = self
-        while not p.is_zero:
-            q, rem = p.div_linear(x0)
-            if rem:
-                break
-            mult += 1
-            p = q
-        return mult, p
 
     def __str__(self) -> str:
         if not self.c:

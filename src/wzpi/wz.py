@@ -12,8 +12,8 @@ whose linear factors cancel before anything is expanded.
 The exact row sums are checked apart from any certificate, in one walk over
 n on ints: each row sum is an unreduced int quotient, the closed form an int
 pair moved from row to row by its n-ratio, and the two are compared by
-cross-multiplication.  Fractions are built for the values row_sum and g_value
-hand back and for the message of a mismatch.
+cross-multiplication.  Fractions are built for the values row_sum hands back
+and for the message of a mismatch.
 """
 from __future__ import annotations
 
@@ -23,19 +23,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Poly2, Rat, RatFunc2
-from .terms import (ClosedForm, HyperTerm, factor_product, multiplier, p_eval,
-                    poch_exact, rhs_exact, shift_quotient_k_parts,
-                    shift_quotient_n_parts, term_sum, term_sum_parts,
-                    term_value, termination_bound)
-from .unipoly import UniPoly
+from .terms import (ClosedForm, HyperTerm, factor_product, multiplier, rhs_exact,
+                    shift_quotient_k_parts, shift_quotient_n_parts, term_sum,
+                    term_sum_parts, termination_bound)
+from .terms import term_value  # noqa: F401  (perfbench/spans.py wraps wz.term_value)
 
 
 class MissingCertificate(ValueError):
     """The requested check needs a certificate the identity does not carry."""
-
-
-class PoleOnLattice(ArithmeticError):
-    """A certificate denominator genuinely vanishes at a lattice point."""
 
 
 @dataclass(frozen=True)
@@ -151,8 +146,8 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
     forms each row's coefficients in k once, and evaluates the row by
     Horner's rule in ints.
     The symbolic identity is a statement about rational functions, so it
-    holds whatever the lattice values; g_value resolves G at such a point
-    when a caller needs it, but nothing here calls it.
+    holds whatever the lattice values; where the denominator vanishes, G
+    has a removable singularity or a pole, and nothing here resolves which.
     """
     _require_wz(ident)
     if ident.certificate is None:
@@ -251,56 +246,3 @@ def verify_exact_sums(ident: WZIdentity, n_max: int = 20) -> CertReport:
     report.exact_sums_ok = True
     report.n_checked = n_max
     return report
-
-
-# -- exact values of G on the lattice ------------------------------------------
-
-def _poch_unipoly(n_coeff: int, offset: Rat, k: int) -> UniPoly:
-    """(offset + n_coeff*n)_k as a polynomial in n."""
-    prod = UniPoly.const(1)
-    for j in range(k):
-        prod = prod * UniPoly((offset + j, n_coeff))
-    return prod
-
-
-def g_value(ident: WZIdentity, n: int, k: int) -> Rat:
-    """Exact G(n, k) = R(n,k) * F(n,k) / RHS(n), resolving removable 0/0.
-
-    When the certificate denominator vanishes at (n, k), G is evaluated as a
-    univariate rational function of n at fixed k: every Pochhammer factor is a
-    polynomial in n there, so the removable singularity cancels by deflating
-    the shared (n - n0) factors.  A genuine pole raises PoleOnLattice.
-    """
-    _require_wz(ident)
-    if ident.certificate is None:
-        raise MissingCertificate(f"{ident.name} carries no certificate")
-    cert = ident.certificate
-    t = ident.term
-    rhs_val = rhs_exact(ident.rhs, n)
-
-    den_val = cert.den.eval(n, k)
-    if den_val:
-        return (cert.num.eval(n, k) / den_val) * term_value(t, n, k) / rhs_val
-
-    # 0/0 candidate: build A(nu)/B(nu) = R(nu,k) * F(nu,k) at fixed k.
-    scalar = t.prefactor_rational * p_eval(t, k) * t.z ** k
-    if t.fact_pow:
-        scalar /= poch_exact(1, k) ** t.fact_pow
-    a_poly = UniPoly(cert.num.eval_k(k)) * scalar
-    b_poly = UniPoly(cert.den.eval_k(k))
-    for f in t.poch:
-        piece = _poch_unipoly(f.n_coeff, f.offset, k) ** abs(f.power)
-        if f.power > 0:
-            a_poly = a_poly * piece
-        else:
-            b_poly = b_poly * piece
-    if a_poly.is_zero:
-        return Fraction(0)
-    ord_a, a_defl = a_poly.root_multiplicity(n)
-    ord_b, b_defl = b_poly.root_multiplicity(n)
-    if ord_b > ord_a:
-        raise PoleOnLattice(
-            f"{ident.name}: G has a pole of order {ord_b - ord_a} at (n={n}, k={k})")
-    if ord_b < ord_a:
-        return Fraction(0)
-    return a_defl.eval(n) / b_defl.eval(n) / rhs_val

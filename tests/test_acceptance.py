@@ -56,7 +56,7 @@ from wzpi import HyperTerm, NumericConfig, PochFactor
 from wzpi.numeric import series_numeric
 from wzpi.terms import carlson_substitution
 
-from conftest import PRINTED_CERT_NAMES, THEOREM_NAMES, WZ_NAMES, normalised_terms
+from conftest import PRINTED_CERT_NAMES, THEOREM_NAMES, WZ_NAMES, RefRat, normalised_terms
 
 mpmath.mp.dps = 50
 
@@ -245,7 +245,7 @@ def test_shift_quotients_match_term_values_on_catalog():
         n = 4
         bound = termination_bound(t, n)
         k = min(1, bound - 1)
-        r = shift_quotient_k(t)
+        r = RefRat(shift_quotient_k(t))
         assert r.eval(n, k) == term_value(t, n, k + 1) / term_value(t, n, k)
 
 

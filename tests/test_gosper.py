@@ -30,10 +30,10 @@ from wzpi import (
     wz_residual,
 )
 from wzpi.gosper import dispersion_candidates
-from wzpi.terms import factor_product
+from wzpi.terms import factor_product, multiplier
 
-from conftest import (chu_vandermonde, normalised_terms, pfaff_saalschuetz, poly2s,
-                      rationals)
+from conftest import (WZ_NAMES, RefRat, chu_vandermonde, family_identities,
+                      normalised_terms, pfaff_saalschuetz, poly2s, rationals)
 
 K = Poly2.var("k")
 N = Poly2.var("n")
@@ -45,9 +45,9 @@ def ratio(top, bottom, z=1, w=Poly2.const(1)):
     return Fraction(z), list(top), list(bottom), w
 
 
-def expand(parts) -> RatFunc2:
+def expand(parts) -> RefRat:
     z, top, bottom, w = parts
-    return RatFunc2(factor_product(top, z) * w.shift("k", 1), factor_product(bottom) * w)
+    return RefRat(factor_product(top, z) * w.shift("k", 1), factor_product(bottom) * w)
 
 
 # -- the UniPolyQn view of a Poly2 ---------------------------------------------------
@@ -148,7 +148,7 @@ def check_normal_form(parts):
     p, q, r = gosper_normal_form(parts)
     # defining equation: ratio(k) = (q/r) * p(k+1)/p(k)
     lhs = expand(parts) * (p.poly * r.poly)
-    rhs = RatFunc2(q.poly * p.shift(1).poly)
+    rhs = RefRat(q.poly * p.shift(1).poly)
     assert lhs == rhs
     # shifted coprimality
     if q.degree() > 0 and r.degree() > 0:
@@ -170,9 +170,9 @@ def test_normal_form_known_shapes():
     assert q.poly == Poly2.const(5)
     assert p.poly == r.poly == one
 
-    # w goes into p, made primitive over Q[n] with a monic k-leading coefficient
+    # w goes into p as it is, its content in Q[n] with it
     p, q, r = check_normal_form(ratio([K + N], [K], w=(2 * N + 4) * (3 * K + N)))
-    assert p.poly == K + N * Fraction(1, 3)
+    assert p.poly == (2 * N + 4) * (3 * K + N)
     assert q.poly == K + N and r.poly == K
 
 
@@ -200,7 +200,7 @@ def test_solver_sums_the_identity_summand_k():
     p, q, r = gosper_normal_form(ratio([K + 1], [K]))
     x = gosper_solve(p, q, r)
     assert x == RatFunc2(K * (K - 1), 2)
-    assert [x.eval(3, k0) for k0 in range(5)] == [0, 0, 1, 3, 6]
+    assert [RefRat(x).eval(3, k0) for k0 in range(5)] == [0, 0, 1, 3, 6]
 
 
 @pytest.mark.parametrize("b, expected", [
@@ -215,7 +215,7 @@ def test_solver_picks_the_kernel_solution_that_vanishes_at_zero(b, expected):
     p, q, r = gosper_normal_form(ratio([K + b], [K + b + 2]))
     x = gosper_solve(p, q, r)
     assert x == RatFunc2(expected)
-    assert [x.eval(1, k0) for k0 in range(3)] == [expected.eval(1, k0) for k0 in range(3)]
+    assert [RefRat(x).eval(1, k0) for k0 in range(3)] == [expected.eval(1, k0) for k0 in range(3)]
 
 
 def test_solver_rejects_factorial_growth():
@@ -235,6 +235,7 @@ def test_solver_handles_power_sums(power):
     p, q, r = gosper_normal_form(ratio([K + 1] * power, [K] * power))
     x = gosper_solve(p, q, r)
     assert x is not None
+    x = RefRat(x)
     # verify: with a_k = k^power, the antidifference S satisfies
     # S(k+1) - S(k) = a_k; reconstruct S/a as r(k-1) x / p and check values
     rm1 = r.shift(-1)
@@ -266,7 +267,8 @@ def test_solver_recovers_a_planted_solution(x2, q2, r2, equal_lc, sigma):
     assume(not p.is_zero)
     got = gosper_solve(UniPolyQn(p), UniPolyQn(q), UniPolyQn(rm1.shift("k", 1)))
     assert got is not None
-    assert got.shift("k", 1) * q - got * rm1 == p
+    sol = RefRat(got)
+    assert sol.shift("k", 1) * q - sol * rm1 == p
 
 
 def with_top_columns(low: Poly2, q: Poly2, below_top: Poly2) -> Poly2:
@@ -295,10 +297,11 @@ def test_solver_recovers_a_planted_solution_with_pivots_in_n(
     p = q * x.shift("k", 1) - rm1 * x
     got = gosper_solve(UniPolyQn(p), UniPolyQn(q), UniPolyQn(rm1.shift("k", 1)))
     assert got is not None
-    assert got.shift("k", 1) * q - got * rm1 == p
+    sol = RefRat(got)
+    assert sol.shift("k", 1) * q - sol * rm1 == p
     assert got.den.degree("k") == 0 and got.den.degree("n") > 0
     # no pivot vanishes, so the planted solution is the only one
-    assert got == x
+    assert got == RatFunc2(x)
 
 
 # -- ratio assembly -----------------------------------------------------------------
@@ -466,6 +469,64 @@ def test_family_certificates_are_in_lowest_terms(ident):
     assert result.status == "Summable"
     cert = result.certificate
     assert sympy_monomials(cert) == (len(cert.num.terms), len(cert.den.terms))
+
+
+def _rem(a: list, b: list) -> list:
+    """a mod b on Fraction coefficient lists in n, ascending; b nonzero."""
+    a = list(a)
+    while len(a) >= len(b):
+        t, at = a[-1] / b[-1], len(a) - len(b)
+        for i, c in enumerate(b):
+            a[at + i] -= t * c
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def gcd_in_n(polys) -> list:
+    """The monic gcd over Q[n] of polynomials in n alone, by Euclid on their
+    Fraction coefficient lists."""
+    g: list = []
+    for b in polys:
+        a = g
+        while b:
+            a, b = b, _rem(a, b)
+        g = a
+    return [c / g[-1] for c in g]
+
+
+def assert_lowest_terms_in_n(ident, cert):
+    """The certificate's denominator is c(n) times factors with k, c monic:
+    lc_k(den) is c times 1 or the multiplier's leading coefficient, and c is
+    the content of den over Q[n].  No factor of c divides every k-column of
+    the numerator."""
+    num, den = cert.num, cert.den
+    content = gcd_in_n(den.k_coeff(j).eval_k(0) for j in range(den.degree("k") + 1))
+    lead = den.k_coeff(den.degree("k")).eval_k(0)
+    mult = multiplier(ident.term)
+    assert lead[-1] in (1, mult.coeff(0, mult.degree("k")))
+    assert lead == [c * lead[-1] for c in content]
+    columns = [num.k_coeff(j).eval_k(0) for j in range(num.degree("k") + 1)]
+    assert gcd_in_n([content, *columns]) == [1]
+
+
+def test_gcd_in_n_finds_the_monic_common_factor():
+    polys = [(2 * N + 4) * (N - 1), (3 * N + 6) * N, 4 * N + 8]
+    assert gcd_in_n(f.eval_k(0) for f in polys) == [2, 1]
+    assert gcd_in_n([(N * N + 1).eval_k(0), N.eval_k(0)]) == [1]
+
+
+@pytest.mark.parametrize("name", WZ_NAMES)
+def test_synthesized_certificates_are_in_lowest_terms_in_n(name, synthesis):
+    assert_lowest_terms_in_n(load_builtin(name), synthesis.get(name).certificate)
+
+
+@settings(max_examples=50, deadline=None)
+@given(family_identities)
+def test_family_certificates_are_in_lowest_terms_in_n(ident):
+    result = synthesize_certificate(ident)
+    assume(result.status == "Summable")
+    assert_lowest_terms_in_n(ident, result.certificate)
 
 
 # Pfaff-Saalschuetz at (a, b, c) = (9, 2, 8/7) with its closed form perturbed

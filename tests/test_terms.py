@@ -30,12 +30,11 @@ from wzpi.terms import (
     carlson_substitution,
     p_eval,
     shift_quotient_k,
-    shift_quotient_n,
     term_sum,
     term_sum_parts,
 )
 
-from conftest import WZ_NAMES, family_identities, rationals
+from conftest import WZ_NAMES, RefRat, family_identities, rationals, shift_quotient_n
 
 
 poch_args = st.fractions(min_value=Fraction(-10), max_value=Fraction(10),
@@ -251,7 +250,7 @@ def test_k_shift_quotient_matches_value_ratio(name, n, k):
     fk = term_value(t, n, k)
     fk1 = term_value(t, n, k + 1)
     assume(fk != 0)
-    r = shift_quotient_k(t)
+    r = RefRat(shift_quotient_k(t))
     assert r.den.eval(n, k) != 0
     assert r.eval(n, k) == fk1 / fk
 

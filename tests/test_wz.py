@@ -18,7 +18,6 @@ from wzpi import (
     Poly2,
     RatFunc2,
     builtin_record,
-    g_value,
     load_builtin,
     rhs_exact,
     synthesize_certificate,
@@ -29,11 +28,11 @@ from wzpi import (
     wz_residual,
 )
 from wzpi.terms import (multiplier, shift_quotient_k, shift_quotient_k_parts,
-                        shift_quotient_n, shift_quotient_n_parts)
+                        shift_quotient_n_parts)
 from wzpi.wz import _split
 
-from conftest import (WZ_NAMES, chu_vandermonde, family_identities, nonzero_poly2s,
-                      pfaff_saalschuetz)
+from conftest import (WZ_NAMES, PoleOnLattice, RefRat, chu_vandermonde, family_identities,
+                      g_value, nonzero_poly2s, pfaff_saalschuetz, shift_quotient_n)
 
 PRINTED_OK = ("theorem1", "theorem3", "theorem4", "theorem5", "theorem6",
               "theorem7", "theorem8")
@@ -101,10 +100,11 @@ def test_residual_is_invariant_under_certificate_rescaling(c):
 # -- the residual against the formula over the full product of denominators --------
 
 def reference_residual(ident, cert):
-    """(s - 1) - (R(n,k+1)*r - R(n,k)) by RatFunc2 arithmetic, over
+    """(s - 1) - (R(n,k+1)*r - R(n,k)) by RefRat arithmetic, over
     den(s)*B(k+1)*den(r)*B."""
-    r = shift_quotient_k(ident.term)
+    r = RefRat(shift_quotient_k(ident.term))
     s = shift_quotient_n(ident.term, ident.rhs)
+    cert = RefRat(cert)
     return (s - 1) - (cert.shift("k", 1) * r - cert)
 
 
@@ -398,6 +398,10 @@ def test_companion_function_vanishes_at_left_edge_and_beyond_support():
         assert g_value(ident, n, bound + 2) == 0
 
 
+def _fhat(ident, n, k):
+    return term_value(ident.term, n, k) / rhs_exact(ident.rhs, n)
+
+
 def test_removable_certificate_singularities_are_deflated():
     ident = load_builtin("theorem1")
     cert = ident.certificate
@@ -406,7 +410,23 @@ def test_removable_certificate_singularities_are_deflated():
                                                  cert.den * spike))
     bound = termination_bound(ident.term, 3)
     for k in range(bound + 2):
+        assert not scaled.certificate.den.eval(3, k)
         assert g_value(scaled, 3, k) == g_value(ident, 3, k)
+    # the printed denominator vanishes just past each row's support, where
+    # the pair identity at k = n fixes G(n, n + 1)
+    for n in range(6):
+        assert termination_bound(ident.term, n) == n and not cert.den.eval(n, n + 1)
+        assert (g_value(ident, n, n + 1) - g_value(ident, n, n)
+                == _fhat(ident, n + 1, n) - _fhat(ident, n, n))
+
+
+def test_a_genuine_pole_of_the_companion_function_is_raised():
+    ident = load_builtin("theorem1")
+    cert = ident.certificate
+    poled = replace(ident, certificate=RatFunc2(cert.num, cert.den * (Poly2.var("n") - 3)))
+    assert cert.num.eval(3, 1) and term_value(ident.term, 3, 1)
+    with pytest.raises(PoleOnLattice, match=r"pole of order 1 at \(n=3, k=1\)"):
+        g_value(poled, 3, 1)
 
 
 def _telescoped(ident, n, k_max):
