@@ -5,7 +5,10 @@ Each file holds one command's exit code, stdout and stderr, run in-process
 through ``wzpi.cli.main``, with the timings (``[N ms]`` and ``"millis": N``)
 masked so that the text depends on the results alone.  The commands are
 ``verify --all --allow-errata`` with and without ``--json``, ``synth --id X``
-for every ``wz`` record and ``sum --id X --n 5`` for every record.
+and ``numeric --id X`` for every ``wz`` record, ``sum --id X --n 5`` for every
+record, and ``pi`` on both series: at the default tolerance, with ``--json``,
+with ``--terms 2``, and with ``--terms 403``, where the accelerator's weights
+pass the largest double.
 
 Usage:  PYTHONPATH=src python3 scripts/cli_golden.py [--check]
 
@@ -40,6 +43,16 @@ def cases() -> dict[str, list[str]]:
             out[f"synth-{name}.txt"] = ["synth", "--id", name]
     for name in BUILTIN_NAMES:
         out[f"sum-{name}.txt"] = ["sum", "--id", name, "--n", "5"]
+    for name in BUILTIN_NAMES:
+        if builtin_record(name).kind == "wz":
+            out[f"numeric-{name}.txt"] = ["numeric", "--id", name]
+    out.update({
+        "pi-ramanujan.txt": ["pi", "--series", "ramanujan"],
+        "pi-r1103.txt": ["pi", "--series", "r1103"],
+        "pi-r1103-terms-2.txt": ["pi", "--series", "r1103", "--terms", "2"],
+        "pi-ramanujan-terms-403.txt": ["pi", "--series", "ramanujan", "--terms", "403"],
+        "pi-r1103-json.txt": ["pi", "--series", "r1103", "--json"],
+    })
     return out
 
 
