@@ -5,8 +5,7 @@ Layers, bottom up:
 
 - ``algebra``: exact arithmetic in Q[n,k], and certificates as unreduced
   quotients with cross-multiplication equality and no arithmetic.
-- ``unipoly``: univariate polynomials over Q (the assembly's Q[n] gcds) and
-  reduced quotients of them, without field arithmetic.
+- ``unipoly``: univariate polynomials over Q (the assembly's Q[n] gcds).
 - ``terms``: hypergeometric summands (Pochhammer factor lists), closed forms,
   exact values, shift quotients, and the substitution that collapses every
   catalog identity to the classical alternating series.
@@ -68,7 +67,7 @@ from .terms import (
     term_value,
     termination_bound,
 )
-from .unipoly import RatFn, UniPoly
+from .unipoly import UniPoly
 from .wz import (
     CertReport,
     MissingCertificate,
@@ -96,7 +95,6 @@ __all__ = [
     "PoleError",
     "Poly2",
     "Rat",
-    "RatFn",
     "RatFunc2",
     "SemanticError",
     "UniPoly",

@@ -95,7 +95,7 @@ class UniPolyQn:
 
     @property
     def coeffs(self) -> tuple[RatFn, ...]:
-        return tuple(RatFn(c, 1, _reduced=True) for c in self._columns())
+        return tuple(RatFn(c, UniPoly.const(1)) for c in self._columns())
 
     def shift(self, delta) -> "UniPolyQn":
         """Substitute k -> k + delta for a rational constant delta."""
@@ -332,11 +332,11 @@ class GosperResult:
 
 
 def _certificate_from_solution(
-    ident: WZIdentity, x: RatFunc2, lists: FactorLists, p: UniPolyQn
+    ident: WZIdentity, x: RatFunc2, lists: FactorLists
 ) -> RatFunc2:
     """R = r(k-1) x(k) (s - 1) / p(k) in lowest terms.  As p = w prod(moved)
-    and w = numerator(s - 1) * multiplier, R = r(k-1) x(k) / (den(s) *
-    multiplier * prod(moved)): numerator(s - 1) is never expanded.  The
+    and s - 1 = w / (den(s) * multiplier), R = r(k-1) x(k) / (den(s) *
+    multiplier * prod(moved)) exactly: neither w nor p enters.  The
     factors with k of the denominator are divided out where they divide; Q[n]
     gcds with the columns of k, until one is 1, cancel what is left in n,
     the content of w among it."""
@@ -346,7 +346,7 @@ def _certificate_from_solution(
     above = Counter(b.shift("k", -1) for b in lists.bottom)
     below = Counter(f for f in den if f.degree("k") > 0)
     above, below = above - below, below - above
-    num = x.num * _lc(lists.w) * factor_product(list(above.elements()))
+    num = x.num * factor_product(list(above.elements()))
     left = []
     for f in below.elements():
         quo = num.divide(f)
@@ -355,7 +355,7 @@ def _certificate_from_solution(
         else:
             num = quo
     kfree = factor_product([f for f in den if f.degree("k") <= 0])
-    d = UniPoly((x.den * p.lc * kfree).eval_k(0))
+    d = UniPoly((x.den * kfree).eval_k(0))
     g = d
     for j in range(num.degree("k") + 1):
         if g.degree == 0:
@@ -382,7 +382,7 @@ def synthesize_certificate(ident: WZIdentity) -> GosperResult:
     x = gosper_solve(p, q, r)
     if x is None:
         return GosperResult("NotSummable", None, bound, confirmed)
-    cert = _certificate_from_solution(ident, x, lists, p)
+    cert = _certificate_from_solution(ident, x, lists)
     trial = replace(ident, certificate=cert)
     report = verify_certificate(trial, n_scan=12)
     if not report.symbolic_ok:

@@ -1,6 +1,7 @@
 """Floating-point evaluation of the catalog: closed forms at real arguments,
-series summation (exact where the series terminates, accelerated when
-z < 0), and the machine-precision spot checks used by the test suite and CLI.
+series summation (exact where the series terminates; otherwise one walk,
+accelerated when z < 0, which the pi estimators share), and the
+machine-precision spot checks used by the test suite and CLI.
 
 The closed forms are products of Pochhammer symbols at rational offsets, so
 everything reduces to a log-gamma kernel (Lanczos approximation, g = 7, with
@@ -214,6 +215,48 @@ def _accelerated_sum(
     return math.copysign(1.0, t0) * _accelerated_alternating(a)
 
 
+def _series_sum(
+    t: HyperTerm, n: float, cfg: NumericConfig, terms: Optional[int] = None
+) -> float:
+    """Sum over k >= 0 of a series that does not terminate at n.
+
+    A series with z < 0 goes to the accelerator.  Any other is summed
+    directly (with math.fsum), up to and including the first term t(k+1)
+    that meets the tolerance: on an alternating tail, |t(k+1)| below it and
+    no larger than |t(k)|; on a tail of one sign, |t(k+1)| <= tol*(1 - rho)/2
+    with rho = max(t(k+1)/t(k), |z|).  A zero term t(k+1) with p(k+1) != 0
+    also ends the walk: the Pochhammer part has terminated.  A zero of
+    p(k+1) does not; the next ratio raises PoleError there.  `terms`, when
+    given, fixes the number of terms instead of the tolerance; either way
+    the walk uses at most cfg.max_terms, and raises NoConvergence where the
+    tolerance needs more.
+    """
+    if float(t.z) < 0:
+        return _accelerated_sum(t, n, cfg, terms)
+    ratio = _term_ratio(t, n)
+    tk = _first_term(t)
+    acc = [tk]
+    for k in range(min(terms or cfg.max_terms, cfg.max_terms) - 1):
+        rk = ratio(k)
+        prev, tk = tk, tk * rk
+        acc.append(tk)
+        if tk == 0:
+            done = p_eval(t, k + 1) != 0
+        elif terms:
+            done = False
+        elif rk < 0:
+            done = abs(tk) <= cfg.target_abs_tol and abs(tk) <= abs(prev)
+        else:  # half the tolerance is left for the rounding of the terms
+            rho = max(rk, abs(float(t.z)))
+            done = rho < 1 and abs(tk) <= cfg.target_abs_tol * (1 - rho) / 2
+        if done:
+            return math.fsum(acc)
+    if not terms:
+        raise NoConvergence(f"series did not reach {cfg.target_abs_tol:g} "
+                            f"within {cfg.max_terms} terms")
+    return math.fsum(acc)
+
+
 def series_numeric(
     t: HyperTerm | WZIdentity, n: float, cfg: Optional[NumericConfig] = None
 ) -> float:
@@ -223,13 +266,9 @@ def series_numeric(
     summed exactly (term_sum) and the sum is rounded once; NoConvergence is
     raised when that takes more than cfg.max_terms terms.  Otherwise a
     series with z < 0 goes to the accelerator, which needs only O(digits)
-    terms and raises ValueError unless the terms strictly alternate in sign.
-    Any other series is summed directly (with math.fsum).  The walk stops on
-    an alternating tail once the next term is below tolerance and shrinking,
-    on a tail of one sign once |t(k+1)|/(1 - rho) < tol/2 with
-    rho = max(t(k+1)/t(k), |z|), and at a zero term t(k+1) with p(k+1) != 0:
-    the Pochhammer part has terminated.  A zero of p(k+1) does not stop it;
-    the next ratio raises PoleError there.
+    terms and raises ValueError unless the terms strictly alternate in sign,
+    and any other series is summed directly until its tail is below
+    cfg.target_abs_tol (_series_sum gives the stopping rule).
     """
     if isinstance(t, WZIdentity):
         t = t.term
@@ -240,28 +279,7 @@ def series_numeric(
             raise NoConvergence(f"series terminates only after {bound + 1} terms, "
                                 f"more than {cfg.max_terms}")
         return float(term_sum(t, int(n), bound)) * math.sqrt(float(t.prefactor_sqrt))
-    if float(t.z) < 0:
-        return _accelerated_sum(t, n, cfg)
-    ratio = _term_ratio(t, n)
-    terms = []
-    tk = _first_term(t)
-    for k in range(cfg.max_terms):
-        terms.append(tk)
-        rk = ratio(k)
-        nxt = tk * rk
-        if nxt == 0:
-            done = p_eval(t, k + 1) != 0
-        elif rk < 0:
-            done = abs(nxt) <= cfg.target_abs_tol and abs(nxt) <= abs(tk)
-        else:  # half the tolerance is left for the rounding of the terms
-            rho = max(rk, abs(float(t.z)))
-            done = rho < 1 and abs(nxt) <= cfg.target_abs_tol * (1 - rho) / 2
-        if done:
-            return math.fsum(terms)
-        tk = nxt
-    raise NoConvergence(
-        f"series did not reach {cfg.target_abs_tol:g} within {cfg.max_terms} terms"
-    )
+    return _series_sum(t, n, cfg)
 
 
 # -- analytic-continuation spot check -------------------------------------------
@@ -332,32 +350,17 @@ def pi_from_series(
 ) -> float:
     """Estimate pi from one of the two numeric-kind catalog series.
 
-    The alternating series sums to 2/pi (accelerated; `terms` caps the number
-    of accelerator terms), the positive geometric one to 1/pi (summed
-    directly; each term adds roughly eight digits, and the sum stops once a
-    term underflows to 0.0).
+    The alternating series sums to 2/pi (accelerated), the positive
+    geometric one to 1/pi (summed directly; each term adds roughly eight
+    digits).  Both go through series_numeric's walk at n = 0, with its
+    stopping rule, or with exactly `terms` terms when that is given (fewer
+    where a term of the direct sum underflows to 0.0).
     """
     from .catalog import load_builtin
 
     cfg = cfg or NumericConfig(target_abs_tol=1e-13)
     t = load_builtin(name).term
-    if float(t.z) < 0:
-        return 2.0 / _accelerated_sum(t, 0.0, cfg, terms)
-    total = 0.0
-    tk = _first_term(t)
-    ratio = _term_ratio(t, 0.0)
-    limit = terms if terms is not None else cfg.max_terms
-    for k in range(limit):
-        total += tk
-        if terms is None and abs(tk) < cfg.target_abs_tol * abs(total):
-            break
-        tk *= ratio(k)
-        if not tk:  # underflow: every later term adds 0.0
-            break
-    else:
-        if terms is None:
-            raise NoConvergence("series did not settle within max_terms")
-    return 1.0 / total
+    return (2.0 if float(t.z) < 0 else 1.0) / _series_sum(t, 0.0, cfg, terms)
 
 
 # -- trigonometric closed-form helpers -------------------------------------------

@@ -1,13 +1,12 @@
-"""Exact univariate polynomials over Q, and reduced quotients of them.
+"""Exact univariate polynomials over Q.
 
 ``UniPoly`` stores dense coefficient tuples (ascending powers, trailing zeros
 stripped; the zero polynomial is the empty tuple).  Gcds run on integer
 primitive parts with a primitive pseudo-remainder sequence, which keeps
 intermediate coefficients bounded; the certificate assembly takes its few
-Q[n] gcds and exact divisions here.  ``RatFn`` is a reduced quotient with a
-monic denominator, so equality is structural; it has no arithmetic.
-``RatFn`` and ``interpolate`` are read only by the benchmark's probes of the
-normal form, and wait for ROADMAP item 1 to drop them.
+Q[n] gcds and exact divisions here.  ``RatFn`` is a bare (num, den) pair
+and ``interpolate`` a Lagrange interpolant: only the benchmark's probes of
+the normal form read them, and they wait for ROADMAP item 1 to drop them.
 """
 from __future__ import annotations
 
@@ -104,8 +103,7 @@ class UniPoly:
     def lc(self) -> Rat:
         return self.c[-1] if self.c else Fraction(0)
 
-    def __add__(self, other: "UniPoly | Scalar") -> "UniPoly":
-        other = _coerce(other)
+    def __add__(self, other: "UniPoly") -> "UniPoly":
         a, b = self.c, other.c
         if len(a) < len(b):
             a, b = b, a
@@ -113,12 +111,6 @@ class UniPoly:
         for i, x in enumerate(b):
             c[i] += x
         return UniPoly(c)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-x for x in self.c))
-
-    def __sub__(self, other: "UniPoly | Scalar") -> "UniPoly":
-        return self + (-_coerce(other))
 
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
         if isinstance(other, (int, Fraction)):
@@ -165,8 +157,6 @@ class UniPoly:
         return q
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = _coerce(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
         return self.c == other.c
@@ -218,12 +208,6 @@ class UniPoly:
         return f"UniPoly({str(self)})"
 
 
-def _coerce(x: "UniPoly | Scalar") -> UniPoly:
-    if isinstance(x, UniPoly):
-        return x
-    return UniPoly.const(x)
-
-
 def interpolate(points: Sequence[tuple[Scalar, Scalar]]) -> UniPoly:
     """Lagrange interpolation through distinct sample points."""
     total = UniPoly()
@@ -243,47 +227,11 @@ def interpolate(points: Sequence[tuple[Scalar, Scalar]]) -> UniPoly:
 
 
 class RatFn:
-    """Reduced rational function in one variable; denominator kept monic."""
+    """A numerator and a denominator, stored as given: no reduction, no
+    arithmetic and no equality."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: "UniPoly | Scalar", den: "UniPoly | Scalar" = 1,
-                 _reduced: bool = False):
-        num = _coerce(num)
-        den = _coerce(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if not _reduced:
-            if num.is_zero:
-                den = UniPoly.const(1)
-            else:
-                g = num.gcd(den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-            if den.lc != 1:
-                inv = 1 / den.lc
-                num = num * inv
-                den = den * inv
+    def __init__(self, num: UniPoly, den: UniPoly):
         self.num = num
         self.den = den
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatFn):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def eval(self, x: Scalar) -> Rat:
-        d = self.den.eval(x)
-        if not d:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.num.eval(x) / d
-
-    def __str__(self) -> str:
-        if self.den == 1:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RatFn({self})"
-

@@ -90,10 +90,10 @@ def _split(b: Poly2, candidates: "list[Poly2]") -> "list[Poly2]":
     return fs + [b]
 
 
-def wz_residual(ident: WZIdentity, certificate: Optional[RatFunc2] = None) -> RatFunc2:
+def wz_residual(ident: WZIdentity) -> RatFunc2:
     """(s - 1) - (R(n,k+1)*r - R(n,k)) as an exact rational function.
 
-    Zero iff the certificate proves the identity.  With R = A/B it is built
+    Zero iff ident.certificate proves the identity.  With R = A/B it is built
     over the lcm of the denominators Sd, B(k+1)*den(r) and B as multisets of
     monic factors: B is split by trial division by the linear factors of both
     shift quotients (and p(k) if linear), each tried only where B vanishes at
@@ -102,7 +102,7 @@ def wz_residual(ident: WZIdentity, certificate: Optional[RatFunc2] = None) -> Ra
     so it equals the residual over the full product Sd*B(k+1)*den(r)*B.
     """
     _require_wz(ident)
-    cert = certificate if certificate is not None else ident.certificate
+    cert = ident.certificate
     if cert is None:
         raise MissingCertificate(f"{ident.name} carries no certificate")
     s_num, s_den, scal = shift_quotient_n_parts(ident.term, ident.rhs)

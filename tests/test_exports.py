@@ -23,7 +23,8 @@ def test_every_exported_name_exists(module):
 
 
 @pytest.mark.parametrize("path", ["wzpi.g_value", "wzpi.PoleOnLattice", "wzpi.wz.g_value",
-                                  "wzpi.wz.PoleOnLattice", "wzpi.terms.shift_quotient_n"])
+                                  "wzpi.wz.PoleOnLattice", "wzpi.terms.shift_quotient_n",
+                                  "wzpi.RatFn"])
 def test_removed_names_are_gone(path):
     module, name = path.rsplit(".", 1)
     module = importlib.import_module(module)

@@ -345,7 +345,7 @@ def test_synthesis_produces_verified_certificates(name, synthesis):
     assert result.certificate is not None
     assert result.report is not None and result.report.symbolic_ok
     ident = load_builtin(name)
-    assert wz_residual(ident, result.certificate).num.is_zero
+    assert wz_residual(replace(ident, certificate=result.certificate)).num.is_zero
     # boundary normalization: certificate vanishes along k = 0
     assert not result.certificate.num.eval_k(0)
 

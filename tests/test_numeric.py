@@ -1,5 +1,5 @@
 """Floating-point layer: log-gamma, numeric closed forms, series summation
-(accelerated when z < 0), and the machine-precision pi targets."""
+(accelerated when z < 0), and the machine-precision pi targets, frozen."""
 from __future__ import annotations
 
 import math
@@ -193,6 +193,18 @@ def test_direct_summation_bounds_a_slow_tail_of_one_sign(poch, exact):
     assert abs(series_numeric(term, 0, cfg) - exact) <= 1e-10
 
 
+def test_direct_walk_keeps_the_first_term_that_meets_the_tolerance():
+    # geometric with ratio 1/3: the walk stops at the first t(j) with
+    # t(j) <= tol*(1 - 1/3)/2 and sums t(0), ..., t(j), that term included
+    term = HyperTerm(poch=(), fact_pow=0, z=Fraction(1, 3), p=(1,))
+    for tol in (1e-4, 1e-6, 1e-9, 1e-12):
+        terms = [1.0]
+        while terms[-1] > tol * (1 - 1 / 3) / 2:
+            terms.append(terms[-1] * (1 / 3))
+        got = series_numeric(term, 0, NumericConfig(target_abs_tol=tol))
+        assert got == math.fsum(terms) != math.fsum(terms[:-1]), tol
+
+
 def test_direct_summation_raises_on_slow_series():
     slow = HyperTerm(poch=(PochFactor(0, 1, 2), PochFactor(0, 2, -2)),
                      fact_pow=0, z=1, p=(1,))
@@ -312,6 +324,39 @@ def test_half_angle_cosine_sum_identity():
 
 
 # -- pi estimates ------------------------------------------------------------------------
+
+# the floats the two estimates give, frozen bit for bit: r1103 is summed
+# directly, ramanujan accelerated (None: the default tolerance, 1e-13)
+PI_AT_TOL = {
+    "r1103": {None: 3.141592653589793, 1e-6: 3.1415926535897936,
+              1e-9: 3.141592653589793, 1e-12: 3.141592653589793,
+              1e-15: 3.141592653589793},
+    "ramanujan": {None: 3.1415926535897936, 1e-6: 3.1415926510004457,
+                  1e-9: 3.1415926535880123, 1e-12: 3.1415926535897936,
+                  1e-15: 3.141592653589794},
+}
+PI_AT_TERMS = {
+    "r1103": {1: 3.1415927300133055, 2: 3.1415926535897936, 3: 3.141592653589793,
+              100: 3.141592653589793, 402: 3.141592653589793, 403: 3.141592653589793,
+              1000: 3.141592653589793},
+    "ramanujan": {1: 3.0, 2: 3.090909090909091, 3: 3.13353115727003,
+                  100: 3.141592653589795, 402: 3.1415926535897927, 403: 3.141592653589793,
+                  1000: 3.141592653589792},
+}
+
+
+@pytest.mark.parametrize("name, tol", [(name, tol) for name in PI_AT_TOL
+                                       for tol in PI_AT_TOL[name]])
+def test_pi_estimate_at_a_tolerance_is_frozen(name, tol):
+    cfg = None if tol is None else NumericConfig(target_abs_tol=tol)
+    assert pi_from_series(name, cfg) == PI_AT_TOL[name][tol]
+
+
+@pytest.mark.parametrize("name, terms", [(name, m) for name in PI_AT_TERMS
+                                         for m in PI_AT_TERMS[name]])
+def test_pi_estimate_from_a_term_count_is_frozen(name, terms):
+    assert pi_from_series(name, terms=terms) == PI_AT_TERMS[name][terms]
+
 
 def test_two_term_tail_estimate_reaches_double_precision():
     est = pi_from_series("r1103", terms=2)

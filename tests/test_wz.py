@@ -84,9 +84,9 @@ def test_missing_certificate_raises():
 def test_wz_residual_accepts_an_override_certificate():
     ident = load_builtin("theorem1")
     good = ident.certificate
-    assert wz_residual(ident, good).num.is_zero
+    assert wz_residual(replace(ident, certificate=good)).num.is_zero
     bad = RatFunc2(good.num + Poly2.var("k"), good.den)
-    assert not wz_residual(ident, bad).num.is_zero
+    assert not wz_residual(replace(ident, certificate=bad)).num.is_zero
 
 
 @given(nonzero_poly2s)
@@ -94,7 +94,7 @@ def test_residual_is_invariant_under_certificate_rescaling(c):
     ident = load_builtin("theorem1")
     cert = ident.certificate
     scaled = RatFunc2(cert.num * c, cert.den * c)
-    assert wz_residual(ident, scaled).num.is_zero
+    assert wz_residual(replace(ident, certificate=scaled)).num.is_zero
 
 
 # -- the residual against the formula over the full product of denominators --------
@@ -111,7 +111,8 @@ def reference_residual(ident, cert):
 def residual_is_zero(ident, cert):
     """Whether the residual is zero, after checking that it equals the
     reference as a rational function and is zero exactly when that is."""
-    new, ref = wz_residual(ident, cert), reference_residual(ident, cert)
+    new = wz_residual(replace(ident, certificate=cert))
+    ref = reference_residual(ident, cert)
     assert new.num * ref.den == ref.num * new.den
     assert new.num.is_zero == ref.num.is_zero
     return new.num.is_zero
