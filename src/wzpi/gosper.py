@@ -69,9 +69,9 @@ class DegenerateRatio(ArithmeticError):
 class UniPolyQn:
     """A polynomial in k with coefficients in Q[n], viewed through one Poly2.
 
-    The solve and the assembly read ``poly``, ``shift`` and ``lc``; since the
-    normal form stopped taking p's content, nothing in the package reads the
-    columns.  The class stays only because the benchmark's probes read the
+    The solve reads ``poly`` and ``shift``, and only the tests read ``lc``;
+    since the normal form stopped taking p's content, nothing in the package
+    reads the columns.  The class stays only because the benchmark's probes read the
     normal form through ``eval_n``, ``coeffs`` and ``shift`` (and
     ``_degree_bound`` on it); it waits for ROADMAP item 1 to drop them."""
 
