@@ -4,12 +4,11 @@ accelerated when z < 0, which the pi estimators share), and the
 machine-precision spot checks used by the test suite and CLI.
 
 The closed forms are products of Pochhammer symbols at rational offsets, so
-everything reduces to a log-gamma kernel (Lanczos approximation, g = 7, with
-reflection for arguments left of 1/2 and explicit sign tracking).  Series at
-the analytic-continuation point converge like k^(-1/2) with alternating
-signs, far too slowly to sum directly; the accelerator maps n terms of an
-alternating series to roughly 1.76*n digits (error ~ (3 + sqrt(8))^(-n)), so
-fifty terms give full double precision.
+everything reduces to log |Gamma| (math.lgamma) with the sign tracked apart.
+Series at the analytic-continuation point converge like k^(-1/2) with
+alternating signs, far too slowly to sum directly; the accelerator maps n
+terms of an alternating series to roughly 1.76*n digits (error ~
+(3 + sqrt(8))^(-n)), so fifty terms give full double precision.
 """
 from __future__ import annotations
 
@@ -50,50 +49,19 @@ class NumericConfig:
     max_terms: int = 10000
 
 
-# -- log-gamma kernel ----------------------------------------------------------
-
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _sinpi(x: float) -> float:
-    """sin(pi*x) computed from the nearest-integer residual for accuracy."""
-    r = x - round(x)
-    s = math.sin(math.pi * r)
-    return s if round(x) % 2 == 0 else -s
-
-
-def _lanczos_positive(x: float) -> float:
-    """log Gamma(x) for x >= 0.5."""
-    xm1 = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (xm1 + i)
-    t = xm1 + 7.5
-    return _HALF_LOG_2PI + (xm1 + 0.5) * math.log(t) - t + math.log(acc)
+# -- log-gamma ------------------------------------------------------------------
 
 
 def log_gamma(x: float) -> tuple[float, int]:
-    """(log |Gamma(x)|, sign of Gamma(x)); raises PoleError at 0, -1, -2, ..."""
+    """(log |Gamma(x)|, sign of Gamma(x)); raises PoleError at 0, -1, -2, ...
+
+    |Gamma| comes from math.lgamma.  Left of 0, Gamma(x) is negative on the
+    intervals (-1, 0), (-3, -2), ..., where floor(x) is odd.
+    """
     x = float(x)
-    if x >= 0.5:
-        return _lanczos_positive(x), 1
-    if x == math.floor(x):
+    if x <= 0 and x == math.floor(x):
         raise PoleError(f"gamma pole at {x}")
-    # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    s = _sinpi(x)
-    value = math.log(math.pi / abs(s)) - log_gamma(1.0 - x)[0]
-    return value, 1 if s > 0 else -1
+    return math.lgamma(x), 1 if x > 0 or math.floor(x) % 2 == 0 else -1
 
 
 # -- closed form and term values at real arguments ------------------------------
@@ -116,12 +84,6 @@ def rhs_numeric(rhs: ClosedForm, n: float) -> float:
             log_abs += power * (la - lb)
             sign *= (sa * sb) ** power
     return sign * math.exp(log_abs)
-
-
-def _first_term(t: HyperTerm) -> float:
-    """t(0), prefactors included: every Pochhammer factor, z^0 and 0! are 1."""
-    return (float(t.prefactor_rational) * math.sqrt(float(t.prefactor_sqrt))
-            * float(p_eval(t, 0)))
 
 
 def _term_ratio(t: HyperTerm, n: float) -> Callable[[int], float]:
@@ -190,67 +152,55 @@ def _accelerated_alternating(a: list[float]) -> float:
     return s / d
 
 
-def _accelerated_sum(
-    t: HyperTerm, n: float, cfg: NumericConfig, terms: Optional[int] = None
-) -> float:
-    """Accelerated sum over k >= 0 of a strictly alternating series.
-
-    Uses `terms` terms, or (when None or 0) enough for cfg.target_abs_tol;
-    never more than cfg.max_terms.  Raises ValueError unless t(k+1)/t(k) < 0
-    for every k it uses.
-    """
-    m = terms or (
-        int(math.log(4.0 / cfg.target_abs_tol) / math.log(3.0 + math.sqrt(8.0))) + 3
-    )
-    m = min(m, cfg.max_terms)
-    ratio = _term_ratio(t, n)
-    t0 = _first_term(t)
-    a = [abs(t0)]
-    for k in range(m - 1):
-        rk = ratio(k)
-        if rk >= 0:
-            raise ValueError(f"term ratio {rk:g} at k={k} is not negative: the "
-                             f"alternating accelerator needs terms of alternating sign")
-        a.append(a[-1] * -rk)
-    return math.copysign(1.0, t0) * _accelerated_alternating(a)
-
-
 def _series_sum(
     t: HyperTerm, n: float, cfg: NumericConfig, terms: Optional[int] = None
 ) -> float:
     """Sum over k >= 0 of a series that does not terminate at n.
 
-    A series with z < 0 goes to the accelerator.  Any other is summed
-    directly (with math.fsum), up to and including the first term t(k+1)
-    that meets the tolerance: on an alternating tail, |t(k+1)| below it and
-    no larger than |t(k)|; on a tail of one sign, |t(k+1)| <= tol*(1 - rho)/2
-    with rho = max(t(k+1)/t(k), |z|).  A zero term t(k+1) with p(k+1) != 0
-    also ends the walk: the Pochhammer part has terminated.  A zero of
+    One walk over the term ratios collects t(0), t(1), ...  A series with
+    z < 0 hands |t(k)| to the accelerator: it uses `terms` terms, or (when
+    None or 0) enough for cfg.target_abs_tol, and raises ValueError unless
+    t(k+1)/t(k) < 0 for every k it uses.  Any other series is summed directly
+    (with math.fsum), up to and including the first term t(k+1) that meets
+    the tolerance: on an alternating tail, |t(k+1)| below it and no larger
+    than |t(k)|; on a tail of one sign, |t(k+1)| <= tol*(1 - rho)/2 with
+    rho = max(t(k+1)/t(k), |z|).  A zero term t(k+1) with p(k+1) != 0 also
+    ends the direct walk: the Pochhammer part has terminated.  A zero of
     p(k+1) does not; the next ratio raises PoleError there.  `terms`, when
-    given, fixes the number of terms instead of the tolerance; either way
-    the walk uses at most cfg.max_terms, and raises NoConvergence where the
-    tolerance needs more.
+    given, fixes the number of terms instead of the tolerance.  Either walk
+    uses at most cfg.max_terms terms, and the direct one raises NoConvergence
+    where the tolerance needs more.
     """
-    if float(t.z) < 0:
-        return _accelerated_sum(t, n, cfg, terms)
+    z = float(t.z)
+    m = terms or (int(math.log(4.0 / cfg.target_abs_tol) / math.log(3.0 + math.sqrt(8.0))) + 3
+                  if z < 0 else cfg.max_terms)
     ratio = _term_ratio(t, n)
-    tk = _first_term(t)
+    # t(0), prefactors included: every Pochhammer factor, z^0 and 0! are 1
+    tk = (float(t.prefactor_rational) * math.sqrt(float(t.prefactor_sqrt))
+          * float(p_eval(t, 0)))
     acc = [tk]
-    for k in range(min(terms or cfg.max_terms, cfg.max_terms) - 1):
+    for k in range(min(m, cfg.max_terms) - 1):
         rk = ratio(k)
         prev, tk = tk, tk * rk
         acc.append(tk)
-        if tk == 0:
+        if z < 0:
+            if rk >= 0:
+                raise ValueError(f"term ratio {rk:g} at k={k} is not negative: the "
+                                 f"alternating accelerator needs terms of alternating sign")
+            done = False
+        elif tk == 0:
             done = p_eval(t, k + 1) != 0
         elif terms:
             done = False
         elif rk < 0:
             done = abs(tk) <= cfg.target_abs_tol and abs(tk) <= abs(prev)
         else:  # half the tolerance is left for the rounding of the terms
-            rho = max(rk, abs(float(t.z)))
+            rho = max(rk, abs(z))
             done = rho < 1 and abs(tk) <= cfg.target_abs_tol * (1 - rho) / 2
         if done:
             return math.fsum(acc)
+    if z < 0:
+        return math.copysign(1.0, acc[0]) * _accelerated_alternating([abs(a) for a in acc])
     if not terms:
         raise NoConvergence(f"series did not reach {cfg.target_abs_tol:g} "
                             f"within {cfg.max_terms} terms")
@@ -258,20 +208,18 @@ def _series_sum(
 
 
 def series_numeric(
-    t: HyperTerm | WZIdentity, n: float, cfg: Optional[NumericConfig] = None
+    t: HyperTerm, n: float, cfg: Optional[NumericConfig] = None
 ) -> float:
     """Sum the series over k >= 0 at a real argument n.
 
     Where the series terminates, at a nonnegative integer n, its terms are
     summed exactly (term_sum) and the sum is rounded once; NoConvergence is
-    raised when that takes more than cfg.max_terms terms.  Otherwise a
-    series with z < 0 goes to the accelerator, which needs only O(digits)
-    terms and raises ValueError unless the terms strictly alternate in sign,
-    and any other series is summed directly until its tail is below
-    cfg.target_abs_tol (_series_sum gives the stopping rule).
+    raised when that takes more than cfg.max_terms terms.  Otherwise
+    _series_sum walks the terms: a series with z < 0 is accelerated, which
+    needs only O(digits) terms and raises ValueError unless the terms
+    strictly alternate in sign, and any other series is summed directly
+    until its tail is below cfg.target_abs_tol.
     """
-    if isinstance(t, WZIdentity):
-        t = t.term
     cfg = cfg or NumericConfig()
     bound = termination_bound(t, int(n)) if n >= 0 and float(n).is_integer() else None
     if bound is not None:

@@ -388,6 +388,7 @@ def test_broken_pipe_exits_quietly_with_its_code(capsys, monkeypatch, tmp_path):
         ("numeric --id theorem1 --tol inf", EXIT_USAGE),
         ("numeric --id theorem1 --point=-1000", EXIT_CHECK_FAILED),
         ("numeric --id theorem1 --point=1e400", EXIT_CHECK_FAILED),
+        ("numeric --id theorem1 --point 1e308", EXIT_CHECK_FAILED),
     )
 ])
 def test_out_of_range_numbers_end_with_their_code_and_no_traceback(capsys, argv,

@@ -76,6 +76,27 @@ def test_log_gamma_matches_high_precision_oracle():
         assert abs(la - float(mpmath.log(abs(g)))) < 1e-12 * max(1.0, abs(la))
 
 
+def test_log_gamma_matches_mpmath_on_seeded_points():
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 2000:
+        x = rng.uniform(-20.0, 60.0)
+        if x <= 0 and abs(x - round(x)) < 1e-6:
+            continue
+        la, sign = log_gamma(x)
+        g = mpmath.gamma(x)
+        assert sign == mpmath.sign(g), x
+        ref = mpmath.log(abs(g))
+        assert abs(la - ref) <= 2e-15 * max(1, abs(ref)), x
+        checked += 1
+
+
+def test_log_gamma_is_finite_at_the_smallest_subnormal_and_infinite_at_inf():
+    la, sign = log_gamma(5e-324)
+    assert sign == 1 and abs(la - float(-mpmath.log(mpmath.mpf(5e-324)))) < 1e-12
+    assert log_gamma(math.inf) == (math.inf, 1)
+
+
 def test_log_gamma_recurrence():
     rng = random.Random(1103)
     for _ in range(200):
@@ -121,6 +142,11 @@ def test_gamma_quarter_ratio_against_frozen_oracle():
 def pochhammer(arg) -> ClosedForm:
     """(arg)_n as a closed form: base 1 and the single factor (arg)^1."""
     return ClosedForm(base=1, poch_n=((arg, 1),))
+
+
+def test_rhs_numeric_raises_where_the_closed_form_overflows():
+    with pytest.raises(OverflowError):
+        rhs_numeric(load_builtin("theorem1").rhs, 1e308)
 
 
 def test_rhs_numeric_of_a_pochhammer_at_zero_count_is_exactly_one():
@@ -274,13 +300,13 @@ def test_terminating_series_is_the_exact_sum_rounded(name):
     ident = load_builtin(name)
     for n in range(41):
         expected = float(rhs_exact(ident.rhs, n))
-        assert abs(series_numeric(ident, n) - expected) <= 1e-12 * abs(expected), n
+        assert abs(series_numeric(ident.term, n) - expected) <= 1e-12 * abs(expected), n
 
 
 def test_terminating_series_longer_than_max_terms_is_not_summed():
     # theorem1 terminates at k = n here; summing 10^6 exact terms would not end
     with pytest.raises(NoConvergence, match="1000001 terms, more than 10000"):
-        series_numeric(load_builtin("theorem1"), 10 ** 6)
+        series_numeric(load_builtin("theorem1").term, 10 ** 6)
 
 
 # -- rational-point checks --------------------------------------------------------------

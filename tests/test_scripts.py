@@ -1,0 +1,40 @@
+"""Smoke runs of the scripts that read the continuation-point helpers
+(trig_identity_check, reduces_to_ramanujan): each exits 0 and reports no
+failure."""
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import WZ_NAMES
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    return done.stdout
+
+
+def test_carlson_sweep_lands_on_two_over_pi():
+    out = run_script("carlson_sweep.py")
+    worst = re.search(r"^worst distance from 2/pi: (\S+)$", out, re.M)
+    assert worst is not None, out
+    assert float(worst.group(1)) < 1e-9
+    assert "pi estimates:" in out
+
+
+def test_every_identity_reduces_in_the_reduction_table():
+    out = run_script("reduction_table.py")
+    assert "MISMATCH" not in out
+    rows = [line for line in out.splitlines() if line.endswith(" ok")]
+    assert len(rows) == len(WZ_NAMES)  # every wz record has a continuation point
