@@ -3,9 +3,12 @@ telescoping hypergeometric identities whose closed forms continue to 2/pi.
 
 Layers, bottom up:
 
-- ``algebra``: exact arithmetic in Q[n,k], and certificates as unreduced
-  quotients with cross-multiplication equality and no arithmetic.
-- ``unipoly``: univariate polynomials over Q (the assembly's Q[n] gcds).
+- ``algebra``: exact arithmetic in Q[n,k], the int gcd in Q[n] that the
+  certificate assembly takes, and certificates as unreduced quotients with
+  cross-multiplication equality and no arithmetic.
+- ``unipoly``: the surface the benchmark's probes read (the normal form's
+  ``UniPolyQn`` view, ``UniPoly``, ``RatFn``, ``interpolate``); no product
+  path computes with it.
 - ``terms``: hypergeometric summands (Pochhammer factor lists), closed forms,
   exact values, shift quotients, and the substitution that collapses every
   catalog identity to the classical alternating series.
@@ -39,7 +42,6 @@ from .catalog import (
 from .gosper import (
     DegenerateRatio,
     GosperResult,
-    UniPolyQn,
     gosper_normal_form,
     gosper_solve,
     h_ratio,
@@ -67,7 +69,7 @@ from .terms import (
     term_value,
     termination_bound,
 )
-from .unipoly import UniPoly
+from .unipoly import UniPoly, UniPolyQn
 from .wz import (
     CertReport,
     MissingCertificate,

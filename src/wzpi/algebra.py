@@ -18,13 +18,15 @@ Kronecker substitution (k -> x, n -> x^w, x -> 2^s, where w exceeds the
 product's degree in k and the s-bit slots hold any signed coefficient), does
 one bigint multiply and unpacks the slots with borrow.  A Fraction is
 built only for a value handed back: ``eval``, ``eval_k``, ``coeff`` and
-the read-only ``terms`` mapping.
+the read-only ``terms`` mapping.  ``gcd_n``, the gcd in Q[n] that the
+certificate assembly takes, runs on the ints too, by a primitive
+pseudo-remainder sequence.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Fraction
 Scalar = Union[Rat, int]
@@ -362,6 +364,81 @@ def _coerce(x: "Poly2 | Scalar") -> Poly2:
     return Poly2.const(x)
 
 
+# -- gcds in Q[n] on ints (primitive pseudo-remainder sequence) -------------------
+
+def _istrip(c: list[int]) -> list[int]:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _iprem(u: list[int], v: list[int]) -> list[int]:
+    """Pseudo-remainder of u by v: some lc(v)^s * u reduced mod v."""
+    u = list(u)
+    n = len(v) - 1
+    lcv = v[-1]
+    while len(u) - 1 >= n and u:
+        d = len(u) - 1 - n
+        lcu = u[-1]
+        u = [c * lcv for c in u]
+        for i, vc in enumerate(v):
+            u[i + d] -= lcu * vc
+        _istrip(u)
+    return u
+
+
+def _icontent(c: Sequence[int]) -> int:
+    g = 0
+    for x in c:
+        g = math.gcd(g, abs(x))
+        if g == 1:
+            break
+    return g
+
+
+def _iprimitive(c: Sequence[int]) -> list[int]:
+    c = _istrip(list(c))
+    if not c:
+        return []
+    g = _icontent(c)
+    if c[-1] < 0:
+        g = -g
+    return [x // g for x in c]
+
+
+def _igcd_poly(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two integer polynomials (lc > 0), as ascending
+    coefficient lists; the primitive parts keep the remainders small."""
+    a = _iprimitive(a)
+    b = _iprimitive(b)
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _iprimitive(_iprem(a, b))
+        a, b = b, r
+    return _iprimitive(a)
+
+
+def gcd_n(polys: Iterable[Poly2]) -> Poly2:
+    """The gcd over Q[n] of polynomials in n alone, primitive: int
+    coefficients with content 1 and a positive leading one.  It is zero
+    when every input is, and it reads no input after the gcd reaches 1.  A
+    denominator is a unit of Q[n], so only the ints enter."""
+    g: list[int] = []
+    for f in polys:
+        col = [0] * (f.degree("n") + 1)
+        for (i, _), c in f.ints.items():
+            col[i] = c
+        g = _igcd_poly(g, col)
+        if g == [1]:
+            break
+    return _lowest({(i, 0): c for i, c in enumerate(g)}, 1)
+
+
 class RatFunc2:
     """Unreduced quotient of two Poly2: a certificate as printed or as
     synthesized.  Equality is decided by cross-multiplication, so instances
@@ -376,10 +453,6 @@ class RatFunc2:
             raise DivisionByZeroFunction("zero denominator polynomial")
         self.num = num
         self.den = den
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
 
     def __eq__(self, other: object) -> bool:
         """True iff the two quotients agree as rational functions."""

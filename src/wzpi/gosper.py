@@ -24,8 +24,8 @@ Pipeline (names follow the classical presentation):
                          ``dispersion_candidates``), and (k+b)...(k+b+j-1)
                          moves into p, which keeps w's content in Q[n]
                          (the assembly cancels it).  p, q and r are
-                         ``UniPolyQn``, views of one ``Poly2`` each:
-                         polynomials in k over Q[n].
+                         ``Poly2`` in k over Q[n], handed on wrapped in
+                         ``unipoly.UniPolyQn`` for the benchmark's probes.
 3. ``gosper_solve``   -- degree-bound the unknown polynomial x(k) and solve
                          ``q(k) x(k+1) - r(k-1) x(k) = p(k)`` by back-
                          substitution on ``Poly2`` without fractions: the
@@ -33,24 +33,25 @@ Pipeline (names follow the classical presentation):
                          whose unknown the rows left over fix; x = X(n,k)/D(n).
 4. ``synthesize_certificate`` -- assemble ``R = (r(k-1) x(k) / p(k))(s - 1)``
                          as a ``Poly2`` quotient in lowest terms from the
-                         factor lists (*A = B* ch. 5-7); accept it only after
-                         the full verifier passes.
+                         factor lists and one int gcd in Q[n]
+                         (``algebra.gcd_n``; *A = B* ch. 5-7); accept it
+                         only after the full verifier passes.
 """
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Optional
 
-from .algebra import Poly2, RatFunc2, Rat
+from .algebra import Poly2, RatFunc2, Rat, gcd_n
 from .terms import factor_product, multiplier, shift_quotient_k_parts, shift_quotient_n_parts
-from .unipoly import RatFn, UniPoly
+from .unipoly import UniPolyQn
 from .wz import CertReport, WZIdentity, verify_certificate
 
 __all__ = [
     "DegenerateRatio",
     "GosperResult",
-    "UniPolyQn",
     "dispersion_candidates",
     "gosper_normal_form",
     "gosper_solve",
@@ -63,54 +64,7 @@ class DegenerateRatio(ArithmeticError):
     """The WZ difference vanishes identically, so there is nothing to sum."""
 
 
-# -- polynomials in k with coefficients in Q[n] ---------------------------------
-
-
-class UniPolyQn:
-    """A polynomial in k with coefficients in Q[n], viewed through one Poly2.
-
-    The solve reads ``poly`` and ``shift``, and only the tests read ``lc``;
-    since the normal form stopped taking p's content, nothing in the package
-    reads the columns.  The class stays only because the benchmark's probes read the
-    normal form through ``eval_n``, ``coeffs`` and ``shift`` (and
-    ``_degree_bound`` on it); it waits for ROADMAP item 1 to drop them."""
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: Poly2):
-        self.poly = poly
-
-    def degree(self) -> int:
-        return self.poly.degree("k")
-
-    @property
-    def lc(self) -> Poly2:
-        return _lc(self.poly)
-
-    def coeff(self, i: int) -> Poly2:
-        return self.poly.k_coeff(i)
-
-    def _columns(self) -> list[UniPoly]:
-        return [UniPoly(self.coeff(j).eval_k(0)) for j in range(self.degree() + 1)]
-
-    @property
-    def coeffs(self) -> tuple[RatFn, ...]:
-        return tuple(RatFn(c, UniPoly.const(1)) for c in self._columns())
-
-    def shift(self, delta) -> "UniPolyQn":
-        """Substitute k -> k + delta for a rational constant delta."""
-        return UniPolyQn(self.poly.shift("k", delta))
-
-    def eval_n(self, n0: Rat) -> UniPoly:
-        """Specialize n, returning a univariate polynomial in k over Q."""
-        return UniPoly([c.eval(n0) for c in self._columns()])
-
-
 _K = Poly2.var("k")
-
-
-def _unipoly_to_poly2_n(p: UniPoly) -> Poly2:
-    return Poly2({(i, 0): c for i, c in enumerate(p.c) if c})
 
 
 def _lc(f: Poly2) -> Poly2:
@@ -337,9 +291,10 @@ def _certificate_from_solution(
     """R = r(k-1) x(k) (s - 1) / p(k) in lowest terms.  As p = w prod(moved)
     and s - 1 = w / (den(s) * multiplier), R = r(k-1) x(k) / (den(s) *
     multiplier * prod(moved)) exactly: neither w nor p enters.  The
-    factors with k of the denominator are divided out where they divide; Q[n]
-    gcds with the columns of k, until one is 1, cancel what is left in n,
-    the content of w among it."""
+    factors with k of the denominator are divided out where they divide.
+    What is left in n, the content of w among it, cancels through the gcd
+    over Q[n] (``gcd_n``, on ints) of the k-free part of the denominator and
+    the k-columns of the numerator; the denominator is then made monic in n."""
     _, s_den, scal = shift_quotient_n_parts(ident.term, ident.rhs)
     den = lists.moved + s_den + [multiplier(ident.term), Poly2.const(scal.denominator)]
     # equal factors of r(k-1) and the denominator cancel as list items
@@ -355,16 +310,13 @@ def _certificate_from_solution(
         else:
             num = quo
     kfree = factor_product([f for f in den if f.degree("k") <= 0])
-    d = UniPoly((x.den * kfree).eval_k(0))
-    g = d
-    for j in range(num.degree("k") + 1):
-        if g.degree == 0:
-            break
-        g = g.gcd(UniPoly(num.k_coeff(j).eval_k(0)))
+    d = x.den * kfree
+    g = gcd_n(chain([d], (num.k_coeff(j) for j in range(num.degree("k") + 1))))
     # the denominator d / g, made monic in n
-    d = d.exact_div(g)
-    num = num.divide(_unipoly_to_poly2_n(g * d.lc))
-    return RatFunc2(num, _unipoly_to_poly2_n(d.monic()) * factor_product(left))
+    d = d.divide(g)
+    lc = d.coeff(d.degree("n"), 0)
+    num = num.divide(g * lc)
+    return RatFunc2(num, d * (1 / lc) * factor_product(left))
 
 
 def synthesize_certificate(ident: WZIdentity) -> GosperResult:

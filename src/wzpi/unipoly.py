@@ -1,79 +1,21 @@
-"""Exact univariate polynomials over Q.
+"""The benchmark's view of the normal form: univariate polynomials over Q.
 
-``UniPoly`` stores dense coefficient tuples (ascending powers, trailing zeros
-stripped; the zero polynomial is the empty tuple).  Gcds run on integer
-primitive parts with a primitive pseudo-remainder sequence, which keeps
-intermediate coefficients bounded; the certificate assembly takes its few
-Q[n] gcds and exact divisions here.  ``RatFn`` is a bare (num, den) pair
-and ``interpolate`` a Lagrange interpolant: only the benchmark's probes of
-the normal form read them, and they wait for ROADMAP item 1 to drop them.
+No product path computes here.  ``gosper`` wraps the p, q and r of its
+normal form in ``UniPolyQn``, a polynomial in k over Q[n] viewed through
+one ``Poly2``, and the benchmark's probes read them through ``eval_n`` and
+``coeffs``.  ``UniPoly`` stores dense coefficient tuples (ascending powers,
+trailing zeros stripped; the zero polynomial is the empty tuple), and its
+gcd runs on ``algebra``'s int primitive pseudo-remainder sequence.
+``RatFn`` is a bare (num, den) pair and ``interpolate`` a Lagrange
+interpolant.  The module waits for ROADMAP item 1 to drop the probes.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-Rat = Fraction
-Scalar = Union[Rat, int]
-
-
-# -- integer-coefficient helpers (primitive PRS) ------------------------------
-
-def _istrip(c: list[int]) -> list[int]:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _iprem(u: list[int], v: list[int]) -> list[int]:
-    """Pseudo-remainder of u by v: some lc(v)^s * u reduced mod v."""
-    u = list(u)
-    n = len(v) - 1
-    lcv = v[-1]
-    while len(u) - 1 >= n and u:
-        d = len(u) - 1 - n
-        lcu = u[-1]
-        u = [c * lcv for c in u]
-        for i, vc in enumerate(v):
-            u[i + d] -= lcu * vc
-        _istrip(u)
-    return u
-
-
-def _icontent(c: Sequence[int]) -> int:
-    g = 0
-    for x in c:
-        g = _igcd(g, abs(x))
-        if g == 1:
-            break
-    return g
-
-
-def _iprimitive(c: Sequence[int]) -> list[int]:
-    c = _istrip(list(c))
-    if not c:
-        return []
-    g = _icontent(c)
-    if c[-1] < 0:
-        g = -g
-    return [x // g for x in c]
-
-
-def _igcd_poly(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of two integer polynomials (lc > 0)."""
-    a = _iprimitive(a)
-    b = _iprimitive(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _iprimitive(_iprem(a, b))
-        a, b = b, r
-    return _iprimitive(a)
+from .algebra import Poly2, Rat, Scalar, _igcd_poly
 
 
 class UniPoly:
@@ -150,12 +92,6 @@ class UniPoly:
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
 
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ArithmeticError("inexact polynomial division")
-        return q
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -191,22 +127,6 @@ class UniPoly:
         b, _ = other.int_coeffs()
         return UniPoly(_igcd_poly(a, b)).monic()
 
-    def __str__(self) -> str:
-        if not self.c:
-            return "0"
-        parts = []
-        for i in range(len(self.c) - 1, -1, -1):
-            a = self.c[i]
-            if not a:
-                continue
-            mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            coef = str(a) if (i == 0 or abs(a) != 1) else ("-" if a < 0 else "")
-            parts.append(coef + ("*" if coef not in ("", "-") and mono else "") + mono)
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"UniPoly({str(self)})"
-
 
 def interpolate(points: Sequence[tuple[Scalar, Scalar]]) -> UniPoly:
     """Lagrange interpolation through distinct sample points."""
@@ -235,3 +155,36 @@ class RatFn:
     def __init__(self, num: UniPoly, den: UniPoly):
         self.num = num
         self.den = den
+
+
+class UniPolyQn:
+    """A polynomial in k with coefficients in Q[n], viewed through one Poly2.
+
+    The solve reads ``poly`` and ``shift``; the benchmark's probes read
+    ``eval_n`` and ``coeffs`` (and ``gosper._degree_bound`` on it)."""
+
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: Poly2):
+        self.poly = poly
+
+    def degree(self) -> int:
+        return self.poly.degree("k")
+
+    def coeff(self, i: int) -> Poly2:
+        return self.poly.k_coeff(i)
+
+    def _columns(self) -> list[UniPoly]:
+        return [UniPoly(self.coeff(j).eval_k(0)) for j in range(self.degree() + 1)]
+
+    @property
+    def coeffs(self) -> tuple[RatFn, ...]:
+        return tuple(RatFn(c, UniPoly.const(1)) for c in self._columns())
+
+    def shift(self, delta) -> "UniPolyQn":
+        """Substitute k -> k + delta for a rational constant delta."""
+        return UniPolyQn(self.poly.shift("k", delta))
+
+    def eval_n(self, n0: Rat) -> UniPoly:
+        """Specialize n, returning a univariate polynomial in k over Q."""
+        return UniPoly([c.eval(n0) for c in self._columns()])

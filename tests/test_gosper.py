@@ -2,11 +2,12 @@
 ratio assembly, and end-to-end certificate synthesis."""
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wzpi import (
@@ -29,7 +30,10 @@ from wzpi import (
     term_value,
     wz_residual,
 )
-from wzpi.gosper import dispersion_candidates
+from wzpi import unipoly
+from wzpi.algebra import gcd_n
+from wzpi.cli import main
+from wzpi.gosper import _lc, dispersion_candidates
 from wzpi.terms import factor_product, multiplier
 
 from conftest import (WZ_NAMES, RefRat, chu_vandermonde, family_identities,
@@ -140,7 +144,7 @@ def coprime_at(q: UniPolyQn, r: UniPolyQn, j: int) -> bool:
     coefficient vanishes.  n0 is no integer, so that roots k = -(b*n + c)
     with small b do not meet by accident."""
     n0 = next(n0 for n0 in (m + Fraction(1, 97) for m in range(2, 64))
-              if q.lc.eval(n0, 0) and r.lc.eval(n0, 0))
+              if _lc(q.poly).eval(n0, 0) and _lc(r.poly).eval(n0, 0))
     return q.eval_n(n0).gcd(r.shift(j).eval_n(n0)).degree == 0
 
 
@@ -408,8 +412,8 @@ def test_pfaff_saalschuetz_with_a_zero_pivot_is_summable(a, b, c, sigma):
     rm1, top = r.shift(-1), q.degree()
     # the pivot of x_sigma vanishes, and sigma, not deg p - deg q + 1, sets
     # the degree bound
-    assert rm1.degree() == top and rm1.lc == q.lc
-    assert rm1.coeff(top - 1) - q.coeff(top - 1) == q.lc * sigma
+    assert rm1.degree() == top and _lc(rm1.poly) == _lc(q.poly)
+    assert rm1.coeff(top - 1) - q.coeff(top - 1) == _lc(q.poly) * sigma
     assert p.degree() - top + 1 < sigma
     result = synthesize_certificate(ident)
     assert result.status == "Summable"
@@ -514,6 +518,47 @@ def test_gcd_in_n_finds_the_monic_common_factor():
     polys = [(2 * N + 4) * (N - 1), (3 * N + 6) * N, 4 * N + 8]
     assert gcd_in_n(f.eval_k(0) for f in polys) == [2, 1]
     assert gcd_in_n([(N * N + 1).eval_k(0), N.eval_k(0)]) == [1]
+
+
+polys_in_n = st.lists(rationals, max_size=4).map(
+    lambda cs: Poly2({(i, 0): c for i, c in enumerate(cs)}))
+
+
+@example([], N)
+@example([Poly2.const(3), Poly2()], N + 1)
+@given(st.lists(polys_in_n, max_size=4), polys_in_n)
+def test_gcd_n_is_the_primitive_form_of_the_euclid_gcd(polys, c):
+    # c(n) is planted in every input; the zero polynomial and constants are
+    # among the inputs and among the planted factors
+    planted = [f * c for f in polys]
+    g = gcd_n(planted)
+    cs = g.eval_k(0)
+    assert [x / cs[-1] for x in cs] == gcd_in_n(f.eval_k(0) for f in planted)
+    assert g.den == 1
+    if not g.is_zero:
+        assert cs[-1] > 0 and math.gcd(*g.ints.values()) == 1
+        assert g.divide(c) is not None
+
+
+@given(polys_in_n)
+def test_gcd_n_reads_nothing_after_the_gcd_is_one(f):
+    def coprime():
+        yield f
+        yield f + 1
+        raise AssertionError("gcd_n read past a gcd of 1")
+    assert gcd_n(coprime()) == Poly2.const(1)
+
+
+def test_no_product_path_builds_a_unipoly(monkeypatch, capsys, synthesis):
+    statuses = {name: synthesis.get(name).status for name in WZ_NAMES}
+
+    def refuse(self, coeffs=()):
+        raise AssertionError("a product path built a UniPoly")
+    monkeypatch.setattr(unipoly.UniPoly, "__init__", refuse)
+    assert {name: synthesize_certificate(load_builtin(name)).status
+            for name in WZ_NAMES} == statuses
+    assert main(["verify", "--all", "--allow-errata"]) == 0
+    assert main(["synth", "--id", "theorem10"]) == 0
 
 
 @pytest.mark.parametrize("name", WZ_NAMES)

@@ -1,15 +1,15 @@
-"""Univariate polynomial layer: ring operations, exact division, gcd,
+"""Univariate polynomial layer: ring operations, division, gcd,
 interpolation, and the bare (num, den) pair the benchmark's probes read."""
 from __future__ import annotations
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from wzpi import UniPoly
-from wzpi.unipoly import RatFn, _iprimitive, interpolate
+from wzpi.algebra import _iprimitive
+from wzpi.unipoly import RatFn, interpolate
 
 from conftest import nonzero_unipolys, rationals, unipolys
 
@@ -66,17 +66,6 @@ def test_divmod_reconstructs_dividend(a, b):
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.is_zero or r.degree < b.degree
-
-
-@given(unipolys(max_degree=3), nonzero_unipolys)
-def test_exact_div_inverts_multiplication(a, b):
-    assert (a * b).exact_div(b) == a
-
-
-def test_exact_div_rejects_inexact_quotient():
-    x, one = UniPoly((0, 1)), UniPoly.const(1)
-    with pytest.raises(ArithmeticError):
-        (x * x + one).exact_div(x + one)
 
 
 @given(nonzero_unipolys, nonzero_unipolys)
