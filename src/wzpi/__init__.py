@@ -7,8 +7,9 @@ Layers, bottom up:
   certificate assembly takes, and certificates as unreduced quotients with
   cross-multiplication equality and no arithmetic.
 - ``unipoly``: the surface the benchmark's probes read (the normal form's
-  ``UniPolyQn`` view, ``UniPoly``, ``RatFn``, ``interpolate``); no product
-  path computes with it.
+  ``UniPolyQn`` view, ``UniPoly``, ``RatFn``, ``interpolate``); both
+  polynomial types are views of one ``Poly2``, the module has no arithmetic
+  of its own, and no product path computes with it.
 - ``terms``: hypergeometric summands (Pochhammer factor lists), closed forms,
   exact values, shift quotients, and the substitution that collapses every
   catalog identity to the classical alternating series.

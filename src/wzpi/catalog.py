@@ -512,5 +512,5 @@ def load_builtin(name: str) -> WZIdentity:
 
 
 def load_identity_file(path: str) -> IdentityFile:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_identity(fh.read())

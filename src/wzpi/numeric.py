@@ -39,14 +39,17 @@ class NoConvergence(ArithmeticError):
     """Raised when a series fails to reach the requested tolerance."""
 
 
+# the most terms a series evaluation uses
+MAX_TERMS = 10000
+
+
 @dataclass(frozen=True)
 class NumericConfig:
-    """Knobs for series evaluation: the absolute tolerance to reach and the
-    most terms to use.  Whether a series is accelerated is not a knob: it
-    follows from the sign of z (see series_numeric)."""
+    """The absolute tolerance a series evaluation is to reach.  Whether a
+    series is accelerated is not a knob: it follows from the sign of z (see
+    series_numeric)."""
 
     target_abs_tol: float = 1e-10
-    max_terms: int = 10000
 
 
 # -- log-gamma ------------------------------------------------------------------
@@ -168,18 +171,18 @@ def _series_sum(
     ends the direct walk: the Pochhammer part has terminated.  A zero of
     p(k+1) does not; the next ratio raises PoleError there.  `terms`, when
     given, fixes the number of terms instead of the tolerance.  Either walk
-    uses at most cfg.max_terms terms, and the direct one raises NoConvergence
+    uses at most MAX_TERMS terms, and the direct one raises NoConvergence
     where the tolerance needs more.
     """
     z = float(t.z)
     m = terms or (int(math.log(4.0 / cfg.target_abs_tol) / math.log(3.0 + math.sqrt(8.0))) + 3
-                  if z < 0 else cfg.max_terms)
+                  if z < 0 else MAX_TERMS)
     ratio = _term_ratio(t, n)
     # t(0), prefactors included: every Pochhammer factor, z^0 and 0! are 1
     tk = (float(t.prefactor_rational) * math.sqrt(float(t.prefactor_sqrt))
           * float(p_eval(t, 0)))
     acc = [tk]
-    for k in range(min(m, cfg.max_terms) - 1):
+    for k in range(min(m, MAX_TERMS) - 1):
         rk = ratio(k)
         prev, tk = tk, tk * rk
         acc.append(tk)
@@ -203,7 +206,7 @@ def _series_sum(
         return math.copysign(1.0, acc[0]) * _accelerated_alternating([abs(a) for a in acc])
     if not terms:
         raise NoConvergence(f"series did not reach {cfg.target_abs_tol:g} "
-                            f"within {cfg.max_terms} terms")
+                            f"within {MAX_TERMS} terms")
     return math.fsum(acc)
 
 
@@ -214,7 +217,7 @@ def series_numeric(
 
     Where the series terminates, at a nonnegative integer n, its terms are
     summed exactly (term_sum) and the sum is rounded once; NoConvergence is
-    raised when that takes more than cfg.max_terms terms.  Otherwise
+    raised when that takes more than MAX_TERMS terms.  Otherwise
     _series_sum walks the terms: a series with z < 0 is accelerated, which
     needs only O(digits) terms and raises ValueError unless the terms
     strictly alternate in sign, and any other series is summed directly
@@ -223,9 +226,9 @@ def series_numeric(
     cfg = cfg or NumericConfig()
     bound = termination_bound(t, int(n)) if n >= 0 and float(n).is_integer() else None
     if bound is not None:
-        if bound >= cfg.max_terms:
+        if bound >= MAX_TERMS:
             raise NoConvergence(f"series terminates only after {bound + 1} terms, "
-                                f"more than {cfg.max_terms}")
+                                f"more than {MAX_TERMS}")
         return float(term_sum(t, int(n), bound)) * math.sqrt(float(t.prefactor_sqrt))
     return _series_sum(t, n, cfg)
 

@@ -1,92 +1,63 @@
 """The benchmark's view of the normal form: univariate polynomials over Q.
 
-No product path computes here.  ``gosper`` wraps the p, q and r of its
-normal form in ``UniPolyQn``, a polynomial in k over Q[n] viewed through
-one ``Poly2``, and the benchmark's probes read them through ``eval_n`` and
-``coeffs``.  ``UniPoly`` stores dense coefficient tuples (ascending powers,
-trailing zeros stripped; the zero polynomial is the empty tuple), and its
-gcd runs on ``algebra``'s int primitive pseudo-remainder sequence.
+No product path computes here, and the module has no arithmetic of its own.
+``gosper`` wraps its normal form's p, q and r in ``UniPolyQn``, a polynomial
+in k over Q[n] viewed through one ``Poly2``; the benchmark's probes read
+them through ``eval_n`` and ``coeffs``.  ``UniPoly`` is a view of one
+``Poly2`` in k alone, whose ring operations, evaluation and long division
+it uses; its gcd is ``algebra``'s int primitive pseudo-remainder sequence.
 ``RatFn`` is a bare (num, den) pair and ``interpolate`` a Lagrange
 interpolant.  The module waits for ROADMAP item 1 to drop the probes.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as _igcd
 from typing import Iterable, Sequence
 
 from .algebra import Poly2, Rat, Scalar, _igcd_poly
 
 
 class UniPoly:
-    """Dense polynomial in one variable over Q; instances are immutable."""
+    """A polynomial in one variable over Q, held as a Poly2 in k alone;
+    built from ascending coefficients or such a Poly2, and immutable."""
 
-    __slots__ = ("c",)
+    __slots__ = ("poly",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        c = [Fraction(x) for x in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        self.c = tuple(c)
+    def __init__(self, coeffs: "Iterable[Scalar] | Poly2" = ()):
+        if not isinstance(coeffs, Poly2):
+            coeffs = Poly2({(0, j): c for j, c in enumerate(coeffs)})
+        self.poly = coeffs
 
     @classmethod
     def const(cls, x: Scalar) -> "UniPoly":
-        return cls((Fraction(x),))
+        return cls(Poly2.const(x))
 
     @property
     def is_zero(self) -> bool:
-        return not self.c
+        return self.poly.is_zero
 
     @property
     def degree(self) -> int:
-        return len(self.c) - 1
+        return self.poly.degree("k")
 
     @property
     def lc(self) -> Rat:
-        return self.c[-1] if self.c else Fraction(0)
+        return self.poly.coeff(0, self.degree)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        c = list(a)
-        for i, x in enumerate(b):
-            c[i] += x
-        return UniPoly(c)
+        return UniPoly(self.poly + other.poly)
 
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return UniPoly()
-            return UniPoly(tuple(x * q for x in self.c))
-        a, b = self.c, other.c
-        if not a or not b:
-            return UniPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return UniPoly(out)
+        return UniPoly(self.poly * (other.poly if isinstance(other, UniPoly) else other))
 
     def __divmod__(self, other: "UniPoly") -> "tuple[UniPoly, UniPoly]":
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        r = list(self.c)
-        d = other.c
-        dd = len(d) - 1
-        lcd = d[-1]
-        q = [Fraction(0)] * max(0, len(r) - dd)
-        while len(r) - 1 >= dd and r:
-            t = r[-1] / lcd
-            pos = len(r) - 1 - dd
-            q[pos] = t
-            for i, x in enumerate(d):
-                r[pos + i] -= t * x
-            while r and not r[-1]:
-                r.pop()
+        d, lcd = other.degree, other.lc
+        q, r = Poly2(), self.poly
+        while r.degree("k") >= d:
+            m = r.degree("k")
+            t = Poly2({(0, m - d): r.coeff(0, m) / lcd})
+            q, r = q + t, r - t * other.poly
         return UniPoly(q), UniPoly(r)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
@@ -95,27 +66,20 @@ class UniPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.c == other.c
+        return self.poly == other.poly
 
     def eval(self, x: Scalar) -> Rat:
-        x = Fraction(x)
-        v = Fraction(0)
-        for a in reversed(self.c):
-            v = v * x + a
-        return v
+        return self.poly.eval(0, x)
 
     def monic(self) -> "UniPoly":
         if self.is_zero or self.lc == 1:
             return self
-        inv = 1 / self.lc
-        return UniPoly(tuple(x * inv for x in self.c))
+        return self * (1 / self.lc)
 
     def int_coeffs(self) -> "tuple[list[int], int]":
         """Return (integer coefficient list, common denominator)."""
-        den = 1
-        for x in self.c:
-            den = den * x.denominator // _igcd(den, x.denominator)
-        return [int(x * den) for x in self.c], den
+        ints = self.poly.ints
+        return [ints.get((0, j), 0) for j in range(self.degree + 1)], self.poly.den
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd in Q[x]."""
@@ -123,32 +87,25 @@ class UniPoly:
             return other.monic()
         if other.is_zero:
             return self.monic()
-        a, _ = self.int_coeffs()
-        b, _ = other.int_coeffs()
-        return UniPoly(_igcd_poly(a, b)).monic()
+        return UniPoly(_igcd_poly(self.int_coeffs()[0], other.int_coeffs()[0])).monic()
 
 
 def interpolate(points: Sequence[tuple[Scalar, Scalar]]) -> UniPoly:
     """Lagrange interpolation through distinct sample points."""
     total = UniPoly()
     for i, (xi, yi) in enumerate(points):
-        yi = Fraction(yi)
         if not yi:
             continue
         basis = UniPoly.const(1)
-        denom = Fraction(1)
         for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = basis * UniPoly((-Fraction(xj), 1))
-            denom *= Fraction(xi) - Fraction(xj)
-        total = total + basis * (yi / denom)
+            if j != i:
+                basis = basis * UniPoly((-xj, 1))
+        total = total + basis * (yi / basis.eval(xi))
     return total
 
 
 class RatFn:
-    """A numerator and a denominator, stored as given: no reduction, no
-    arithmetic and no equality."""
+    """A numerator and a denominator as given: no reduction, arithmetic or ==."""
 
     __slots__ = ("num", "den")
 
@@ -158,10 +115,9 @@ class RatFn:
 
 
 class UniPolyQn:
-    """A polynomial in k with coefficients in Q[n], viewed through one Poly2.
-
-    The solve reads ``poly`` and ``shift``; the benchmark's probes read
-    ``eval_n`` and ``coeffs`` (and ``gosper._degree_bound`` on it)."""
+    """A polynomial in k with coefficients in Q[n], viewed through one Poly2:
+    the solve reads ``poly`` and ``shift``, the benchmark's probes ``eval_n``
+    and ``coeffs`` (and ``gosper._degree_bound`` on it)."""
 
     __slots__ = ("poly",)
 
@@ -174,12 +130,11 @@ class UniPolyQn:
     def coeff(self, i: int) -> Poly2:
         return self.poly.k_coeff(i)
 
-    def _columns(self) -> list[UniPoly]:
-        return [UniPoly(self.coeff(j).eval_k(0)) for j in range(self.degree() + 1)]
-
     @property
     def coeffs(self) -> tuple[RatFn, ...]:
-        return tuple(RatFn(c, UniPoly.const(1)) for c in self._columns())
+        """The k-columns, each a UniPoly in n over denominator 1."""
+        return tuple(RatFn(UniPoly(self.coeff(j).eval_k(0)), UniPoly.const(1))
+                     for j in range(self.degree() + 1))
 
     def shift(self, delta) -> "UniPolyQn":
         """Substitute k -> k + delta for a rational constant delta."""
@@ -187,4 +142,4 @@ class UniPolyQn:
 
     def eval_n(self, n0: Rat) -> UniPoly:
         """Specialize n, returning a univariate polynomial in k over Q."""
-        return UniPoly([c.eval(n0) for c in self._columns()])
+        return UniPoly([self.coeff(j).eval(n0, 0) for j in range(self.degree() + 1)])

@@ -149,9 +149,6 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
     holds whatever the lattice values; where the denominator vanishes, G
     has a removable singularity or a pole, and nothing here resolves which.
     """
-    _require_wz(ident)
-    if ident.certificate is None:
-        raise MissingCertificate(f"{ident.name} carries no certificate")
     report = CertReport(identity_name=ident.name)
     cert = ident.certificate
     problems = []

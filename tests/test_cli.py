@@ -112,6 +112,18 @@ def test_verify_file_round_trip(capsys, tmp_path):
     assert "theorem4" in out
 
 
+def test_verify_file_saved_with_a_byte_order_mark(capsys, tmp_path):
+    # editors on Windows may prefix UTF-8 with an invisible U+FEFF
+    path = tmp_path / "t1.identity"
+    path.write_text(serialize_identity(builtin_record("theorem1")),
+                    encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, _ = run(capsys, "verify", "--file", str(path))
+    assert code == EXIT_OK
+    assert "certificate: pass" in out
+    assert "exact_sums: pass" in out
+
+
 def test_verify_unknown_identity(capsys):
     code, _, err = run(capsys, "verify", "--id", "theorem99")
     assert code == EXIT_USAGE

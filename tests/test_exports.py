@@ -1,8 +1,10 @@
-"""The package's export lists name only what exists, and removed names stay
-removed."""
+"""The package's export lists name only what exists, removed names stay
+removed, and the modules import each other only along the layering."""
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +32,38 @@ def test_removed_names_are_gone(path):
     module = importlib.import_module(module)
     assert not hasattr(module, name)
     assert name not in getattr(module, "__all__", ())
+
+
+def package_imports(path: Path) -> "list[tuple[str, list[str]]]":
+    """(module of the package, imported names) for every import of the
+    package in one source file, nested ones included; a module imported
+    whole comes with no names."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out += [(a.name[len("wzpi."):], []) for a in node.names
+                    if a.name.startswith("wzpi.")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "wzpi":
+                    continue
+                module = module[len("wzpi."):]
+            names = [a.name for a in node.names]
+            out += [(module, names)] if module else [(name, []) for name in names]
+    return out
+
+
+SOURCES = {path.stem: package_imports(path)
+           for path in sorted(Path(wzpi.__file__).parent.glob("*.py"))}
+
+
+def test_only_the_package_and_gosper_import_unipoly():
+    users = [(stem, names) for stem, imports in SOURCES.items()
+             for module, names in imports if module == "unipoly"]
+    assert {stem for stem, _ in users} == {"__init__", "gosper"}
+    assert [names for stem, names in users if stem == "gosper"] == [["UniPolyQn"]]
+
+
+def test_unipoly_imports_only_algebra_from_the_package():
+    assert {module for module, _ in SOURCES["unipoly"]} == {"algebra"}

@@ -216,11 +216,12 @@ def test_direct_summation_of_exponential_series():
     ((), 1000.0),                                          # sum z^k = 1/(1-z)
     ((PochFactor(0, Fraction(1, 2), 1),), math.sqrt(1000.0)),  # (1 - z)^(-1/2)
 ])
-def test_direct_summation_bounds_a_slow_tail_of_one_sign(poch, exact):
+def test_direct_summation_bounds_a_slow_tail_of_one_sign(poch, exact, monkeypatch):
     # at z = 999/1000 the terms fall below 1e-10 a thousand times too early
     # for the tail they leave
     term = HyperTerm(poch=poch, fact_pow=len(poch), z=Fraction(999, 1000), p=(1,))
-    cfg = NumericConfig(target_abs_tol=1e-10, max_terms=100000)
+    monkeypatch.setattr(numeric, "MAX_TERMS", 100000)
+    cfg = NumericConfig(target_abs_tol=1e-10)
     assert abs(series_numeric(term, 0, cfg) - exact) <= 1e-10
 
 
@@ -464,6 +465,7 @@ def test_unknown_series_name_rejected():
         pi_from_series("not_a_series")
 
 
-def test_no_convergence_propagates_through_pi_estimates():
+def test_no_convergence_propagates_through_pi_estimates(monkeypatch):
+    monkeypatch.setattr(numeric, "MAX_TERMS", 3)
     with pytest.raises(NoConvergence):
-        pi_from_series("r1103", NumericConfig(target_abs_tol=1e-40, max_terms=3))
+        pi_from_series("r1103", NumericConfig(target_abs_tol=1e-40))
