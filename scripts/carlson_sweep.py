@@ -15,7 +15,6 @@ import math
 
 from wzpi import (
     BUILTIN_NAMES,
-    NumericConfig,
     builtin_record,
     carlson_point_check,
     load_builtin,
@@ -32,7 +31,6 @@ def main() -> int:
     parser.add_argument("--tol", type=float, default=1e-12,
                         help="series summation tolerance")
     args = parser.parse_args()
-    cfg = NumericConfig(target_abs_tol=args.tol)
 
     names = [n for n in BUILTIN_NAMES
              if builtin_record(n).kind == "wz" and builtin_record(n).carlson_a]
@@ -42,7 +40,7 @@ def main() -> int:
     print("-" * 66)
     worst = 0.0
     for name in names:
-        chk = carlson_point_check(load_builtin(name), cfg)
+        chk = carlson_point_check(load_builtin(name), args.tol)
         worst = max(worst, chk.rhs_error, chk.series_error)
         print(f"{name:<11} {str(chk.point):>6} {chk.rhs_error:>14.3e} "
               f"{chk.series_error:>16.3e} {chk.series_vs_rhs:>15.3e}")
@@ -57,7 +55,7 @@ def main() -> int:
 
     print("\npi estimates:")
     for series, terms in (("ramanujan", None), ("r1103", 1), ("r1103", 2)):
-        est = pi_from_series(series, cfg, terms=terms)
+        est = pi_from_series(series, args.tol, terms=terms)
         label = f"{series} ({terms if terms else 'auto'} terms)"
         print(f"  {label:<22} {est!r}  |error| = {abs(est - math.pi):.3e}")
     return 0

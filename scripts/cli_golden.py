@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
-"""Write, or check, the golden CLI outputs under tests/data/cli_golden/.
+"""Write, or check, the golden CLI outputs and synthesis results under tests/data/.
 
-Each file holds one command's exit code, stdout and stderr, run in-process
-through ``wzpi.cli.main``, with the timings (``[N ms]`` and ``"millis": N``)
-masked so that the text depends on the results alone.  The commands are
+Each file under tests/data/cli_golden/ holds one command's exit code, stdout
+and stderr, run in-process through ``wzpi.cli.main``, with the timings
+(``[N ms]`` and ``"millis": N``) masked so that the text depends on the
+results alone.  The commands are
 ``verify --all --allow-errata`` with and without ``--json``, ``synth --id X``
 and ``numeric --id X`` for every ``wz`` record, ``sum --id X --n 5`` for every
 record, and ``pi`` on both series: at the default tolerance, with ``--json``,
 with ``--terms 2``, and with ``--terms 403``, where the accelerator's weights
 pass the largest double.
+
+tests/data/synth_families.txt holds, for each record of a fixed grid of
+Chu-Vandermonde and Pfaff-Saalschuetz parameters (``chu_vandermonde`` and
+``pfaff_saalschuetz`` of ``tests/conftest.py``), the status, degree bound,
+dispersion set and certificate that ``synthesize_certificate`` returns, for
+the true closed form and for one with its first numerator argument raised
+by 1.  The grid has c = b + 1 for b = 2..5, where the normal form keeps
+degree bound b.
 
 Usage:  PYTHONPATH=src python3 scripts/cli_golden.py [--check]
 
@@ -23,12 +32,16 @@ import io
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
-from wzpi import BUILTIN_NAMES, builtin_record
+from wzpi import BUILTIN_NAMES, builtin_record, synthesize_certificate
 from wzpi.cli import main as cli_main
 
-GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "data" / "cli_golden"
+TESTS_DIR = Path(__file__).resolve().parents[1] / "tests"
+GOLDEN_DIR = TESTS_DIR / "data" / "cli_golden"
+SYNTH_GOLDEN = TESTS_DIR / "data" / "synth_families.txt"
 
 _TIMINGS = (re.compile(r"\[\d+ ms\]"), "[N ms]"), (re.compile(r'"millis": \d+'), '"millis": N')
 DIFF_LINES = 40
@@ -68,6 +81,37 @@ def render(argv: list[str]) -> str:
     return text
 
 
+def family_grid() -> list[tuple[str, tuple]]:
+    """(family, parameters) of the records in the synthesis file."""
+    f = Fraction
+    cv = [(b, b + 1) for b in map(f, range(2, 6))]
+    cv += [(f(7, 2), f(9, 2)), (f(1, 3), f(8, 7)), (f(9), f(8, 7)), (f(-5, 2), f(4)),
+           (f(4, 3), f(-7, 2))]
+    ps = [(f(2), f(8, 3), f(8, 7)), (f(11, 2), f(5), f(8, 7)), (f(9), f(2), f(8, 7)),
+          (f(1, 2), f(1, 3), f(2, 7)), (f(5, 2), f(-4, 3), f(6, 7))]
+    return ([("chu_vandermonde", params) for params in cv]
+            + [("pfaff_saalschuetz", params) for params in ps])
+
+
+def render_synthesis() -> str:
+    """One block per record: the true closed form, then the perturbed one."""
+    sys.path.insert(0, str(TESTS_DIR))
+    import conftest
+
+    lines = []
+    for family, params in family_grid():
+        ident = getattr(conftest, family)(*params)
+        (a, e), *rest = ident.rhs.poch_n
+        perturbed = replace(ident, rhs=replace(ident.rhs, poch_n=((a + 1, e), *rest)))
+        for label, trial in (("", ident), (" perturbed", perturbed)):
+            r = synthesize_certificate(trial)
+            lines.append(f"{family}({', '.join(map(str, params))}){label}")
+            lines.append(f"  {r.status}, degree bound {r.degree_bound_used}, "
+                         f"dispersion set {r.dispersion_set}")
+            lines.append(f"  certificate {r.certificate}")
+    return "\n".join(lines) + "\n"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
@@ -75,9 +119,9 @@ def main() -> int:
     args = parser.parse_args()
     stale = []
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for fname, argv in cases().items():
-        path = GOLDEN_DIR / fname
-        text = render(argv)
+    outputs = [(GOLDEN_DIR / fname, render(argv)) for fname, argv in cases().items()]
+    for path, text in outputs + [(SYNTH_GOLDEN, render_synthesis())]:
+        fname = path.name
         if args.check:
             old = path.read_bytes().decode("utf-8") if path.exists() else ""
             if old != text:

@@ -11,8 +11,9 @@ Layers, bottom up:
   polynomial types are views of one ``Poly2``, the module has no arithmetic
   of its own, and no product path computes with it.
 - ``terms``: hypergeometric summands (Pochhammer factor lists), closed forms,
-  exact values, shift quotients, and the substitution that collapses every
-  catalog identity to the classical alternating series.
+  exact values, shift quotients, the trial division by their linear factors
+  that verification and synthesis share, and the substitution that collapses
+  every catalog identity to the classical alternating series.
 - ``wz``: certificate verification (symbolic residual, boundary column, base
   case) and exact finite-sum checks.
 - ``gosper``: certificate synthesis in Q[n][k] — the factored shift quotient,
@@ -51,7 +52,6 @@ from .gosper import (
 from .numeric import (
     CarlsonCheck,
     NoConvergence,
-    NumericConfig,
     carlson_point_check,
     log_gamma,
     pi_from_series,
@@ -92,7 +92,6 @@ __all__ = [
     "IdentityFile",
     "MissingCertificate",
     "NoConvergence",
-    "NumericConfig",
     "ParseError",
     "PochFactor",
     "PoleError",

@@ -35,7 +35,7 @@ from .catalog import (
 )
 from .algebra import Poly2, RatFunc2
 from .gosper import DegenerateRatio, synthesize_certificate
-from .numeric import NoConvergence, NumericConfig, carlson_point_check, pi_from_series
+from .numeric import NoConvergence, carlson_point_check, pi_from_series
 from .terms import PoleError
 from .wz import row_sum, verify_certificate, verify_exact_sums
 
@@ -340,9 +340,8 @@ def cmd_pi(args) -> int:
     if args.terms is not None and args.terms < 1:
         print("error: --terms must be a positive integer", file=sys.stderr)
         return EXIT_USAGE
-    cfg = NumericConfig(target_abs_tol=args.tol)
     try:
-        est = pi_from_series(args.series, cfg, terms=args.terms)
+        est = pi_from_series(args.series, args.tol, terms=args.terms)
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -33,7 +33,8 @@ Pipeline (names follow the classical presentation):
                          whose unknown the rows left over fix; x = X(n,k)/D(n).
 4. ``synthesize_certificate`` -- assemble ``R = (r(k-1) x(k) / p(k))(s - 1)``
                          as a ``Poly2`` quotient in lowest terms from the
-                         factor lists and one int gcd in Q[n]
+                         factor lists, ``terms.split_factors`` and one int
+                         gcd in Q[n]
                          (``algebra.gcd_n``; *A = B* ch. 5-7); accept it
                          only after the full verifier passes.
 """
@@ -45,7 +46,8 @@ from itertools import chain
 from typing import Optional
 
 from .algebra import Poly2, RatFunc2, Rat, gcd_n
-from .terms import factor_product, multiplier, shift_quotient_k_parts, shift_quotient_n_parts
+from .terms import (factor_product, multiplier, shift_quotient_k_parts, shift_quotient_n_parts,
+                    split_factors)
 from .unipoly import UniPolyQn
 from .wz import CertReport, WZIdentity, verify_certificate
 
@@ -291,7 +293,10 @@ def _certificate_from_solution(
     """R = r(k-1) x(k) (s - 1) / p(k) in lowest terms.  As p = w prod(moved)
     and s - 1 = w / (den(s) * multiplier), R = r(k-1) x(k) / (den(s) *
     multiplier * prod(moved)) exactly: neither w nor p enters.  The
-    factors with k of the denominator are divided out where they divide.
+    factors with k of the denominator, as they are (not made monic, so the
+    printed denominators keep factors such as 4k + 1), are divided out of the
+    numerator by ``terms.split_factors``, each at most as often as it occurs;
+    the quotient is kept and only the factors that did not divide stay below.
     What is left in n, the content of w among it, cancels through the gcd
     over Q[n] (``gcd_n``, on ints) of the k-free part of the denominator and
     the k-columns of the numerator; the denominator is then made monic in n."""
@@ -301,14 +306,8 @@ def _certificate_from_solution(
     above = Counter(b.shift("k", -1) for b in lists.bottom)
     below = Counter(f for f in den if f.degree("k") > 0)
     above, below = above - below, below - above
-    num = x.num * factor_product(list(above.elements()))
-    left = []
-    for f in below.elements():
-        quo = num.divide(f)
-        if quo is None:
-            left.append(f)
-        else:
-            num = quo
+    *out, num = split_factors(x.num * factor_product(list(above.elements())), below, below)
+    left = below - Counter(out)
     kfree = factor_product([f for f in den if f.degree("k") <= 0])
     d = x.den * kfree
     g = gcd_n(chain([d], (num.k_coeff(j) for j in range(num.degree("k") + 1))))
@@ -316,7 +315,7 @@ def _certificate_from_solution(
     d = d.divide(g)
     lc = d.coeff(d.degree("n"), 0)
     num = num.divide(g * lc)
-    return RatFunc2(num, d * (1 / lc) * factor_product(left))
+    return RatFunc2(num, d * (1 / lc) * factor_product(list(left.elements())))
 
 
 def synthesize_certificate(ident: WZIdentity) -> GosperResult:

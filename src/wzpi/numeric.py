@@ -25,7 +25,6 @@ from .wz import WZIdentity
 __all__ = [
     "CarlsonCheck",
     "NoConvergence",
-    "NumericConfig",
     "carlson_point_check",
     "log_gamma",
     "pi_from_series",
@@ -41,15 +40,6 @@ class NoConvergence(ArithmeticError):
 
 # the most terms a series evaluation uses
 MAX_TERMS = 10000
-
-
-@dataclass(frozen=True)
-class NumericConfig:
-    """The absolute tolerance a series evaluation is to reach.  Whether a
-    series is accelerated is not a knob: it follows from the sign of z (see
-    series_numeric)."""
-
-    target_abs_tol: float = 1e-10
 
 
 # -- log-gamma ------------------------------------------------------------------
@@ -155,15 +145,13 @@ def _accelerated_alternating(a: list[float]) -> float:
     return s / d
 
 
-def _series_sum(
-    t: HyperTerm, n: float, cfg: NumericConfig, terms: Optional[int] = None
-) -> float:
+def _series_sum(t: HyperTerm, n: float, tol: float, terms: Optional[int] = None) -> float:
     """Sum over k >= 0 of a series that does not terminate at n.
 
     One walk over the term ratios collects t(0), t(1), ...  A series with
     z < 0 hands |t(k)| to the accelerator: it uses `terms` terms, or (when
-    None or 0) enough for cfg.target_abs_tol, and raises ValueError unless
-    t(k+1)/t(k) < 0 for every k it uses.  Any other series is summed directly
+    None or 0) enough for the absolute tolerance tol, and raises ValueError
+    unless t(k+1)/t(k) < 0 for every k it uses.  Any other series is summed directly
     (with math.fsum), up to and including the first term t(k+1) that meets
     the tolerance: on an alternating tail, |t(k+1)| below it and no larger
     than |t(k)|; on a tail of one sign, |t(k+1)| <= tol*(1 - rho)/2 with
@@ -175,7 +163,7 @@ def _series_sum(
     where the tolerance needs more.
     """
     z = float(t.z)
-    m = terms or (int(math.log(4.0 / cfg.target_abs_tol) / math.log(3.0 + math.sqrt(8.0))) + 3
+    m = terms or (int(math.log(4.0 / tol) / math.log(3.0 + math.sqrt(8.0))) + 3
                   if z < 0 else MAX_TERMS)
     ratio = _term_ratio(t, n)
     # t(0), prefactors included: every Pochhammer factor, z^0 and 0! are 1
@@ -196,23 +184,21 @@ def _series_sum(
         elif terms:
             done = False
         elif rk < 0:
-            done = abs(tk) <= cfg.target_abs_tol and abs(tk) <= abs(prev)
+            done = abs(tk) <= tol and abs(tk) <= abs(prev)
         else:  # half the tolerance is left for the rounding of the terms
             rho = max(rk, abs(z))
-            done = rho < 1 and abs(tk) <= cfg.target_abs_tol * (1 - rho) / 2
+            done = rho < 1 and abs(tk) <= tol * (1 - rho) / 2
         if done:
             return math.fsum(acc)
     if z < 0:
         return math.copysign(1.0, acc[0]) * _accelerated_alternating([abs(a) for a in acc])
     if not terms:
-        raise NoConvergence(f"series did not reach {cfg.target_abs_tol:g} "
+        raise NoConvergence(f"series did not reach {tol:g} "
                             f"within {MAX_TERMS} terms")
     return math.fsum(acc)
 
 
-def series_numeric(
-    t: HyperTerm, n: float, cfg: Optional[NumericConfig] = None
-) -> float:
+def series_numeric(t: HyperTerm, n: float, tol: float = 1e-10) -> float:
     """Sum the series over k >= 0 at a real argument n.
 
     Where the series terminates, at a nonnegative integer n, its terms are
@@ -221,16 +207,15 @@ def series_numeric(
     _series_sum walks the terms: a series with z < 0 is accelerated, which
     needs only O(digits) terms and raises ValueError unless the terms
     strictly alternate in sign, and any other series is summed directly
-    until its tail is below cfg.target_abs_tol.
+    until its tail is below the absolute tolerance tol.
     """
-    cfg = cfg or NumericConfig()
     bound = termination_bound(t, int(n)) if n >= 0 and float(n).is_integer() else None
     if bound is not None:
         if bound >= MAX_TERMS:
             raise NoConvergence(f"series terminates only after {bound + 1} terms, "
                                 f"more than {MAX_TERMS}")
         return float(term_sum(t, int(n), bound)) * math.sqrt(float(t.prefactor_sqrt))
-    return _series_sum(t, n, cfg)
+    return _series_sum(t, n, tol)
 
 
 # -- analytic-continuation spot check -------------------------------------------
@@ -256,15 +241,11 @@ class CarlsonCheck:
     series_vs_rhs: float
 
 
-def carlson_point_check(
-    ident: WZIdentity,
-    cfg: Optional[NumericConfig] = None,
-    *,
-    point: Optional[Fraction] = None,
-) -> CarlsonCheck:
+def carlson_point_check(ident: WZIdentity, tol: float = 1e-12, *,
+                        point: Optional[Fraction] = None) -> CarlsonCheck:
     """Evaluate closed form and series at n = -1/(2a) (or a supplied point).
 
-    The default tolerance is 1e-12.  Every catalog identity with a
+    tol is the series' absolute tolerance.  Every catalog identity with a
     continuation point has z < 0, so series_numeric accelerates its series;
     at a point where the terms do not alternate that raises ValueError.
     """
@@ -274,10 +255,9 @@ def carlson_point_check(
         point = Fraction(-1, 2 * ident.carlson_a)
     if ident.rhs is None:
         raise ValueError(f"{ident.name} has no closed form")
-    cfg = cfg or NumericConfig(target_abs_tol=1e-12)
     target = 2.0 / math.pi
     rhs_value = rhs_numeric(ident.rhs, float(point))
-    series_value = series_numeric(ident.term, float(point), cfg)
+    series_value = series_numeric(ident.term, float(point), tol)
     return CarlsonCheck(
         identity_name=ident.name,
         point=point,
@@ -293,12 +273,7 @@ def carlson_point_check(
 # -- pi estimators ---------------------------------------------------------------
 
 
-def pi_from_series(
-    name: str,
-    cfg: Optional[NumericConfig] = None,
-    *,
-    terms: Optional[int] = None,
-) -> float:
+def pi_from_series(name: str, tol: float = 1e-13, *, terms: Optional[int] = None) -> float:
     """Estimate pi from one of the two numeric-kind catalog series.
 
     The alternating series sums to 2/pi (accelerated), the positive
@@ -309,9 +284,8 @@ def pi_from_series(
     """
     from .catalog import load_builtin
 
-    cfg = cfg or NumericConfig(target_abs_tol=1e-13)
     t = load_builtin(name).term
-    return (2.0 if float(t.z) < 0 else 1.0) / _series_sum(t, 0.0, cfg, terms)
+    return (2.0 if float(t.z) < 0 else 1.0) / _series_sum(t, 0.0, tol, terms)
 
 
 # -- trigonometric closed-form helpers -------------------------------------------

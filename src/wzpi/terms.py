@@ -5,14 +5,17 @@ powers, divided by k!^fact_pow, times z^k, a polynomial multiplier p(k), and a
 constant prefactor.  Right-hand sides are closed forms base^n * prod (a_i)_n^e_i.
 
 Everything here is exact: lattice values are Fractions, row sums are
-quotients of ints, shift quotients are rational functions of (n, k).
+quotients of ints, shift quotients are rational functions of (n, k).  The
+shift quotients are products of linear factors, and ``split_factors`` is the
+one trial division by such factors: the WZ residual splits the certificate
+denominator with it, and the certificate assembly divides its numerator.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Mapping, Optional
 
 from .algebra import Poly2, Rat, RatFunc2
 
@@ -236,6 +239,45 @@ def factor_product(factors: list[Poly2], scale: Rat = 1) -> Poly2:
     for f in factors:
         out = out * f
     return out
+
+
+_LINEAR = frozenset({(0, 0), (1, 0), (0, 1)})  # the exponents of e*k + a*n + c
+
+
+def split_factors(b: Poly2, candidates: Iterable[Poly2],
+                  most: Optional[Mapping[Poly2, int]] = None) -> list[Poly2]:
+    """Trial division of b by nonconstant candidates: each in turn as often
+    as it divides (at most most[g] times when most is given), then the
+    cofactor, so that b = factor_product(split_factors(b, ...)).
+
+    A linear candidate is tried only where b vanishes at a point of its zero
+    line: g = e*k + a*n + c at n = 1/7, k = -(a + 7c)/(7e), and g = a*n + c
+    at n = -c/a, k = 1/7.  b is evaluated there in ints, as the row
+    7^top * b(1/7, k) (or b(n, 1/7)) at u/v times v^deg, built once for each
+    b.  Any other candidate, such as a nonlinear multiplier p(k), is divided
+    plainly.
+    """
+    fs, rows = [], {}
+    for g in candidates:
+        left, ints = -1 if most is None else most[g], g.ints  # -1: no cap
+        pos = None
+        if _LINEAR.issuperset(ints):
+            pos, c = int((0, 1) in ints), ints.get((0, 0), 0)
+            u, v = (-(ints.get((1, 0), 0) + 7 * c), 7 * ints[0, 1]) if pos else (-c, ints[1, 0])
+        while left:
+            if pos is not None:
+                if pos not in rows:
+                    top, rows[pos] = b.degree("nk"[1 - pos]), [0] * (b.degree("nk"[pos]) + 1)
+                    for e, x in b.ints.items():
+                        rows[pos][e[pos]] += x * 7 ** (top - e[1 - pos])
+                if sum(x * u ** j * v ** (len(rows[pos]) - 1 - j)
+                       for j, x in enumerate(rows[pos])):
+                    break
+            if (q := b.divide(g)) is None:
+                break
+            fs.append(g)
+            b, rows, left = q, {}, left - 1
+    return fs + [b]
 
 
 def shift_quotient_k(t: HyperTerm) -> RatFunc2:

@@ -24,8 +24,8 @@ from typing import Optional
 
 from .algebra import Poly2, Rat, RatFunc2
 from .terms import (ClosedForm, HyperTerm, factor_product, multiplier, rhs_exact,
-                    shift_quotient_k_parts, shift_quotient_n_parts, term_sum,
-                    term_sum_parts, termination_bound)
+                    shift_quotient_k_parts, shift_quotient_n_parts, split_factors,
+                    term_sum, term_sum_parts, termination_bound)
 from .terms import term_value  # noqa: F401  (perfbench/spans.py wraps wz.term_value)
 
 
@@ -70,36 +70,17 @@ def _require_wz(ident: WZIdentity) -> None:
         raise ValueError(f"{ident.name}: not a terminating identity with a closed form")
 
 
-def _split(b: Poly2, candidates: "list[Poly2]") -> "list[Poly2]":
-    """Factors of b: each candidate (monic, linear) as often as it divides, then the rest."""
-    fs, rows = [], {}
-    for g in candidates:
-        # g = k + a*n + c vanishes at n = 1/7, k = u/v; g = n + c at n = u/v
-        pos, a, c = int((0, 1) in g.ints), g.ints.get((1, 0), 0), g.ints.get((0, 0), 0)
-        u, v = (-(a + 7 * c), 7 * g.den) if pos else (-c, g.den)
-        while True:
-            if pos not in rows:  # 7^top * b with the other variable at 1/7
-                top, rows[pos] = b.degree("nk"[1 - pos]), [0] * (b.degree("nk"[pos]) + 1)
-                for e, x in b.ints.items():
-                    rows[pos][e[pos]] += x * 7 ** (top - e[1 - pos])
-            if sum(x * u ** j * v ** (len(rows[pos]) - 1 - j)
-                   for j, x in enumerate(rows[pos])) or (q := b.divide(g)) is None:
-                break
-            fs.append(g)
-            b, rows = q, {}
-    return fs + [b]
-
-
 def wz_residual(ident: WZIdentity) -> RatFunc2:
     """(s - 1) - (R(n,k+1)*r - R(n,k)) as an exact rational function.
 
     Zero iff ident.certificate proves the identity.  With R = A/B it is built
     over the lcm of the denominators Sd, B(k+1)*den(r) and B as multisets of
-    monic factors: B is split by trial division by the linear factors of both
-    shift quotients (and p(k) if linear), each tried only where B vanishes at
-    a point of its zero line; the rest is one cofactor, whose k-shift serves
-    B(k+1).  Each numerator gains exactly the factors its denominator lacks,
-    so it equals the residual over the full product Sd*B(k+1)*den(r)*B.
+    monic factors, numbered as first seen (a Counter keyed by Poly2 would
+    hash every factor again): B is split by ``terms.split_factors``, trial
+    division by the factors of both shift quotients and p(k); the rest is one
+    cofactor, whose k-shift serves B(k+1).  Each numerator gains exactly the
+    factors its denominator lacks, so it equals the residual over the full
+    product Sd*B(k+1)*den(r)*B.
     """
     _require_wz(ident)
     cert = ident.certificate
@@ -121,7 +102,7 @@ def wz_residual(ident: WZIdentity) -> RatFunc2:
 
     c1, d1 = count(s_den, scal.denominator)
     count(s_num + k_num + k_den + [p])  # registers the remaining candidates
-    b = _split(cert.den, [g for g in index if max(map(sum, g.ints)) == 1])
+    b = split_factors(cert.den, index)
     cb, d3 = count(b)
     c2, d2 = count(k_den + [p] + [g.shift("k", 1) for g in b])
     factors, lcm = list(index), d1 | d2 | d3
@@ -159,9 +140,12 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
         problems.append(f"WZ residual is a nonzero rational function "
                         f"({len(residual.num.terms)} monomials in the numerator)")
 
-    report.boundary_ok = not cert.num.eval_k(0) and bool(cert.den.eval_k(0))
-    if not report.boundary_ok:
+    num0, den0 = cert.num.eval_k(0), cert.den.eval_k(0)
+    report.boundary_ok = not num0 and bool(den0)
+    if num0:
         problems.append("certificate does not vanish at k = 0")
+    if not den0:
+        problems.append("certificate denominator vanishes at k = 0")
 
     total, expected = row_sum(ident, 0)
     report.base_case_ok = total == expected

@@ -53,7 +53,7 @@ from wzpi import (
     verify_exact_sums,
     wz_residual,
 )
-from wzpi import HyperTerm, NumericConfig, PochFactor
+from wzpi import HyperTerm, PochFactor
 from wzpi.numeric import series_numeric
 from wzpi.terms import carlson_substitution
 
@@ -273,14 +273,14 @@ def test_gamma_recurrence_and_reflection():
 
 
 def test_accelerator_on_logarithm_and_arctangent_series():
-    cfg = NumericConfig(target_abs_tol=1e-12)  # z = -1: accelerated
+    tol = 1e-12  # z = -1: accelerated
     ln2 = HyperTerm(poch=(PochFactor(0, 1, 2), PochFactor(0, 2, -1)),
                     fact_pow=1, z=-1, p=(1,))
-    assert abs(series_numeric(ln2, 0, cfg) - math.log(2.0)) < 1e-10
+    assert abs(series_numeric(ln2, 0, tol) - math.log(2.0)) < 1e-10
     leibniz = HyperTerm(poch=(PochFactor(0, Fraction(1, 2), 1),
                               PochFactor(0, Fraction(3, 2), -1)),
                         fact_pow=0, z=-1, p=(1,))
-    assert abs(series_numeric(leibniz, 0, cfg) - math.pi / 4.0) < 1e-10
+    assert abs(series_numeric(leibniz, 0, tol) - math.pi / 4.0) < 1e-10
 
 
 def test_catalog_serialization_fixed_point():

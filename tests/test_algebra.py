@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wzpi import DivisionByZeroFunction, Poly2, RatFunc2, load_builtin, wz_residual
+from wzpi import (DivisionByZeroFunction, Poly2, RatFunc2, load_builtin, synthesize_certificate,
+                  wz_residual)
 from wzpi.algebra import SCHOOLBOOK_TERMS
 from wzpi.catalog import parse_poly
 
-from conftest import (PRINTED_CERT_NAMES, lattice_points, nonzero_poly2s, nonzero_rationals,
-                      poly2s, rationals, small_ints)
+from conftest import (PRINTED_CERT_NAMES, WZ_NAMES, lattice_points, nonzero_poly2s,
+                      nonzero_rationals, poly2s, rationals, small_ints)
 
 
 # -- Poly2 ring axioms --------------------------------------------------------------
@@ -331,15 +332,21 @@ def test_division_matches_the_reference(g, f, h):
 
 
 def test_division_matches_the_reference_on_the_residual_split(monkeypatch):
-    # the divisions wz_residual makes when it splits the printed denominators
+    # the divisions wz_residual makes when it splits the printed denominators,
+    # then every division of a synthesis pass over the wz records: the
+    # assembly's split and gcd, and the residual of each synthesized certificate
     calls = []
     divide = Poly2.divide
     monkeypatch.setattr(Poly2, "divide", lambda a, f: calls.append((a, f)) or divide(a, f))
     for name in PRINTED_CERT_NAMES:
         wz_residual(load_builtin(name))
+    printed = len(calls)
+    for name in WZ_NAMES:
+        synthesize_certificate(load_builtin(name))
     monkeypatch.undo()
     quotients = [divide(a, f) for a, f in calls]
-    assert len(calls) > 20 and None not in quotients
+    assert printed > 20 and None not in quotients[:printed]
+    assert len(calls) - printed > 40
     assert quotients == [reference_divide(a, f) for a, f in calls]
 
 

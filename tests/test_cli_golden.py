@@ -1,5 +1,6 @@
-"""CLI output on the bundled records, byte for byte against the golden files
-that ``scripts/cli_golden.py`` writes (timings masked)."""
+"""CLI output on the bundled records, and synthesis on generated identities,
+byte for byte against the golden files that ``scripts/cli_golden.py`` writes
+(timings masked)."""
 from __future__ import annotations
 
 import importlib.util
@@ -23,3 +24,10 @@ def test_every_golden_file_has_a_command():
 def test_cli_output_matches_golden_file(fname):
     expected = (cli_golden.GOLDEN_DIR / fname).read_bytes()
     assert cli_golden.render(CASES[fname]).encode("utf-8") == expected
+
+
+def test_synthesis_on_generated_identities_matches_golden_file():
+    # status, degree bound, dispersion set and certificate on a fixed grid of
+    # Chu-Vandermonde and Pfaff-Saalschuetz records, true and perturbed
+    expected = cli_golden.SYNTH_GOLDEN.read_bytes()
+    assert cli_golden.render_synthesis().encode("utf-8") == expected

@@ -3,6 +3,7 @@ ratio assembly, and end-to-end certificate synthesis."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from wzpi import unipoly
 from wzpi.algebra import gcd_n
 from wzpi.cli import main
 from wzpi.gosper import _lc, dispersion_candidates
-from wzpi.terms import factor_product, multiplier
+from wzpi.terms import factor_product, multiplier, split_factors
 
 from conftest import (WZ_NAMES, RefRat, chu_vandermonde, family_identities,
                       normalised_terms, pfaff_saalschuetz, poly2s, rationals)
@@ -420,21 +421,33 @@ def test_pfaff_saalschuetz_with_a_zero_pivot_is_summable(a, b, c, sigma):
     assert result.degree_bound_used == sigma
 
 
+@pytest.mark.parametrize("b, c", [(Fraction(1, 3), Fraction(8, 7)), (Fraction(2), Fraction(9, 2)),
+                                  (Fraction(-5, 2), Fraction(4))])
+def test_a_nonlinear_multiplier_gives_the_same_certificate(b, c):
+    # (b+2)_k = (b)_k p(k) with p(k) = (b+k)(b+k+1)/(b(b+1)): the same summand,
+    # so the same certificate R = G/F, with p(k) of degree 2 in the assembly
+    plain = chu_vandermonde(b + 2, c)
+    with_p = chu_vandermonde(b, c)
+    p = tuple(x / (b * (b + 1)) for x in (b * (b + 1), 2 * b + 1, 1))
+    with_p = replace(with_p, term=replace(with_p.term, p=p), rhs=plain.rhs)
+    assert multiplier(with_p.term).degree("k") == 2
+    first, second = synthesize_certificate(plain), synthesize_certificate(with_p)
+    assert first.status == second.status == "Summable"
+    assert first.certificate == second.certificate
+
+
 # -- certificate assembly ------------------------------------------------------------
 
 def test_trial_division_cancels_each_listed_factor_once():
-    # one trial per listed factor, as the certificate assembly makes them
-    num, left = 3 * (K + N) ** 2 * (K + 1) * (2 * N + 1), []
-    for f in [K + N, K + 2, K + N, K + N, Poly2.const(3), 2 * N + 1]:
-        quo = num.divide(f)
-        if quo is None:
-            left.append(f)
-        else:
-            num = quo
+    # the split as the certificate assembly calls it: each listed factor at
+    # most as often as it is listed
+    num = 3 * (K + N) ** 2 * (K + 1) * (2 * N + 1)
+    below = Counter([K + N, K + 2, K + N, K + N, 2 * N + 1])
+    *out, num = split_factors(num, below, below)
     # the repeated factor divides twice but not a third time, k + 2 does not
-    # divide, and the constant and the k-free factor divide out
-    assert num == K + 1
-    assert left == [K + 2, K + N]
+    # divide, and the k-free factor divides out
+    assert num == 3 * (K + 1)
+    assert below - Counter(out) == Counter([K + 2, K + N])
 
 
 def sympy_monomials(cert) -> tuple[int, int]:

@@ -14,7 +14,6 @@ from wzpi import (
     ClosedForm,
     HyperTerm,
     NoConvergence,
-    NumericConfig,
     PochFactor,
     PoleError,
     builtin_record,
@@ -45,7 +44,7 @@ CATALAN_TERM = HyperTerm(poch=(PochFactor(0, Fraction(1, 2), 2),
                          fact_pow=0, z=-1, p=(1,))
 CATALAN = 0.915965594177219015054603514932
 
-TIGHT_CFG = NumericConfig(target_abs_tol=1e-12)
+TIGHT_TOL = 1e-12
 
 
 # -- log-gamma ----------------------------------------------------------------------
@@ -208,7 +207,7 @@ def test_closed_form_at_n_zero_is_one_even_at_a_gamma_pole():
 
 def test_direct_summation_of_exponential_series():
     term = HyperTerm(poch=(), fact_pow=1, z=Fraction(1, 2), p=(1,))
-    v = series_numeric(term, 0, NumericConfig(target_abs_tol=1e-12))
+    v = series_numeric(term, 0, 1e-12)
     assert abs(v - math.exp(0.5)) < 1e-12
 
 
@@ -221,8 +220,7 @@ def test_direct_summation_bounds_a_slow_tail_of_one_sign(poch, exact, monkeypatc
     # for the tail they leave
     term = HyperTerm(poch=poch, fact_pow=len(poch), z=Fraction(999, 1000), p=(1,))
     monkeypatch.setattr(numeric, "MAX_TERMS", 100000)
-    cfg = NumericConfig(target_abs_tol=1e-10)
-    assert abs(series_numeric(term, 0, cfg) - exact) <= 1e-10
+    assert abs(series_numeric(term, 0, 1e-10) - exact) <= 1e-10
 
 
 def test_direct_walk_keeps_the_first_term_that_meets_the_tolerance():
@@ -233,7 +231,7 @@ def test_direct_walk_keeps_the_first_term_that_meets_the_tolerance():
         terms = [1.0]
         while terms[-1] > tol * (1 - 1 / 3) / 2:
             terms.append(terms[-1] * (1 / 3))
-        got = series_numeric(term, 0, NumericConfig(target_abs_tol=tol))
+        got = series_numeric(term, 0, tol)
         assert got == math.fsum(terms) != math.fsum(terms[:-1]), tol
 
 
@@ -241,21 +239,21 @@ def test_direct_summation_raises_on_slow_series():
     slow = HyperTerm(poch=(PochFactor(0, 1, 2), PochFactor(0, 2, -2)),
                      fact_pow=0, z=1, p=(1,))
     with pytest.raises(NoConvergence):
-        series_numeric(slow, 0, NumericConfig(target_abs_tol=1e-10))
+        series_numeric(slow, 0, 1e-10)
 
 
 def test_accelerator_reaches_ln2():
-    v = series_numeric(LN2_TERM, 0, TIGHT_CFG)
+    v = series_numeric(LN2_TERM, 0, TIGHT_TOL)
     assert abs(v - math.log(2.0)) < 1e-10
 
 
 def test_accelerator_reaches_pi_over_4():
-    v = series_numeric(LEIBNIZ_TERM, 0, TIGHT_CFG)
+    v = series_numeric(LEIBNIZ_TERM, 0, TIGHT_TOL)
     assert abs(v - math.pi / 4.0) < 1e-10
 
 
 def test_accelerator_reaches_catalan_constant():
-    v = series_numeric(CATALAN_TERM, 0, TIGHT_CFG)
+    v = series_numeric(CATALAN_TERM, 0, TIGHT_TOL)
     assert abs(v - CATALAN) < 1e-10
     assert abs(CATALAN - float(mpmath.catalan)) < 1e-15
 
@@ -265,7 +263,7 @@ def test_accelerator_rejects_terms_that_do_not_alternate():
     term = HyperTerm(poch=(PochFactor(0, Fraction(-5, 2), 1),), fact_pow=1,
                      z=Fraction(-1, 2), p=(1,))
     with pytest.raises(ValueError, match="term ratio 1.25 at k=0 is not negative"):
-        series_numeric(term, 0, TIGHT_CFG)
+        series_numeric(term, 0, TIGHT_TOL)
 
 
 @pytest.mark.parametrize("term, n, where", [
@@ -380,8 +378,8 @@ PI_AT_TERMS = {
 @pytest.mark.parametrize("name, tol", [(name, tol) for name in PI_AT_TOL
                                        for tol in PI_AT_TOL[name]])
 def test_pi_estimate_at_a_tolerance_is_frozen(name, tol):
-    cfg = None if tol is None else NumericConfig(target_abs_tol=tol)
-    assert pi_from_series(name, cfg) == PI_AT_TOL[name][tol]
+    given = () if tol is None else (tol,)
+    assert pi_from_series(name, *given) == PI_AT_TOL[name][tol]
 
 
 @pytest.mark.parametrize("name, terms", [(name, m) for name in PI_AT_TERMS
@@ -456,7 +454,7 @@ def test_accelerator_past_the_overflow_of_its_weights():
 
 
 def test_accelerated_alternating_estimate():
-    est = pi_from_series("ramanujan", NumericConfig(target_abs_tol=1e-12))
+    est = pi_from_series("ramanujan", 1e-12)
     assert abs(est - math.pi) < 1e-12
 
 
@@ -468,4 +466,4 @@ def test_unknown_series_name_rejected():
 def test_no_convergence_propagates_through_pi_estimates(monkeypatch):
     monkeypatch.setattr(numeric, "MAX_TERMS", 3)
     with pytest.raises(NoConvergence):
-        pi_from_series("r1103", NumericConfig(target_abs_tol=1e-40))
+        pi_from_series("r1103", 1e-40)

@@ -2,6 +2,7 @@
 termination, shift quotients, and the structural reduction at n = -1/(2a)."""
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from wzpi import (
     HyperTerm,
     PochFactor,
     PoleError,
+    Poly2,
     builtin_record,
     poch_exact,
     reduces_to_ramanujan,
@@ -28,13 +30,16 @@ from wzpi.terms import (
     RAMANUJAN_POCH,
     RAMANUJAN_Z,
     carlson_substitution,
+    factor_product,
     p_eval,
     shift_quotient_k,
+    split_factors,
     term_sum,
     term_sum_parts,
 )
 
-from conftest import WZ_NAMES, RefRat, family_identities, rationals, shift_quotient_n
+from conftest import (WZ_NAMES, RefRat, family_identities, nonzero_poly2s, rationals,
+                      shift_quotient_n)
 
 
 poch_args = st.fractions(min_value=Fraction(-10), max_value=Fraction(10),
@@ -271,6 +276,67 @@ def test_n_shift_quotient_matches_normalized_value_ratio(name, n, k):
 
 
 # -- reduction at the rational point -------------------------------------------------
+
+# -- trial division by linear factors -------------------------------------------------
+
+N, K = Poly2.var("n"), Poly2.var("k")
+
+
+def test_split_divides_out_each_candidate_as_often_as_it_divides():
+    g, free, opaque = K + 3 * N + Fraction(1, 2), N + Fraction(3, 4), N * N + K * K + 1
+    # not monic: each one's zero line is read off its own leading coefficient
+    four, two = 4 * K + 1, 2 * N + 3
+    b = 5 * g ** 2 * four * two ** 2 * free * opaque
+    # g twice, 4k + 1 once, 2n + 3 twice, the factor free of k once, k + 1
+    # not at all, the rest as one
+    assert (split_factors(b, [g, four, K + 1, two, free])
+            == [g, g, four, two, two, free, 5 * opaque])
+    # a cap per candidate; a nonlinear candidate is divided plainly
+    assert (split_factors(b, [two, opaque, g], {two: 1, opaque: 2, g: 0})
+            == [two, opaque, 5 * g ** 2 * four * two * free])
+    assert split_factors(Poly2.const(3), [g, four, free]) == [Poly2.const(3)]
+
+
+def reference_split(b, candidates, most=None):
+    """split_factors by plain repeated Poly2.divide, with no zero-line test."""
+    out = []
+    for g in candidates:
+        left = math.inf if most is None else most[g]
+        while left and (q := b.divide(g)) is not None:
+            out.append(g)
+            b, left = q, left - 1
+    return out + [b]
+
+
+leading = st.fractions(min_value=Fraction(-9), max_value=Fraction(9),
+                       max_denominator=5).filter(lambda c: c not in (0, 1))
+small = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=5)
+
+
+@st.composite
+def linear_factors(draw):
+    """e*k + a*n + c with e != 0, or a*n + c with a != 0; the leading
+    coefficient is never 1."""
+    if draw(st.booleans()):
+        return Poly2.linear(draw(small), draw(leading), draw(small))
+    return Poly2.linear(draw(leading), 0, draw(small))
+
+
+@given(st.lists(linear_factors(), min_size=1, max_size=5), nonzero_poly2s,
+       st.lists(linear_factors(), max_size=3), st.booleans(), st.booleans())
+def test_split_is_plain_repeated_division(factors, cofactor, others, capped, nonlinear):
+    # candidates: the factors of b, some linear polynomials that may not
+    # divide it, and perhaps a multiplier p(k) of degree 2 that divides it
+    b = factor_product(factors) * cofactor
+    candidates = list(dict.fromkeys(factors + others))
+    if nonlinear:
+        p = (K + Fraction(1, 3)) * (2 * K - 5)
+        b, candidates = b * p, candidates + [p]
+    most = {g: factors.count(g) for g in candidates} if capped else None
+    got = split_factors(b, candidates, most)
+    assert factor_product(got) == b
+    assert got == reference_split(b, candidates, most)
+
 
 def test_reduction_constants_are_the_alternating_half_cubed_shape():
     assert RAMANUJAN_POCH == {Fraction(1, 2): 3}

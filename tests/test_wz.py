@@ -29,7 +29,6 @@ from wzpi import (
 )
 from wzpi.terms import (multiplier, shift_quotient_k, shift_quotient_k_parts,
                         shift_quotient_n_parts)
-from wzpi.wz import _split
 
 from conftest import (WZ_NAMES, PoleOnLattice, RefRat, chu_vandermonde, family_identities,
                       g_value, nonzero_poly2s, pfaff_saalschuetz, shift_quotient_n)
@@ -143,13 +142,6 @@ def assert_mutants_match_reference(ident, cert):
         assert residual_is_zero(ident, mutant) == proves, label
 
 
-def test_split_divides_out_each_candidate_as_often_as_it_divides():
-    g, free, opaque = K + 3 * N + Fraction(1, 2), N + Fraction(3, 4), N * N + K * K + 1
-    # g twice, the factor free of k once, k + 1 not at all, the rest as one
-    assert _split(5 * g ** 2 * free * opaque, [g, K + 1, free]) == [g, g, free, 5 * opaque]
-    assert _split(Poly2.const(3), [g, free]) == [Poly2.const(3)]
-
-
 @pytest.mark.parametrize("name, num_terms, den_terms", [
     ("theorem1", 0, 66), ("theorem2", 95, 94), ("theorem4", 0, 154), ("theorem9", 79, 193)])
 def test_residual_is_built_over_the_lcm_of_the_factor_multisets(name, num_terms, den_terms):
@@ -220,6 +212,17 @@ def test_denominator_zeros_on_the_support_are_reported_in_order(factor, n_scan, 
     assert (report.symbolic_ok, report.boundary_ok, report.base_case_ok) == (True, True, True)
     assert report.exact_sums_ok is None and report.ok
     assert report.failure_detail == detail
+
+
+def test_a_denominator_that_vanishes_at_k_0_fails_the_boundary_check():
+    # k/k leaves the rational function, so the WZ relation holds, and the
+    # numerator still vanishes at k = 0; but R = G/F is then not finite on
+    # the boundary column, where the telescoping sum starts
+    report = verify_certificate(_with_common_factor(load_builtin("theorem1"), K))
+    assert report.symbolic_ok is True and report.boundary_ok is False
+    assert report.base_case_ok is True and not report.ok
+    assert report.failure_detail.startswith("certificate denominator vanishes at k = 0; ")
+    assert POLES_PREFIX + "[(0, 0), (1, 0), (2, 0), (3, 0)]" in report.failure_detail
 
 
 small_rationals = st.fractions(min_value=Fraction(-3), max_value=Fraction(3),
