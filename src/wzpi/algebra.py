@@ -16,7 +16,12 @@ product with a linear factor or another few-term operand is formed term by
 term; any other packs both integer coefficient sets into one int each by
 Kronecker substitution (k -> x, n -> x^w, x -> 2^s, where w exceeds the
 product's degree in k and the s-bit slots hold any signed coefficient), does
-one bigint multiply and unpacks the slots with borrow.  A Fraction is
+one bigint multiply and unpacks the slots.  ``sum_of_products`` expands a
+whole sum of products of factors, such as the WZ residual, into one such
+int: a linear factor goes in by shift-and-add, any other factor is packed
+and multiplied, and the slots hold the bound
+sum |scale| * |f_1|_inf * prod |f_i|_1, so an int of 0 is the zero
+polynomial and only a nonzero int is unpacked.  A Fraction is
 built only for a value handed back: ``eval``, ``eval_k``, ``coeff`` and
 the read-only ``terms`` mapping.  ``gcd_n``, the gcd in Q[n] that the
 certificate assembly takes, runs on the ints too, by a primitive
@@ -165,23 +170,8 @@ class Poly2:
                 + max(map(abs, b.values())).bit_length()
                 + min(len(a), len(b)).bit_length()) // 8 + 1
         slots = (max(a)[0] + max(b)[0] + 1) * width         # max(a)[0]: degree in n
-        packed = (_pack(a, width, size) * _pack(b, width, size)).to_bytes(
-            slots * size, "little", signed=True)
-        half = 1 << (8 * size - 1)
-        ints: dict[tuple[int, int], int] = {}
-        blank = bytes(size)
-        borrow = 0
-        for e in range(slots):
-            chunk = packed[e * size:(e + 1) * size]
-            if chunk == blank and not borrow:
-                continue
-            c = int.from_bytes(chunk, "little") + borrow
-            borrow = c >= half
-            if borrow:
-                c -= half << 1
-            if c:
-                ints[divmod(e, width)] = c
-        return _lowest(ints, self.den * other.den)
+        packed = _pack(a, width, size) * _pack(b, width, size)
+        return _lowest(_unpack(packed, width, size, slots), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -356,6 +346,78 @@ def _pack(coeffs: dict[tuple[int, int], int], width: int, size: int) -> int:
         else:
             neg[at:at + size] = (-c).to_bytes(size, "little")
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(packed: int, width: int, size: int, slots: int) -> dict[tuple[int, int], int]:
+    """The nonzero coefficients of a packed int whose slots of ``size``
+    bytes each hold a coefficient c with |c| < 2^(8*size - 1): slot
+    e = i*width + j holds that of n^i k^j.  Adding 2^(8*size - 1) to every
+    slot makes each one hold c + 2^(8*size - 1) in [0, 2^(8*size)), so the
+    slots are read apart with no borrow."""
+    half = 1 << (8 * size - 1)
+    zero = half.to_bytes(size, "little")
+    raw = (packed + int.from_bytes(zero * slots, "little")).to_bytes(slots * size, "little")
+    ints: dict[tuple[int, int], int] = {}
+    for e in range(slots):
+        chunk = raw[e * size:(e + 1) * size]
+        if chunk != zero:
+            ints[divmod(e, width)] = int.from_bytes(chunk, "little") - half
+    return ints
+
+
+def sum_of_products(terms: Iterable[tuple[Scalar, Sequence[Poly2]]]) -> Poly2:
+    """The sum of scale * prod(factors) over the (scale, factors) pairs,
+    expanded as one int.
+
+    Over the common denominator D of the terms, each term is an int m times
+    the product of its factors' ints.  Every term is evaluated at
+    k -> 2^s, n -> 2^(s*w), where w exceeds the k-degree of every term's
+    product, so n^i k^j has a slot of s bits of its own at i*w + j.  Since
+    |f*g|_inf <= |f|_inf * |g|_1 (each coefficient of f*g sums products
+    f_a g_b, one for each term b of g), no coefficient of the sum exceeds
+    sum |m| * |f_1|_inf * prod_{i>=2} |f_i|_1 over the terms, and s is
+    chosen in bytes with one bit above that bound for the sign.  A factor of
+    at most three terms, such as a linear one, goes in by shift-and-add on
+    the int; any other is packed and multiplied once.  Distinct polynomials
+    then give distinct ints, so an int of 0 is the zero polynomial and is
+    not decoded; any other int is decoded once.  A zero scale or a zero
+    factor drops its term, and an empty factor list is the constant scale.
+    """
+    live = []  # (m over D, factors, denominator of the term)
+    for scale, fs in terms:
+        scale = Fraction(scale)
+        if scale and all(f.ints for f in fs):
+            live.append((scale, list(fs), scale.denominator * math.prod(f.den for f in fs)))
+    if not live:
+        return Poly2()
+    den = math.lcm(*(d for _, _, d in live))
+    live = [(scale.numerator * (den // d), fs) for scale, fs, d in live]
+    width = 1 + max(sum(f.degree("k") for f in fs) for _, fs in live)
+    bound = 0
+    for m, fs in live:
+        term = abs(m)
+        if fs:  # |f_1|_inf taken on the factor with the most terms
+            top = max(range(len(fs)), key=lambda i: len(fs[i].ints))
+            term *= max(map(abs, fs[top].ints.values())) * math.prod(
+                sum(map(abs, f.ints.values())) for i, f in enumerate(fs) if i != top)
+        bound += term
+    size = bound.bit_length() // 8 + 1
+    bits = 8 * size
+    total = 0
+    for m, fs in live:
+        x, packed = m, []
+        for f in fs:
+            if len(f.ints) > 3:
+                packed.append(f)
+            else:
+                x = sum(c * x << bits * (i * width + j) for (i, j), c in f.ints.items())
+        for f in packed:
+            x *= _pack(f.ints, width, size)
+        total += x
+    if not total:
+        return Poly2()
+    slots = (1 + max(sum(f.degree("n") for f in fs) for _, fs in live)) * width
+    return _lowest(_unpack(total, width, size, slots), den)
 
 
 def _coerce(x: "Poly2 | Scalar") -> Poly2:

@@ -7,7 +7,11 @@ s = Fhat(n+1,k)/Fhat(n,k).  That is the WZ relation
 Fhat(n+1,k) - Fhat(n,k) = G(n,k+1) - G(n,k) with G = R * Fhat, divided
 through by Fhat; cross-multiplication decides it exactly.  ``wz_residual``
 builds it over the least common multiple of the three terms' denominators,
-whose linear factors cancel before anything is expanded.
+whose linear factors cancel before anything is expanded.  Its numerator and
+its denominator are each one sum of products of factors, which
+``algebra.sum_of_products`` evaluates as one Kronecker-packed int with a
+slot per monomial wide enough for every coefficient; the numerator of a
+certificate that holds is the int 0, which is the zero polynomial.
 
 The exact row sums are checked apart from any certificate, in one walk over
 n on ints: each row sum is an unreduced int quotient, the closed form an int
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Poly2, Rat, RatFunc2
-from .terms import (ClosedForm, HyperTerm, factor_product, multiplier, rhs_exact,
+from .algebra import Poly2, Rat, RatFunc2, sum_of_products
+from .terms import (ClosedForm, HyperTerm, multiplier, rhs_exact,
                     shift_quotient_k_parts, shift_quotient_n_parts, split_factors,
                     term_sum, term_sum_parts, termination_bound)
 from .terms import term_value  # noqa: F401  (perfbench/spans.py wraps wz.term_value)
@@ -81,6 +85,14 @@ def wz_residual(ident: WZIdentity) -> RatFunc2:
     cofactor, whose k-shift serves B(k+1).  Each numerator gains exactly the
     factors its denominator lacks, so it equals the residual over the full
     product Sd*B(k+1)*den(r)*B.
+
+    The four numerator terms and the denominator rest*B go to
+    ``sum_of_products`` as lists of factors, and no Poly2 product is formed:
+    each sum is one int, the polynomial's value at k = 2^s, n = 2^(s*w), with
+    w above every term's k-degree and s-bit slots above the bound
+    sum |scale| * |f_1|_inf * prod |f_i|_1 on the coefficients.  Within that
+    bound the value determines the polynomial, so an int of 0 is the zero
+    polynomial and a proof is decided without decoding its numerator.
     """
     _require_wz(ident)
     cert = ident.certificate
@@ -107,15 +119,16 @@ def wz_residual(ident: WZIdentity) -> RatFunc2:
     c2, d2 = count(k_den + [p] + [g.shift("k", 1) for g in b])
     factors, lcm = list(index), d1 | d2 | d3
 
-    def product(m: Counter, extra: "tuple[Poly2, ...]" = (), scale: Rat = 1) -> Poly2:
-        return factor_product([*map(factors.__getitem__, m.elements()), *extra], scale)
+    def factors_of(m: Counter) -> "list[Poly2]":
+        return [factors[i] for i in m.elements()]
 
-    rest = product(lcm - d3)  # lcm * cb = rest * B; every term below is times cb
-    num = ((factor_product(s_num, scal.numerator * cb / c1) - product(d1, scale=cb))
-           * product(lcm - d1)
-           + cert.num.shift("k", 1) * product(lcm - d2, (*k_num, p.shift("k", 1)), -z * cb / c2)
-           + cert.num * rest)
-    return RatFunc2(num, rest * cert.den)
+    rest = factors_of(lcm - d3)  # lcm * cb = rest * B; every term below is times cb
+    num = sum_of_products([
+        (scal.numerator * cb / c1, s_num + factors_of(lcm - d1)),
+        (-cb, factors_of(lcm)),
+        (-z * cb / c2, [cert.num.shift("k", 1), *factors_of(lcm - d2), *k_num, p.shift("k", 1)]),
+        (1, [cert.num, *rest])])
+    return RatFunc2(num, sum_of_products([(1, [*rest, cert.den])]))
 
 
 def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wzpi import (DivisionByZeroFunction, Poly2, RatFunc2, load_builtin, synthesize_certificate,
                   wz_residual)
-from wzpi.algebra import SCHOOLBOOK_TERMS
+from wzpi.algebra import SCHOOLBOOK_TERMS, sum_of_products
 from wzpi.catalog import parse_poly
 
 from conftest import (PRINTED_CERT_NAMES, WZ_NAMES, lattice_points, nonzero_poly2s,
@@ -154,6 +154,94 @@ def test_product_edge_cases():
     dense = Poly2({(0, j): 2 ** 64 - 1 for j in range(256)})
     assert dense * dense == schoolbook_product(dense, dense)
     assert (dense * dense).coeff(0, 255) == 256 * (2 ** 64 - 1) ** 2
+
+
+# -- sums of products on one packed int -------------------------------------------------
+
+def reference_sum_of_products(terms) -> Poly2:
+    """Each term's scale times its factors by schoolbook products, summed."""
+    total = Poly2()
+    for scale, factors in terms:
+        product = Poly2.const(scale)
+        for f in factors:
+            product = schoolbook_product(product, f)
+        total = total + product
+    return total
+
+
+# ints past 2^64 of both signs, and Fractions over denominators up to 10^6
+big_ints = st.integers(min_value=-2 ** 80, max_value=2 ** 80)
+linear_factors = st.tuples(st.one_of(big_ints, big_coefficients), big_ints,
+                           st.one_of(big_ints, big_coefficients)).map(lambda t: Poly2.linear(*t))
+# one monomial per factor: the product's coefficient is the slot bound itself
+monomial_factors = st.tuples(st.integers(min_value=0, max_value=3),
+                             st.integers(min_value=0, max_value=3),
+                             st.one_of(big_ints, big_coefficients)).map(
+    lambda t: Poly2({t[:2]: t[2]}))
+kernel_factors = st.one_of(linear_factors, monomial_factors,
+                           big_poly2s(max_degree=3, max_terms=6),
+                           st.one_of(big_coefficients, rationals).map(Poly2.const),
+                           st.just(Poly2()))
+product_terms = st.lists(st.tuples(st.one_of(rationals, big_coefficients),
+                                   st.lists(kernel_factors, max_size=5)), max_size=4)
+
+
+@given(product_terms)
+def test_sum_of_products_matches_schoolbook_reference(terms):
+    got = sum_of_products(terms)
+    assert got == reference_sum_of_products(terms)
+    if not got.is_zero:
+        assert_canonical(got)
+
+
+@given(product_terms, monomial_factors, rationals)
+def test_sums_of_products_that_cancel_to_zero_or_one_monomial(terms, mono, c):
+    # every term again with its scale negated, so the sum is exactly zero
+    cancelling = terms + [(-scale, factors) for scale, factors in terms]
+    assert sum_of_products(cancelling) == Poly2()
+    assert sum_of_products(cancelling + [(c, [mono])]) == mono * c
+    assert sum_of_products(cancelling + [(c, [mono, Poly2.var("k")])]) == mono * c * Poly2.var("k")
+
+
+def test_sum_of_products_of_zero_and_empty_factor_lists():
+    n, k = Poly2.var("n"), Poly2.var("k")
+    assert sum_of_products([]) == Poly2()
+    assert sum_of_products([(3, [n, Poly2(), k])]) == Poly2()
+    assert sum_of_products([(0, [n, k])]) == Poly2()
+    assert sum_of_products([(Fraction(5, 3), [])]) == Poly2.const(Fraction(5, 3))
+    assert sum_of_products([(2, []), (1, [Poly2()]), (-2, [])]) == Poly2()
+
+
+@pytest.mark.parametrize("t", [1, 2, 8, 9])
+@pytest.mark.parametrize("delta", [-2, -1, 0])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("packed", [False, True], ids=["shifted", "packed"])
+def test_sum_of_products_on_both_sides_of_a_slot_byte_boundary(t, delta, sign, packed):
+    # c*n*k beside -sign*n, with the slot bound at 2^(8t-1) + delta: just
+    # below, at or just above the point where a slot gains a byte.  c and its
+    # neighbour have opposite signs, so the packed int carries across them
+    n, k = Poly2.var("n"), Poly2.var("k")
+    if packed:  # one four-term factor, multiplied in packed; bound |c| + 4
+        c = sign * (2 ** (8 * t - 1) + delta - 4)
+        wide = Poly2({(1, 1): c, (2, 0): 1, (0, 2): 1, (0, 0): 1})
+        terms = [(1, [wide]), (-1, [n * n]), (-1, [k * k]), (-1, []), (-sign, [n])]
+    else:  # two one-term factors, shifted in; bound |c| + 1
+        c = sign * (2 ** (8 * t - 1) + delta - 1)
+        terms = [(c, [n, k]), (-sign, [n])]
+    got = sum_of_products(terms)
+    assert got == Poly2({(1, 1): c, (1, 0): -sign})
+    assert got == reference_sum_of_products(terms)
+
+
+@given(st.one_of(rationals, big_coefficients), st.integers(min_value=0, max_value=40))
+def test_sum_of_products_at_the_bound_of_a_linear_product(c, m):
+    # (n + k)^m has coefficients binom(m, j), and (n - k)^m the same with
+    # alternating signs; both against |f_1|_inf * prod |f_i|_1 = 2^(m-1)
+    n, k = Poly2.var("n"), Poly2.var("k")
+    for f in (n + k, n - k, 2 ** 70 * n - k - 2 ** 70):
+        terms = [(c, [f] * m)]
+        assert sum_of_products(terms) == Poly2.const(c) * f ** m
+        assert sum_of_products(terms) == reference_sum_of_products(terms)
 
 
 @given(big_poly2s(), st.tuples(st.integers(min_value=-40, max_value=0),

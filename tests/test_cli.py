@@ -124,6 +124,17 @@ def test_verify_file_saved_with_a_byte_order_mark(capsys, tmp_path):
     assert "exact_sums: pass" in out
 
 
+def test_verify_file_with_a_zero_certificate_numerator_fails_cleanly(capsys, tmp_path):
+    text = serialize_identity(builtin_record("theorem1"))
+    line = next(x for x in text.splitlines() if x.startswith("cert_num = "))
+    path = tmp_path / "zero.identity"
+    path.write_text(text.replace(line, 'cert_num = "0"'), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--file", str(path))
+    assert code == EXIT_CHECK_FAILED
+    assert "certificate: fail" in out and "(66 monomials in the numerator)" in out
+    assert "Traceback" not in out + err
+
+
 def test_verify_unknown_identity(capsys):
     code, _, err = run(capsys, "verify", "--id", "theorem99")
     assert code == EXIT_USAGE

@@ -143,12 +143,57 @@ def assert_mutants_match_reference(ident, cert):
 
 
 @pytest.mark.parametrize("name, num_terms, den_terms", [
-    ("theorem1", 0, 66), ("theorem2", 95, 94), ("theorem4", 0, 154), ("theorem9", 79, 193)])
+    ("theorem1", 0, 66), ("theorem2", 95, 94), ("theorem3", 0, 95), ("theorem4", 0, 154),
+    ("theorem5", 0, 154), ("theorem6", 0, 193), ("theorem7", 0, 193), ("theorem8", 0, 193),
+    ("theorem9", 79, 193)])
 def test_residual_is_built_over_the_lcm_of_the_factor_multisets(name, num_terms, den_terms):
-    # over the full product den(s)*B(k+1)*den(r)*B, the denominators have 137,
-    # 262, 475 and 682 terms and the printed errata leave 262 and 464 on top
+    # over the full product den(s)*B(k+1)*den(r)*B, the denominators of
+    # theorem1, theorem4 and theorem9 have 137, 475 and 682 terms, and the
+    # printed errata theorem2 and theorem9 leave 262 and 464 on top
     residual = wz_residual(load_builtin(name))
     assert (len(residual.num.ints), len(residual.den.ints)) == (num_terms, den_terms)
+
+
+@pytest.mark.parametrize("name, den_terms", [
+    ("zeilberger", 33), ("theorem1", 66), ("theorem2", 94), ("theorem3", 95),
+    ("theorem4", 154), ("theorem5", 154)])
+def test_residual_of_a_synthesized_certificate_is_built_over_the_lcm(name, den_terms, synthesis):
+    ident = replace(load_builtin(name), certificate=synthesis.get(name).certificate)
+    residual = wz_residual(ident)
+    assert residual.num.is_zero
+    assert len(residual.den.ints) == den_terms
+
+
+def test_a_zero_certificate_numerator_is_rejected_not_raised():
+    # R = 0/B: two of the four numerator terms have a zero factor
+    ident = load_builtin("theorem1")
+    zero = replace(ident, certificate=RatFunc2(Poly2(), ident.certificate.den))
+    residual = wz_residual(zero)
+    assert len(residual.num.ints) == 66
+    assert residual_is_zero(ident, zero.certificate) is False
+    report = verify_certificate(zero)
+    assert report.symbolic_ok is False
+    assert "(66 monomials in the numerator)" in report.failure_detail
+
+
+def test_the_residual_forms_no_product_of_two_polynomials(monkeypatch, synthesis):
+    idents = [load_builtin("theorem9"),
+              replace(load_builtin("theorem6"), certificate=synthesis.get("theorem6").certificate)]
+    expected = [wz_residual(ident) for ident in idents]
+    products = []
+    mul = Poly2.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Poly2):
+            products.append((self, other))
+        return mul(self, other)
+    monkeypatch.setattr(Poly2, "__mul__", counted)
+    assert N * K == Poly2({(1, 1): 1}) and len(products) == 1  # the count sees a product
+    products.clear()
+    for ident, want in zip(idents, expected):
+        got = wz_residual(ident)
+        assert (got.num, got.den) == (want.num, want.den)
+    assert products == []
 
 
 FAMILIES = {
