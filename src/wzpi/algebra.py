@@ -18,8 +18,10 @@ Kronecker substitution (k -> x, n -> x^w, x -> 2^s, where w exceeds the
 product's degree in k and the s-bit slots hold any signed coefficient), does
 one bigint multiply and unpacks the slots.  ``sum_of_products`` expands a
 whole sum of products of factors, such as the WZ residual, into one such
-int: a linear factor goes in by shift-and-add, any other factor is packed
-and multiplied, and the slots hold the bound
+int: a factor is a Poly2 or an int triple (e, a, c) standing for
+e*k + a*n + c; a triple or a Poly2 of at most three terms goes in by
+shift-and-add, any other factor is packed and multiplied, and the slots
+hold the bound
 sum |scale| * |f_1|_inf * prod |f_i|_1, so an int of 0 is the zero
 polynomial and only a nonzero int is unpacked.  A Fraction is
 built only for a value handed back: ``eval``, ``eval_k``, ``coeff`` and
@@ -283,13 +285,15 @@ class Poly2:
         a, b = delta.numerator, delta.denominator
         apow = [a ** t for t in range(top + 1)]
         bpow = [b ** t for t in range(top + 1)]
-        rows = [_binomial_row(m) for m in range(top + 1)]
+        # rows[m][t]: the int that c*v^m contributes to v^t, over c
+        rows = [[binom * apow[m - t] * bpow[top - m + t]
+                 for t, binom in enumerate(_binomial_row(m))] for m in range(top + 1)]
         ints: dict[tuple[int, int], int] = {}
         for (i, j), c in self.ints.items():
             m = (i, j)[pos]
-            for t, binom in enumerate(rows[m]):
+            for t, w in enumerate(rows[m]):
                 e = (t, j) if pos == 0 else (i, t)
-                ints[e] = ints.get(e, 0) + c * binom * apow[m - t] * bpow[top - m + t]
+                ints[e] = ints.get(e, 0) + c * w
         return _lowest(ints, self.den * bpow[top])
 
     # -- printing -------------------------------------------------------------
@@ -365,9 +369,11 @@ def _unpack(packed: int, width: int, size: int, slots: int) -> dict[tuple[int, i
     return ints
 
 
-def sum_of_products(terms: Iterable[tuple[Scalar, Sequence[Poly2]]]) -> Poly2:
+def sum_of_products(terms: Iterable[tuple[Scalar, Sequence["Poly2 | tuple[int, int, int]"]]]) \
+        -> Poly2:
     """The sum of scale * prod(factors) over the (scale, factors) pairs,
-    expanded as one int.
+    expanded as one int.  A factor is a Poly2 or an int triple (e, a, c),
+    which stands for e*k + a*n + c.
 
     Over the common denominator D of the terms, each term is an int m times
     the product of its factors' ints.  Every term is evaluated at
@@ -376,38 +382,51 @@ def sum_of_products(terms: Iterable[tuple[Scalar, Sequence[Poly2]]]) -> Poly2:
     |f*g|_inf <= |f|_inf * |g|_1 (each coefficient of f*g sums products
     f_a g_b, one for each term b of g), no coefficient of the sum exceeds
     sum |m| * |f_1|_inf * prod_{i>=2} |f_i|_1 over the terms, and s is
-    chosen in bytes with one bit above that bound for the sign.  A factor of
-    at most three terms, such as a linear one, goes in by shift-and-add on
-    the int; any other is packed and multiplied once.  Distinct polynomials
-    then give distinct ints, so an int of 0 is the zero polynomial and is
-    not decoded; any other int is decoded once.  A zero scale or a zero
-    factor drops its term, and an empty factor list is the constant scale.
+    chosen in bytes with one bit above that bound for the sign.  A triple
+    goes in by shift-and-add from its three ints, and so does a Poly2 of at
+    most three terms; any other is packed and multiplied once.  Distinct
+    polynomials then give distinct ints, so an int of 0 is the zero
+    polynomial and is not decoded; any other int is decoded once.  A zero
+    scale or a zero factor drops its term, and an empty factor list is the
+    constant scale.
     """
-    live = []  # (m over D, factors, denominator of the term)
+    live = []  # (scale, factors, k-degree, n-degree, denominator, norm product)
     for scale, fs in terms:
         scale = Fraction(scale)
-        if scale and all(f.ints for f in fs):
-            live.append((scale, list(fs), scale.denominator * math.prod(f.den for f in fs)))
+        if not scale:
+            continue
+        dk = dn = 0
+        d, norm, top = scale.denominator, 1, (0, 1, 1)  # top: (terms, |f|_inf, |f|_1)
+        for f in fs:
+            if type(f) is tuple:
+                vals, fk, fn = f, f[0] != 0, f[1] != 0
+            else:
+                vals, fk, fn, d = f.ints.values(), f.degree("k"), f.degree("n"), d * f.den
+            vals = [abs(c) for c in vals if c]
+            if not vals:
+                break
+            dk, dn, l1 = dk + fk, dn + fn, sum(vals)
+            norm *= l1
+            if len(vals) > top[0]:
+                top = len(vals), max(vals), l1
+        else:  # |f_1|_inf taken on the factor with the most terms
+            live.append((scale, fs, dk, dn, d, norm // top[2] * top[1]))
     if not live:
         return Poly2()
-    den = math.lcm(*(d for _, _, d in live))
-    live = [(scale.numerator * (den // d), fs) for scale, fs, d in live]
-    width = 1 + max(sum(f.degree("k") for f in fs) for _, fs in live)
-    bound = 0
-    for m, fs in live:
-        term = abs(m)
-        if fs:  # |f_1|_inf taken on the factor with the most terms
-            top = max(range(len(fs)), key=lambda i: len(fs[i].ints))
-            term *= max(map(abs, fs[top].ints.values())) * math.prod(
-                sum(map(abs, f.ints.values())) for i, f in enumerate(fs) if i != top)
-        bound += term
+    den = math.lcm(*(d for *_, d, _ in live))
+    width = 1 + max(dk for _, _, dk, *_ in live)
+    bound = sum(abs(scale.numerator) * (den // d) * norm for scale, *_, d, norm in live)
     size = bound.bit_length() // 8 + 1
     bits = 8 * size
+    nbits = bits * width
     total = 0
-    for m, fs in live:
-        x, packed = m, []
+    for scale, fs, *_, d, _ in live:
+        x, packed = scale.numerator * (den // d), []
         for f in fs:
-            if len(f.ints) > 3:
+            if type(f) is tuple:
+                e, a, c = f
+                x = (e * x << bits) + (a * x << nbits) + c * x
+            elif len(f.ints) > 3:
                 packed.append(f)
             else:
                 x = sum(c * x << bits * (i * width + j) for (i, j), c in f.ints.items())
@@ -416,7 +435,7 @@ def sum_of_products(terms: Iterable[tuple[Scalar, Sequence[Poly2]]]) -> Poly2:
         total += x
     if not total:
         return Poly2()
-    slots = (1 + max(sum(f.degree("n") for f in fs) for _, fs in live)) * width
+    slots = (1 + max(dn for _, _, _, dn, *_ in live)) * width
     return _lowest(_unpack(total, width, size, slots), den)
 
 

@@ -6,8 +6,13 @@ constant prefactor.  Right-hand sides are closed forms base^n * prod (a_i)_n^e_i
 
 Everything here is exact: lattice values are Fractions, row sums are
 quotients of ints, shift quotients are rational functions of (n, k).  The
-shift quotients are products of linear factors, and ``split_factors`` is the
-one trial division by such factors: the WZ residual splits the certificate
+shift quotients are products of linear factors e*k + a*n + c, built from
+the summand as primitive int triples (e, a, c), each with an int scale
+(``shift_quotient_k_triples``, ``shift_quotient_n_triples``); the row sums
+walk the k-quotient's triples, the WZ residual keys them, and
+``shift_quotient_k_parts``/``shift_quotient_n_parts`` rebuild them as Poly2s
+for synthesis.  ``split_factors`` is the one trial division by linear
+factors, given as triples or Poly2s: the WZ residual splits the certificate
 denominator with it, and the certificate assembly divides its numerator.
 """
 from __future__ import annotations
@@ -15,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .algebra import Poly2, Rat, RatFunc2
+from .algebra import Poly2, Rat, RatFunc2, _lowest
 
 
 class PoleError(ArithmeticError):
@@ -54,6 +60,12 @@ class HyperTerm:
         object.__setattr__(self, "p", tuple(Fraction(c) for c in self.p))
         object.__setattr__(self, "prefactor_rational", Fraction(self.prefactor_rational))
         object.__setattr__(self, "prefactor_sqrt", Fraction(self.prefactor_sqrt))
+
+    @cached_property
+    def k_factors(self) -> "tuple[list, list]":
+        """``shift_quotient_k_triples(self)``, built once for the instance
+        (the exact sums read it on every row); no caller changes the lists."""
+        return shift_quotient_k_triples(self)
 
 
 @dataclass(frozen=True)
@@ -129,46 +141,41 @@ def term_sum_parts(t: HyperTerm, n: int, bound: int) -> tuple[int, int]:
     unreduced quotient of ints, advanced by the term ratio
     z prod (arg + k)^e / (k + 1)^fact_pow; p(k) multiplies each P(k) apart from
     it, so a zero of p(k) does not stop the walk.  The sum is kept over the
-    current denominator of P.  A factor argument c + b*n with c = u/v is read
-    as the int pair (u + b*n*v, v), which is in lowest terms because u and v
-    are; a Fraction is built only for the message of a PoleError, raised at
-    the first k where a denominator factor vanishes, as term_value raises it.
+    current denominator of P.  The factors of the ratio are the k-shift
+    quotient's triples (``t.k_factors``): at row n the factor
+    m*(e*k + a*n + c)/d is the int e*k + (a*n + c), and the m and d of every
+    factor fold into the constant part of the ratio.  A Fraction is built
+    only for the message of a PoleError, raised at the first k where a
+    denominator factor vanishes, as term_value raises it.
     """
     p_den = math.lcm(*(c.denominator for c in t.p))
     p_int = [c.numerator * (p_den // c.denominator) for c in reversed(t.p)]
-
-    def p_at(k: int) -> int:
-        v = 0
-        for c in p_int:
-            v = v * k + c
-        return v
-
-    # arg + k = (a + k*d)/d for arg = a/d: the powers of d are the same at
-    # every step and fold into the constant part of the ratio
-    factors = [(f.offset.numerator + f.n_coeff * n * f.offset.denominator,
-                f.offset.denominator, f.power) for f in t.poch]
+    num_f, den_f = t.k_factors
     const_num, const_den = t.z.numerator, t.z.denominator
-    for _, d, e in factors:
-        if e > 0:
-            const_den *= d ** e
-        else:
-            const_num *= d ** -e
+    for _, m, d in num_f:
+        const_num, const_den = const_num * m, const_den * d
+    for _, m, d in den_f:
+        const_num, const_den = const_num * d, const_den * m
+    ups = [(e, a * n + c) for (e, a, c), _, _ in num_f]
+    downs = [(e, a * n + c) for (e, a, c), _, _ in den_f]
     num, den = 1, 1
-    total = p_at(0)
+    total = p_int[-1] if p_int else 0  # p(0)
     for k in range(bound):
-        step_num, step_den = const_num, const_den * (k + 1) ** t.fact_pow
-        for a, d, e in factors:
-            v = a + k * d
-            if e > 0:
-                step_num *= v ** e
-            elif v:
-                step_den *= v ** -e
-            else:
-                raise PoleError(f"denominator factor ({Fraction(a, d)})_{k + 1} "
+        step_num, step_den = const_num, const_den
+        for e, c in ups:
+            step_num *= e * k + c
+        for e, c in downs:
+            v = e * k + c
+            if not v:
+                raise PoleError(f"denominator factor ({Fraction(c, e)})_{k + 1} "
                                 f"vanishes at n={n}, k={k + 1}")
+            step_den *= v
         num *= step_num
         den *= step_den
-        total = total * step_den + p_at(k + 1) * num
+        p = 0
+        for c in p_int:
+            p = p * (k + 1) + c
+        total = total * step_den + p * num
     pre = t.prefactor_rational
     num, den = total * pre.numerator, den * p_den * pre.denominator
     return (num, den) if den > 0 else (-num, -den)
@@ -213,24 +220,71 @@ def rhs_exact(rhs: ClosedForm, n: int) -> Rat:
 
 
 # -- shift quotients ----------------------------------------------------------
+#
+# A linear factor e*k + a*n + c is carried as its primitive int triple
+# (e, a, c): content 1, and the first nonzero of (e, a) positive, so equal
+# factors have equal triples and 4k + 1 stays (4, 0, 1).  The shift quotients
+# hand each factor over as (triple, m, d), the factor m*triple/d with d > 0.
+
+Triple = tuple  # (e, a, c) for e*k + a*n + c
+_LINEAR = frozenset({(0, 0), (1, 0), (0, 1)})  # the exponents of e*k + a*n + c
+
+
+def _scaled(e: int, a: int, c: int, d: int) -> "tuple[Triple, int, int]":
+    """(e*k + a*n + c)/d as (triple, m, d)."""
+    m = math.gcd(e, a, c)
+    if e < 0 or not e and a < 0:
+        m = -m
+    return (e // m, a // m, c // m), m, d
+
+
+def factor_key(f: Poly2) -> "tuple[Optional[Triple | Poly2], int, int]":
+    """f as (key, m, d) with f = m*key/d: the primitive triple of a linear f;
+    for any other nonconstant f the Poly2 over 1 with int content 1 and a
+    positive leading int (highest in k, then in n), which a k-shift keeps
+    as it is; and None for a constant f = m/d."""
+    ints = f.ints
+    if ints.keys() <= {(0, 0)}:
+        return None, ints.get((0, 0), 0), f.den
+    if _LINEAR.issuperset(ints):
+        return _scaled(ints.get((0, 1), 0), ints.get((1, 0), 0), ints.get((0, 0), 0), f.den)
+    m = math.gcd(*ints.values())
+    if ints[max(ints, key=lambda e: (e[1], e[0]))] < 0:
+        m = -m
+    return _lowest({e: c // m for e, c in ints.items()}, 1), m, f.den
+
+
+def _poly(x: "tuple[Triple, int, int]") -> Poly2:
+    """The Poly2 m*triple/d of a shift-quotient factor (triple, m, d)."""
+    (e, a, c), m, d = x
+    return _lowest({(1, 0): m * a, (0, 1): m * e, (0, 0): m * c}, d)
+
 
 def multiplier(t: HyperTerm) -> Poly2:
     """The multiplier polynomial p(k) as a Poly2."""
     return Poly2({(0, i): c for i, c in enumerate(t.p)})
 
 
+def shift_quotient_k_triples(t: HyperTerm) -> "tuple[list, list]":
+    """F(n,k+1)/F(n,k) without z and the multiplier's p(k+1)/p(k), as
+    (numerator factors, denominator factors), each (triple, m, d).  A factor
+    k + b*n + u/v is (v*k + b*v*n + u)/v, whose triple has content
+    gcd(v, u) = 1."""
+    num: list = []
+    den: list = []
+    for f in t.poch:
+        v = f.offset.denominator
+        x = (v, f.n_coeff * v, f.offset.numerator), 1, v
+        (num if f.power > 0 else den).extend([x] * abs(f.power))
+    den.extend([((1, 0, 1), 1, 1)] * t.fact_pow)  # k + 1
+    return num, den
+
+
 def shift_quotient_k_parts(t: HyperTerm) -> "tuple[list[Poly2], list[Poly2], Rat]":
     """Factored F(n,k+1)/F(n,k) without the multiplier's p(k+1)/p(k):
     (numerator factors, denominator factors, scalar), each factor k + a(n)."""
-    num: list[Poly2] = []
-    den: list[Poly2] = []
-    for f in t.poch:
-        target = num if f.power > 0 else den
-        for _ in range(abs(f.power)):
-            target.append(Poly2.linear(f.n_coeff, 1, f.offset))
-    for _ in range(t.fact_pow):
-        den.append(Poly2.linear(0, 1, 1))  # k + 1
-    return num, den, t.z
+    num, den = t.k_factors
+    return [_poly(x) for x in num], [_poly(x) for x in den], t.z
 
 
 def factor_product(factors: list[Poly2], scale: Rat = 1) -> Poly2:
@@ -241,39 +295,43 @@ def factor_product(factors: list[Poly2], scale: Rat = 1) -> Poly2:
     return out
 
 
-_LINEAR = frozenset({(0, 0), (1, 0), (0, 1)})  # the exponents of e*k + a*n + c
-
-
-def split_factors(b: Poly2, candidates: Iterable[Poly2],
-                  most: Optional[Mapping[Poly2, int]] = None) -> list[Poly2]:
-    """Trial division of b by nonconstant candidates: each in turn as often
-    as it divides (at most most[g] times when most is given), then the
-    cofactor, so that b = factor_product(split_factors(b, ...)).
+def split_factors(b: Poly2, candidates: "Iterable[Triple | Poly2]",
+                  most: "Optional[Mapping[Triple | Poly2, int]]" = None) -> list:
+    """Trial division of b by nonconstant candidates, each a Poly2 or a
+    triple (e, a, c) for e*k + a*n + c: each in turn as often as it divides
+    (at most most[g] times when most is given), then the cofactor, a Poly2,
+    so that b is the product of the list with each triple read as its Poly2.
 
     A linear candidate is tried only where b vanishes at a point of its zero
     line: g = e*k + a*n + c at n = 1/7, k = -(a + 7c)/(7e), and g = a*n + c
     at n = -c/a, k = 1/7.  b is evaluated there in ints, as the row
     7^top * b(1/7, k) (or b(n, 1/7)) at u/v times v^deg, built once for each
-    b.  Any other candidate, such as a nonlinear multiplier p(k), is divided
+    b.  The divisor Poly2 of a triple is built only when that test passes.
+    Any other candidate, such as a nonlinear multiplier p(k), is divided
     plainly.
     """
     fs, rows = [], {}
     for g in candidates:
-        left, ints = -1 if most is None else most[g], g.ints  # -1: no cap
-        pos = None
-        if _LINEAR.issuperset(ints):
-            pos, c = int((0, 1) in ints), ints.get((0, 0), 0)
-            u, v = (-(ints.get((1, 0), 0) + 7 * c), 7 * ints[0, 1]) if pos else (-c, ints[1, 0])
+        left, div, pos = -1 if most is None else most[g], g, None  # -1: no cap
+        line = g if type(g) is tuple else factor_key(g)[0]
+        if type(line) is tuple:
+            e, a, c = line
+            pos, (u, v) = int(e != 0), ((-(a + 7 * c), 7 * e) if e else (-c, a))
         while left:
             if pos is not None:
                 if pos not in rows:
                     top, rows[pos] = b.degree("nk"[1 - pos]), [0] * (b.degree("nk"[pos]) + 1)
-                    for e, x in b.ints.items():
-                        rows[pos][e[pos]] += x * 7 ** (top - e[1 - pos])
-                if sum(x * u ** j * v ** (len(rows[pos]) - 1 - j)
-                       for j, x in enumerate(rows[pos])):
+                    sevens = [7 ** i for i in range(top + 1)]
+                    for x, y in b.ints.items():
+                        rows[pos][-1 - x[pos]] += y * sevens[top - x[1 - pos]]
+                val, vp = 0, 1  # Horner's rule on sum_j row[j] u^j v^(deg - j)
+                for x in rows[pos]:
+                    val, vp = val * u + x * vp, vp * v
+                if val:
                     break
-            if (q := b.divide(g)) is None:
+            if type(div) is tuple:
+                div = Poly2.linear(a, e, c)
+            if (q := b.divide(div)) is None:
                 break
             fs.append(g)
             b, rows, left = q, {}, left - 1
@@ -290,45 +348,40 @@ def shift_quotient_k(t: HyperTerm) -> RatFunc2:
     return RatFunc2(factor_product(num, scal) * p.shift("k", 1), factor_product(den) * p)
 
 
-def shift_quotient_n_parts(t: HyperTerm, rhs: ClosedForm) \
-        -> "tuple[list[Poly2], list[Poly2], Rat]":
-    """Factored Fhat(n+1,k)/Fhat(n,k) where Fhat = F / RHS.
+def shift_quotient_n_triples(t: HyperTerm, rhs: ClosedForm) -> "tuple[list, list]":
+    """Fhat(n+1,k)/Fhat(n,k), where Fhat = F / RHS, without 1/base, as
+    (numerator factors, denominator factors), each (triple, m, d).
 
     For a factor (c + b*n)_k: shifting n by 1 multiplies the Pochhammer by
       prod_{j=0..b-1} (c+bn+k+j)/(c+bn+j)          when b > 0,
       prod_{j=1..|b|} (c+bn-j)/(c+bn-j+k)          when b < 0,
-    all raised to the factor's power.  The RHS contributes base and (a_i + n)
-    to its powers in the denominator.
+    all raised to the factor's power.  The RHS contributes (a_i + n) to its
+    powers in the denominator.  With c = u/v, c + j = w/v for w = u + j*v.
     """
-    num: list[Poly2] = []
-    den: list[Poly2] = []
-    scal = 1 / rhs.base
+    num: list = []
+    den: list = []
     for f in t.poch:
         b = f.n_coeff
-        if b == 0:
-            continue
-        pieces: list[tuple[Poly2, Poly2]] = []  # (numerator, denominator) pairs
-        if b > 0:
-            for j in range(b):
-                pieces.append((Poly2.linear(b, 1, f.offset + j),
-                               Poly2.linear(b, 0, f.offset + j)))
-        else:
-            for j in range(1, -b + 1):
-                pieces.append((Poly2.linear(b, 0, f.offset - j),
-                               Poly2.linear(b, 1, f.offset - j)))
-        for (pn, pd) in pieces:
-            for _ in range(abs(f.power)):
-                if f.power > 0:
-                    num.append(pn)
-                    den.append(pd)
-                else:
-                    num.append(pd)
-                    den.append(pn)
+        u, v = f.offset.numerator, f.offset.denominator
+        for j in range(b) if b > 0 else range(-1, b - 1, -1):
+            w = u + j * v
+            top, bottom = ((v, b * v, w), 1, v), _scaled(0, b * v, w, v)  # with k, without
+            if (b > 0) != (f.power > 0):
+                top, bottom = bottom, top
+            num.extend([top] * abs(f.power))
+            den.extend([bottom] * abs(f.power))
     for (arg, e) in rhs.poch_n:
-        piece = Poly2.linear(1, 0, arg)  # arg + n
-        for _ in range(abs(e)):
-            (den if e > 0 else num).append(piece)
-    return num, den, scal
+        x = (0, arg.denominator, arg.numerator), 1, arg.denominator  # arg + n
+        (den if e > 0 else num).extend([x] * abs(e))
+    return num, den
+
+
+def shift_quotient_n_parts(t: HyperTerm, rhs: ClosedForm) \
+        -> "tuple[list[Poly2], list[Poly2], Rat]":
+    """Factored Fhat(n+1,k)/Fhat(n,k) where Fhat = F / RHS: the factors of
+    ``shift_quotient_n_triples`` as Poly2s, and the scalar 1/base."""
+    num, den = shift_quotient_n_triples(t, rhs)
+    return [_poly(x) for x in num], [_poly(x) for x in den], 1 / rhs.base
 
 
 # -- structural reduction at the singular parameter value ----------------------

@@ -7,11 +7,17 @@ s = Fhat(n+1,k)/Fhat(n,k).  That is the WZ relation
 Fhat(n+1,k) - Fhat(n,k) = G(n,k+1) - G(n,k) with G = R * Fhat, divided
 through by Fhat; cross-multiplication decides it exactly.  ``wz_residual``
 builds it over the least common multiple of the three terms' denominators,
-whose linear factors cancel before anything is expanded.  Its numerator and
-its denominator are each one sum of products of factors, which
-``algebra.sum_of_products`` evaluates as one Kronecker-packed int with a
-slot per monomial wide enough for every coefficient; the numerator of a
-certificate that holds is the int 0, which is the zero polynomial.
+whose linear factors cancel before anything is expanded.  Every linear
+factor is carried as its primitive int triple (e, a, c) for e*k + a*n + c,
+so the counts, the cancellation, the lcm and the shift k -> k + 1 are int
+work on tuple keys.  Its numerator and its denominator are each one sum of
+products of factors, which ``algebra.sum_of_products`` evaluates as one
+Kronecker-packed int with a slot per monomial wide enough for every
+coefficient; the numerator of a certificate that holds is the int 0, which
+is the zero polynomial.  The split of the certificate denominator into
+linear factors and a cofactor is made once for each ``WZIdentity``; the
+scan for its zeros on the support reads it, solving each linear factor for
+its lattice zero on a row, and evaluates only a nonconstant cofactor.
 
 The exact row sums are checked apart from any certificate, in one walk over
 n on ints: each row sum is an unreduced int quotient, the closed form an int
@@ -24,12 +30,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .algebra import Poly2, Rat, RatFunc2, sum_of_products
-from .terms import (ClosedForm, HyperTerm, multiplier, rhs_exact,
-                    shift_quotient_k_parts, shift_quotient_n_parts, split_factors,
-                    term_sum, term_sum_parts, termination_bound)
+from .terms import (ClosedForm, HyperTerm, Triple, factor_key, multiplier, rhs_exact,
+                    shift_quotient_n_triples, split_factors, term_sum, term_sum_parts,
+                    termination_bound)
 from .terms import term_value  # noqa: F401  (perfbench/spans.py wraps wz.term_value)
 
 
@@ -39,12 +46,41 @@ class MissingCertificate(ValueError):
 
 @dataclass(frozen=True)
 class WZIdentity:
+    """A summand with its closed form and certificate.  The factored shift
+    quotients and the split of the certificate denominator are computed on
+    first use and kept on the instance; ``dataclasses.replace`` makes a new
+    instance, which computes its own."""
     name: str
     term: HyperTerm
     rhs: Optional[ClosedForm]
     certificate: Optional[RatFunc2]
     carlson_a: Optional[int]
     kind: str  # "wz" (terminating, provable) or "numeric" (summation target only)
+
+    @cached_property
+    def quotients(self) -> tuple:
+        """(s_num, s_den, s_scale, k_num, k_den, k_scale, p) with
+        s = s_scale * prod(s_num)/prod(s_den) and F(n,k+1)/F(n,k) =
+        k_scale * prod(k_num)/prod(k_den) * p(k+1)/p(k): lists of primitive
+        triples, scales as int pairs (numerator, denominator), and p the key
+        of the multiplier (``terms.factor_key``), None for a constant."""
+        base, z = self.rhs.base, self.term.z
+        return (*_keys(*shift_quotient_n_triples(self.term, self.rhs), base.denominator,
+                       base.numerator),
+                *_keys(*self.term.k_factors, z.numerator, z.denominator),
+                factor_key(multiplier(self.term))[0])
+
+    @cached_property
+    def den_split(self) -> tuple:
+        """The certificate denominator B as (factors, (m, d), key, cofactor):
+        B = prod(factors) * cofactor, where factors are the distinct keys of
+        both shift quotients and p that ``terms.split_factors`` divides out,
+        with multiplicity, and cofactor = m*key/d (m/d when key is None)."""
+        s_num, s_den, _, k_num, k_den, _, p = self.quotients
+        candidates = dict.fromkeys(s_den + s_num + k_num + k_den + ([] if p is None else [p]))
+        *fs, rest = split_factors(self.certificate.den, candidates)
+        key, m, d = factor_key(rest)
+        return fs, (m, d), key, rest
 
 
 @dataclass
@@ -74,17 +110,38 @@ def _require_wz(ident: WZIdentity) -> None:
         raise ValueError(f"{ident.name}: not a terminating identity with a closed form")
 
 
+def _keys(num: list, den: list, x: int, y: int) -> tuple:
+    """The triples of the factors (triple, m, d) in num and den, and x/y
+    times the scales m/d of num over those of den, as an int pair."""
+    for _, m, d in num:
+        x, y = x * m, y * d
+    for _, m, d in den:
+        x, y = x * d, y * m
+    return [f[0] for f in num], [f[0] for f in den], (x, y)
+
+
+def _shift(g: "Triple | Poly2") -> "Triple | Poly2":
+    """A key at k + 1: (e, a, c + e) for a triple."""
+    if type(g) is tuple:
+        e, a, c = g
+        return e, a, c + e
+    return g.shift("k", 1)
+
+
 def wz_residual(ident: WZIdentity) -> RatFunc2:
     """(s - 1) - (R(n,k+1)*r - R(n,k)) as an exact rational function.
 
     Zero iff ident.certificate proves the identity.  With R = A/B it is built
     over the lcm of the denominators Sd, B(k+1)*den(r) and B as multisets of
-    monic factors, numbered as first seen (a Counter keyed by Poly2 would
-    hash every factor again): B is split by ``terms.split_factors``, trial
-    division by the factors of both shift quotients and p(k); the rest is one
-    cofactor, whose k-shift serves B(k+1).  Each numerator gains exactly the
+    keys (``terms.factor_key``): a linear factor is its primitive int triple
+    (e, a, c), a cheap key for a Counter, and shifts to (e, a, c + e).  The
+    shift quotients come as triples with int scales (``ident.quotients``),
+    and B as the keys that ``terms.split_factors`` divides out of it and one
+    cofactor (``ident.den_split``), whose k-shift serves B(k+1) and is one
+    key with it when the two are equal.  Each numerator gains exactly the
     factors its denominator lacks, so it equals the residual over the full
-    product Sd*B(k+1)*den(r)*B.
+    product Sd*B(k+1)*den(r)*B up to a constant.  No Fraction is built for
+    a factor.
 
     The four numerator terms and the denominator rest*B go to
     ``sum_of_products`` as lists of factors, and no Poly2 product is formed:
@@ -98,37 +155,20 @@ def wz_residual(ident: WZIdentity) -> RatFunc2:
     cert = ident.certificate
     if cert is None:
         raise MissingCertificate(f"{ident.name} carries no certificate")
-    s_num, s_den, scal = shift_quotient_n_parts(ident.term, ident.rhs)
-    k_num, k_den, z = shift_quotient_k_parts(ident.term)
-    p = multiplier(ident.term)
-    index: dict[Poly2, int] = {}  # monic factors, numbered as first seen
-
-    def count(fs: "list[Poly2]", scale: Rat = 1) -> "tuple[Rat, Counter]":
-        m: Counter = Counter()  # scale * prod(fs) = c * prod(g^m[g]), g monic
-        for f in fs:  # g's leading term, highest in k and then in n, is 1
-            lead = Fraction(f.ints[max(f.ints, key=lambda e: (e[1], e[0]))], f.den)
-            g, scale = (f if lead == 1 else f * (1 / lead)), scale * lead
-            if g.ints != {(0, 0): 1}:
-                m[index.setdefault(g, len(index))] += 1
-        return scale, m
-
-    c1, d1 = count(s_den, scal.denominator)
-    count(s_num + k_num + k_den + [p])  # registers the remaining candidates
-    b = split_factors(cert.den, index)
-    cb, d3 = count(b)
-    c2, d2 = count(k_den + [p] + [g.shift("k", 1) for g in b])
-    factors, lcm = list(index), d1 | d2 | d3
-
-    def factors_of(m: Counter) -> "list[Poly2]":
-        return [factors[i] for i in m.elements()]
-
-    rest = factors_of(lcm - d3)  # lcm * cb = rest * B; every term below is times cb
+    s_num, s_den, (sn, sd), k_num, k_den, (zn, zd), p = ident.quotients
+    fs, (bm, bd), cof, _ = ident.den_split
+    p1, b1 = ([] if g is None else [g] for g in (p, cof))
+    d1, d3 = Counter(s_den), Counter(fs + b1)
+    d2 = Counter(k_den + p1 + [_shift(g) for g in fs + b1])
+    lcm = d1 | d2 | d3
+    rest = list((lcm - d3).elements())  # rest * B = m/d * prod(lcm), B = m/d * prod(fs + b1)
     num = sum_of_products([
-        (scal.numerator * cb / c1, s_num + factors_of(lcm - d1)),
-        (-cb, factors_of(lcm)),
-        (-z * cb / c2, [cert.num.shift("k", 1), *factors_of(lcm - d2), *k_num, p.shift("k", 1)]),
+        (Fraction(sn * bm, sd * bd), s_num + list((lcm - d1).elements())),
+        (Fraction(-bm, bd), list(lcm.elements())),
+        (Fraction(-zn, zd), [cert.num.shift("k", 1), *(lcm - d2).elements(), *k_num,
+                             *map(_shift, p1)]),
         (1, [cert.num, *rest])])
-    return RatFunc2(num, sum_of_products([(1, [*rest, cert.den])]))
+    return RatFunc2(num, sum_of_products([(Fraction(bm, bd), [*rest, *fs, *b1])]))
 
 
 def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
@@ -136,9 +176,12 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
 
     Also scans the summation support for certificate-denominator zeros up to
     n = n_scan; hits are reported in failure_detail but do not flip any flag.
-    The scan reads the denominator's stored ints, L*den with the same zeros,
-    forms each row's coefficients in k once, and evaluates the row by
-    Horner's rule in ints.
+    The scan reads the split that the residual made (``ident.den_split``):
+    the zero of a linear factor e*k + a*n + c on row n is k = -(a*n + c)/e,
+    one divmod, or the whole row when e = 0 and a*n + c = 0; only a factor
+    that is not linear and a nonconstant cofactor are evaluated, each row's
+    coefficients in k formed once and the row run by Horner's rule in ints.
+    The zeros of a row are merged, each k once, in increasing order.
     The symbolic identity is a statement about rational functions, so it
     holds whatever the lattice values; where the denominator vanishes, G
     has a removable singularity or a pole, and nothing here resolves which.
@@ -153,8 +196,9 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
         problems.append(f"WZ residual is a nonzero rational function "
                         f"({len(residual.num.terms)} monomials in the numerator)")
 
-    num0, den0 = cert.num.eval_k(0), cert.den.eval_k(0)
-    report.boundary_ok = not num0 and bool(den0)
+    # a polynomial vanishes at k = 0 iff it has no monomial free of k
+    num0, den0 = (any(not j for _, j in p.ints) for p in (cert.num, cert.den))
+    report.boundary_ok = not num0 and den0
     if num0:
         problems.append("certificate does not vanish at k = 0")
     if not den0:
@@ -165,23 +209,39 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
     if not report.base_case_ok:
         problems.append("base case n = 0 sum differs")
 
-    # the (n-power, coefficient) pairs of L*den, grouped by power of k,
-    # highest first, for Horner's rule in k
-    by_k: list[list[tuple[int, int]]] = [[] for _ in range(cert.den.degree("k") + 1)]
-    for (i, j), c in cert.den.ints.items():
-        by_k[-1 - j].append((i, c))
+    fs, _, key, cofactor = ident.den_split
+    lines = {g for g in fs if type(g) is tuple}
+    # the (n-power, coefficient) pairs of every other factor and of a
+    # nonconstant cofactor, grouped by power of k, highest first, for
+    # Horner's rule in k
+    tables = []
+    for g in [g for g in fs if type(g) is not tuple] + ([] if key is None else [cofactor]):
+        by_k: list[list[tuple[int, int]]] = [[] for _ in range(g.degree("k") + 1)]
+        for (i, j), c in g.ints.items():
+            by_k[-1 - j].append((i, c))
+        tables.append(by_k)
     poles = []
     for n in range(n_scan + 1):
         bound = termination_bound(ident.term, n)
         if bound is None:
             break
-        row = [sum(c * n ** i for i, c in col) for col in by_k]
-        for k in range(bound + 1):
-            v = 0
-            for c in row:
-                v = v * k + c
-            if not v:
-                poles.append((n, k))
+        zeros = set()
+        for e, a, c in lines:
+            if e:
+                k, r = divmod(-(a * n + c), e)
+                if not r and 0 <= k <= bound:
+                    zeros.add(k)
+            elif not a * n + c:
+                zeros.update(range(bound + 1))
+        for by_k in tables:
+            row = [sum(c * n ** i for i, c in col) for col in by_k]
+            for k in range(bound + 1):
+                v = 0
+                for c in row:
+                    v = v * k + c
+                if not v:
+                    zeros.add(k)
+        poles.extend((n, k) for k in sorted(zeros))
     if poles:
         problems.append(f"certificate denominator vanishes on support at {poles[:4]}")
     report.failure_detail = "; ".join(problems)

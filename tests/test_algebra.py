@@ -158,15 +158,31 @@ def test_product_edge_cases():
 
 # -- sums of products on one packed int -------------------------------------------------
 
+def as_poly2(f) -> Poly2:
+    """A factor of sum_of_products as a Poly2: an int triple (e, a, c) is
+    e*k + a*n + c."""
+    if isinstance(f, tuple):
+        e, a, c = f
+        return Poly2({(0, 1): e, (1, 0): a, (0, 0): c})
+    return f
+
+
 def reference_sum_of_products(terms) -> Poly2:
     """Each term's scale times its factors by schoolbook products, summed."""
     total = Poly2()
     for scale, factors in terms:
         product = Poly2.const(scale)
         for f in factors:
-            product = schoolbook_product(product, f)
+            product = schoolbook_product(product, as_poly2(f))
         total = total + product
     return total
+
+
+def power_of_linear(a: int, e: int, c: int, m: int) -> Poly2:
+    """(a*n + e*k + c)^m by the multinomial theorem: the coefficient of
+    n^i k^j is m!/(i! j! (m-i-j)!) a^i e^j c^(m-i-j)."""
+    return Poly2({(i, j): math.comb(m, i) * math.comb(m - i, j) * a ** i * e ** j * c ** (m - i - j)
+                  for i in range(m + 1) for j in range(m + 1 - i)})
 
 
 # ints past 2^64 of both signs, and Fractions over denominators up to 10^6
@@ -178,7 +194,10 @@ monomial_factors = st.tuples(st.integers(min_value=0, max_value=3),
                              st.integers(min_value=0, max_value=3),
                              st.one_of(big_ints, big_coefficients)).map(
     lambda t: Poly2({t[:2]: t[2]}))
-kernel_factors = st.one_of(linear_factors, monomial_factors,
+# e*k + a*n + c as an int triple, with e = 0 or a = 0 in about half the draws
+triple_factors = st.tuples(st.one_of(big_ints, st.just(0)), st.one_of(big_ints, st.just(0)),
+                           big_ints)
+kernel_factors = st.one_of(linear_factors, triple_factors, monomial_factors,
                            big_poly2s(max_degree=3, max_terms=6),
                            st.one_of(big_coefficients, rationals).map(Poly2.const),
                            st.just(Poly2()))
@@ -190,6 +209,8 @@ product_terms = st.lists(st.tuples(st.one_of(rationals, big_coefficients),
 def test_sum_of_products_matches_schoolbook_reference(terms):
     got = sum_of_products(terms)
     assert got == reference_sum_of_products(terms)
+    # a triple gives what its Poly2 gives
+    assert got == sum_of_products([(scale, [as_poly2(f) for f in fs]) for scale, fs in terms])
     if not got.is_zero:
         assert_canonical(got)
 
@@ -236,12 +257,13 @@ def test_sum_of_products_on_both_sides_of_a_slot_byte_boundary(t, delta, sign, p
 @given(st.one_of(rationals, big_coefficients), st.integers(min_value=0, max_value=40))
 def test_sum_of_products_at_the_bound_of_a_linear_product(c, m):
     # (n + k)^m has coefficients binom(m, j), and (n - k)^m the same with
-    # alternating signs; both against |f_1|_inf * prod |f_i|_1 = 2^(m-1)
-    n, k = Poly2.var("n"), Poly2.var("k")
-    for f in (n + k, n - k, 2 ** 70 * n - k - 2 ** 70):
-        terms = [(c, [f] * m)]
-        assert sum_of_products(terms) == Poly2.const(c) * f ** m
-        assert sum_of_products(terms) == reference_sum_of_products(terms)
+    # alternating signs; both against |f_1|_inf * prod |f_i|_1 = 2^(m-1).
+    # Each factor goes in as a Poly2 and as its triple
+    for a, e, g in ((1, 1, 0), (1, -1, 0), (2 ** 70, -1, -2 ** 70)):
+        f = Poly2.linear(a, e, g)
+        expected = power_of_linear(a, e, g, m) * c
+        assert sum_of_products([(c, [f] * m)]) == expected == Poly2.const(c) * f ** m
+        assert sum_of_products([(c, [(e, a, g)] * m)]) == expected
 
 
 @given(big_poly2s(), st.tuples(st.integers(min_value=-40, max_value=0),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from wzpi.terms import (
     RAMANUJAN_POCH,
     RAMANUJAN_Z,
     carlson_substitution,
+    factor_key,
     factor_product,
     p_eval,
     shift_quotient_k,
@@ -295,6 +297,11 @@ def test_split_divides_out_each_candidate_as_often_as_it_divides():
     assert (split_factors(b, [two, opaque, g], {two: 1, opaque: 2, g: 0})
             == [two, opaque, 5 * g ** 2 * four * two * free])
     assert split_factors(Poly2.const(3), [g, four, free]) == [Poly2.const(3)]
+    # the same candidates as primitive triples (e, a, c) for e*k + a*n + c:
+    # g = (2k + 6n + 1)/2 and free = (4n + 3)/4, so the cofactor takes 1/16
+    assert (split_factors(b, [(2, 6, 1), (4, 0, 1), (1, 0, 1), (0, 2, 3), (0, 4, 3)])
+            == [(2, 6, 1), (2, 6, 1), (4, 0, 1), (0, 2, 3), (0, 2, 3), (0, 4, 3),
+                Fraction(5, 16) * opaque])
 
 
 def reference_split(b, candidates, most=None):
@@ -336,6 +343,17 @@ def test_split_is_plain_repeated_division(factors, cofactor, others, capped, non
     got = split_factors(b, candidates, most)
     assert factor_product(got) == b
     assert got == reference_split(b, candidates, most)
+    # each candidate by its key, a linear one as its primitive triple: the
+    # same factors divide out, and the cofactor takes their scales
+    keys = [factor_key(g)[0] for g in candidates]
+    caps = None if most is None else {key: 0 for key in keys}
+    for g, key in zip(candidates, keys):
+        if caps is not None:
+            caps[key] += most[g]
+    *split, rest = split_factors(b, dict.fromkeys(keys), caps)
+    assert Counter(split) == Counter(factor_key(g)[0] for g in got[:-1])
+    assert factor_product([Poly2.linear(f[1], f[0], f[2]) if isinstance(f, tuple) else f
+                           for f in split] + [rest]) == b
 
 
 def test_reduction_constants_are_the_alternating_half_cubed_shape():

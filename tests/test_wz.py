@@ -27,6 +27,7 @@ from wzpi import (
     verify_exact_sums,
     wz_residual,
 )
+from wzpi import wz
 from wzpi.terms import (multiplier, shift_quotient_k, shift_quotient_k_parts,
                         shift_quotient_n_parts)
 
@@ -154,6 +155,29 @@ def test_residual_is_built_over_the_lcm_of_the_factor_multisets(name, num_terms,
     assert (len(residual.num.ints), len(residual.den.ints)) == (num_terms, den_terms)
 
 
+def _with_common_factor(ident, factor):
+    cert = ident.certificate
+    return replace(ident, certificate=RatFunc2(cert.num * factor, cert.den * factor))
+
+
+@pytest.mark.parametrize("name, factor, num_terms, den_terms", [
+    ("theorem2", N - 3, 106, 106), ("theorem9", N - 3, 88, 209),
+    ("theorem9", 2 * N + 3, 89, 209), ("theorem9", N * N + K * K + 1, 145, 283)])
+def test_residual_size_with_a_nonconstant_cofactor(name, factor, num_terms, den_terms):
+    # no shift-quotient factor divides the common factor, so it is the
+    # cofactor of the split: one key of the lcm, shared with its k-shift
+    # when that is the same polynomial (n - 3, 2n + 3); the residual is the
+    # printed erratum's, over one more factor
+    residual = wz_residual(_with_common_factor(load_builtin(name), factor))
+    assert (len(residual.num.ints), len(residual.den.ints)) == (num_terms, den_terms)
+
+
+def test_a_nonconstant_cofactor_leaves_the_reported_residual_size():
+    report = verify_certificate(_with_common_factor(load_builtin("theorem9"), N - 3))
+    assert report.symbolic_ok is False
+    assert "(88 monomials in the numerator)" in report.failure_detail
+
+
 @pytest.mark.parametrize("name, den_terms", [
     ("zeilberger", 33), ("theorem1", 66), ("theorem2", 94), ("theorem3", 95),
     ("theorem4", 154), ("theorem5", 154)])
@@ -196,6 +220,45 @@ def test_the_residual_forms_no_product_of_two_polynomials(monkeypatch, synthesis
     assert products == []
 
 
+def test_the_residual_builds_no_fraction_for_a_factor(monkeypatch):
+    # the shift quotients of theorem1, theorem4 and theorem9 have 18, 30 and
+    # 34 linear factors, and their certificate denominators 3, 7 and 9, so a
+    # Fraction for any one factor would make the counts differ
+    counts = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        counts[-1] += 1
+        return new(cls, *args, **kwargs)
+    idents = [load_builtin(name) for name in ("theorem1", "theorem4", "theorem9")]
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for ident in idents:
+        counts.append(0)
+        wz_residual(ident)
+    monkeypatch.undo()
+    assert counts[0] > 0 and len(set(counts)) == 1, counts
+
+
+def test_one_check_makes_one_residual_and_one_split(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, args[0]))
+            return fn(*args, **kwargs)
+        return call
+    ident = load_builtin("theorem9")
+    for name in ("wz_residual", "split_factors"):
+        monkeypatch.setattr(wz, name, counted(name, getattr(wz, name)))
+    report = wz.verify_certificate(ident)
+    assert report.symbolic_ok is False
+    assert calls == [("wz_residual", ident), ("split_factors", ident.certificate.den)]
+    # a replaced certificate is split afresh
+    calls.clear()
+    wz.verify_certificate(replace(ident, certificate=_with_common_factor(ident, N - 3).certificate))
+    assert [name for name, _ in calls] == ["wz_residual", "split_factors"]
+
+
 FAMILIES = {
     "chu_vandermonde(9, 8/7)": lambda: chu_vandermonde(Fraction(9), Fraction(8, 7)),
     "chu_vandermonde(1/3, 8/7)": lambda: chu_vandermonde(Fraction(1, 3), Fraction(8, 7)),
@@ -235,11 +298,6 @@ def test_residual_of_family_certificates_matches_reference(family):
 POLES_PREFIX = "certificate denominator vanishes on support at "
 
 
-def _with_common_factor(ident, factor):
-    cert = ident.certificate
-    return replace(ident, certificate=RatFunc2(cert.num * factor, cert.den * factor))
-
-
 @pytest.mark.parametrize("factor, n_scan, detail", [
     (K - 2, 20, POLES_PREFIX + "[(2, 2), (3, 2), (4, 2), (5, 2)]"),
     (N - K, 20, POLES_PREFIX + "[(0, 0), (1, 1), (2, 2), (3, 3)]"),
@@ -248,6 +306,11 @@ def _with_common_factor(ident, factor):
      POLES_PREFIX + "[(0, 0), (7, 3)]"),
     (K * K * Fraction(1, 3) - N * Fraction(3, 7), 6, POLES_PREFIX + "[(0, 0)]"),
     (K - 2, 3, POLES_PREFIX + "[(2, 2), (3, 2)]"),
+    # k - n is split out as a line, k - 2 and n - 3 stay in the cofactor:
+    # both kinds of zero are merged, each once, in increasing k
+    ((K - 2) * (N - K), 20, POLES_PREFIX + "[(0, 0), (1, 1), (2, 2), (3, 2)]"),
+    ((N - K) * (N - 3), 20, POLES_PREFIX + "[(0, 0), (1, 1), (2, 2), (3, 0)]"),
+    ((N - K) * (N - K), 20, POLES_PREFIX + "[(0, 0), (1, 1), (2, 2), (3, 3)]"),
 ])
 def test_denominator_zeros_on_the_support_are_reported_in_order(factor, n_scan, detail):
     # a factor common to num and den leaves the rational function, so every
