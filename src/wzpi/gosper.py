@@ -14,18 +14,19 @@ algorithm runs in Q[n][k] on ``Poly2`` and never divides in Q(n).
 Pipeline (names follow the classical presentation):
 
 1. ``h_ratio``        -- factor ``rho(k) = H(k+1)/H(k)`` as
-                         ``z * prod(k+a_i)/prod(k+b_j) * w(k+1)/w(k)`` with
-                         every a_i, b_j linear in n, without expanding it.
+                         ``z * prod(top)/prod(bottom) * w(k+1)/w(k)``, top
+                         and bottom lists of primitive int triples (e, a, c)
+                         for e*k + a*n + c, e > 0; only w is expanded.
 2. ``gosper_normal_form`` -- write ``rho = (q(k)/r(k)) * (p(k+1)/p(k))`` with
                          ``gcd(q(k), r(k+j)) = 1`` for every integer j >= 0.
-                         p starts as w and equal factors cancel.  Then each
-                         top factor k+a is paired with a bottom factor k+b at
-                         the smallest positive integer j = a - b (see
-                         ``dispersion_candidates``), and (k+b)...(k+b+j-1)
-                         moves into p, which keeps w's content in Q[n]
-                         (the assembly cancels it).  p, q and r are
-                         ``Poly2`` in k over Q[n], handed on wrapped in
-                         ``unipoly.UniPolyQn`` for the benchmark's probes.
+                         p starts as w and equal triples cancel.  Then each
+                         top triple (e, a, c) is paired with a bottom triple
+                         (e, a, c') at the smallest positive integer
+                         j = (c - c')/e (see ``dispersion_candidates``), whose
+                         shifts by 0..j-1 move into p, which keeps w's
+                         content in Q[n] (the assembly cancels it).  p, q
+                         and r are each one ``algebra.sum_of_products``,
+                         wrapped in ``unipoly.UniPolyQn`` for the probes.
 3. ``gosper_solve``   -- degree-bound the unknown polynomial x(k) and solve
                          ``q(k) x(k+1) - r(k-1) x(k) = p(k)`` by back-
                          substitution on ``Poly2`` without fractions: the
@@ -33,21 +34,21 @@ Pipeline (names follow the classical presentation):
                          whose unknown the rows left over fix; x = X(n,k)/D(n).
 4. ``synthesize_certificate`` -- assemble ``R = (r(k-1) x(k) / p(k))(s - 1)``
                          as a ``Poly2`` quotient in lowest terms from the
-                         factor lists, ``terms.split_factors`` and one int
-                         gcd in Q[n]
-                         (``algebra.gcd_n``; *A = B* ch. 5-7); accept it
+                         triples, ``terms.split_factors`` and one int gcd in
+                         Q[n] (``algebra.gcd_n``; *A = B* ch. 5-7); accept it
                          only after the full verifier passes.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
-from .algebra import Poly2, RatFunc2, Rat, gcd_n
-from .terms import (factor_product, multiplier, shift_quotient_k_parts, shift_quotient_n_parts,
-                    split_factors)
+from .algebra import Poly2, RatFunc2, Rat, gcd_n, sum_of_products
+from .terms import Triple, multiplier, split_factors
 from .unipoly import UniPolyQn
 from .wz import CertReport, WZIdentity, verify_certificate
 
@@ -78,23 +79,24 @@ def _lc(f: Poly2) -> Poly2:
 
 
 def dispersion_candidates(
-    top: list[Poly2], bottom: list[Poly2]
-) -> list[tuple[Poly2, Poly2, int]]:
-    """Pair top factors k+a with bottom factors k+b whose difference a - b = j
-    is a positive integer, smallest j first, each factor used at most once.
+    top: list[Triple], bottom: list[Triple]
+) -> list[tuple[Triple, Triple, int]]:
+    """Pair top triples with bottom triples shifted by a positive integer j
+    in k, smallest j first, each triple used at most once.
 
-    Every factor is linear in k with unit leading coefficient, so
-    gcd(k+a, k+b+j) is nontrivial exactly when a - b = j: this is the
-    dispersion computation of Gosper's algorithm, done exactly.  Returns the
-    pairs as (k+a, k+b, j); each one moves (k+b)...(k+b+j-1) into p.
+    A triple (e, a, c) is e*k + a*n + c, primitive with e > 0, so
+    gcd(top(k), bottom(k+j)) is nontrivial exactly when the two share (e, a)
+    and j = (c - c')/e: the dispersion computation of Gosper's algorithm,
+    done exactly by one divmod.  Returns the pairs as (top, bottom, j); each
+    one moves the bottom triple's shifts by 0..j-1 into p.
     """
     gaps = []
-    for i, a in enumerate(top):
-        for m, b in enumerate(bottom):
-            d = a - b
-            j = d.coeff(0, 0)
-            if d.degree("n") <= 0 and j > 0 and j.denominator == 1:
-                gaps.append((int(j), i, m))
+    for i, (e, a, c) in enumerate(top):
+        for m, (e2, a2, c2) in enumerate(bottom):
+            if e == e2 and a == a2:
+                j, rest = divmod(c - c2, e)
+                if j > 0 and not rest:
+                    gaps.append((j, i, m))
     free_top, free_bottom = set(range(len(top))), set(range(len(bottom)))
     pairs = []
     for j, i, m in sorted(gaps):
@@ -109,7 +111,7 @@ def dispersion_candidates(
 FactorLists = namedtuple("FactorLists", "z top bottom w moved shifts")
 
 
-def _pair_factors(ratio: tuple[Rat, list[Poly2], list[Poly2], Poly2]) -> FactorLists:
+def _pair_factors(ratio: tuple[Rat, list[Triple], list[Triple], Poly2]) -> FactorLists:
     z, top, bottom, w = ratio
     if not z:
         raise DegenerateRatio("zero shift ratio")
@@ -122,7 +124,7 @@ def _pair_factors(ratio: tuple[Rat, list[Poly2], list[Poly2], Poly2]) -> FactorL
     for a, b, j in dispersion_candidates(top, bottom):
         top.remove(a)
         bottom.remove(b)
-        moved += [b + l for l in range(j)]
+        moved += [(b[0], b[1], b[2] + l * b[0]) for l in range(j)]
         shifts.add(j)
     return FactorLists(z, top, bottom, w, moved, tuple(sorted(shifts)))
 
@@ -130,23 +132,23 @@ def _pair_factors(ratio: tuple[Rat, list[Poly2], list[Poly2], Poly2]) -> FactorL
 def _normal_form_impl(
     lists: FactorLists,
 ) -> tuple[UniPolyQn, UniPolyQn, UniPolyQn, tuple[int, ...]]:
-    p = UniPolyQn(factor_product(lists.moved) * lists.w)
-    q = UniPolyQn(factor_product(lists.top, lists.z))
-    r = UniPolyQn(factor_product(lists.bottom))
+    p = UniPolyQn(sum_of_products([(1, [*lists.moved, lists.w])]))
+    q = UniPolyQn(sum_of_products([(lists.z, lists.top)]))
+    r = UniPolyQn(sum_of_products([(1, lists.bottom)]))
     return p, q, r, lists.shifts
 
 
 def gosper_normal_form(
-    ratio: tuple[Rat, list[Poly2], list[Poly2], Poly2],
+    ratio: tuple[Rat, list[Triple], list[Triple], Poly2],
 ) -> tuple[UniPolyQn, UniPolyQn, UniPolyQn]:
     """Write ratio(k) = (q(k)/r(k)) * (p(k+1)/p(k)) in Gosper normal form.
 
     ``ratio`` is (z, top, bottom, w), as ``h_ratio`` returns it:
     z * prod(top)/prod(bottom) * w(k+1)/w(k), with top and bottom lists of
-    factors k + a(n).  Returns (p, q, r) with gcd(q(k), r(k+j)) = 1 for all
-    integers j >= 0.  p is w times the factors the dispersion pairs moved,
-    with w's content in Q[n] left in it: lc_k(p) = lc_k(w).  Constant
-    factors stay inside q, so no separate scalar is returned.
+    triples (e, a, c) for e*k + a*n + c, e > 0.  Returns (p, q, r) with
+    gcd(q(k), r(k+j)) = 1 for all integers j >= 0.  p is w times the triples
+    the dispersion pairs moved, with w's content in Q[n] left in it.
+    Constant factors stay inside q, so no separate scalar is returned.
     """
     p, q, r, _ = _normal_form_impl(_pair_factors(ratio))
     return p, q, r
@@ -242,24 +244,24 @@ def gosper_solve(p: UniPolyQn, q: UniPolyQn, r: UniPolyQn) -> Optional[RatFunc2]
 # -- ratio assembly ---------------------------------------------------------------
 
 
-def h_ratio(ident: WZIdentity) -> tuple[Rat, list[Poly2], list[Poly2], Poly2]:
+def h_ratio(ident: WZIdentity) -> tuple[Rat, list[Triple], list[Triple], Poly2]:
     """Shift quotient H(k+1)/H(k) of the WZ difference, in factored form.
 
     With s the n-shift quotient and r_k the k-shift quotient of the summand,
     H(k+1)/H(k) = r_k(k) * (s(k+1) - 1)/(s(k) - 1).  Returns (z, top,
     bottom, w) with H(k+1)/H(k) = z * prod(top)/prod(bottom) * w(k+1)/w(k):
-    top and bottom hold the factors k + a(n) of r_k and of the denominator of
-    s, and w is numerator(s - 1) times the summand's multiplier p(k).
+    z is r_k's scale, top and bottom the triples with k of r_k and of den(s)
+    (``ident.quotients``), and w = x * prod(s_num) - y * prod(s_den) for s's
+    scale x/y, the numerator of s - 1, times the summand's multiplier p(k).
     """
-    rk_num, rk_den, z = shift_quotient_k_parts(ident.term)
-    s_num, s_den, scal = shift_quotient_n_parts(ident.term, ident.rhs)
-    w = (factor_product(s_num, scal.numerator)
-         - factor_product(s_den, scal.denominator)) * multiplier(ident.term)
+    s_num, s_den, (x, y), k_num, k_den, z, _ = ident.quotients
+    p = multiplier(ident.term)
+    w = sum_of_products([(x, [*s_num, p]), (-y, [*s_den, p])])
     if w.is_zero:
         raise DegenerateRatio("n-shift quotient is identically 1")
     # factors of s without k cancel in (s(k+1) - 1)/(s(k) - 1)
-    moving = [f for f in s_den if f.degree("k") > 0]
-    return z, rk_num + moving, rk_den + [f.shift("k", 1) for f in moving], w
+    moving = [f for f in s_den if f[0]]
+    return Fraction(*z), k_num + moving, k_den + [(e, a, c + e) for e, a, c in moving], w
 
 
 # -- synthesis -----------------------------------------------------------------
@@ -291,31 +293,28 @@ def _certificate_from_solution(
     ident: WZIdentity, x: RatFunc2, lists: FactorLists
 ) -> RatFunc2:
     """R = r(k-1) x(k) (s - 1) / p(k) in lowest terms.  As p = w prod(moved)
-    and s - 1 = w / (den(s) * multiplier), R = r(k-1) x(k) / (den(s) *
-    multiplier * prod(moved)) exactly: neither w nor p enters.  The
-    factors with k of the denominator, as they are (not made monic, so the
-    printed denominators keep factors such as 4k + 1), are divided out of the
-    numerator by ``terms.split_factors``, each at most as often as it occurs;
-    the quotient is kept and only the factors that did not divide stay below.
-    What is left in n, the content of w among it, cancels through the gcd
-    over Q[n] (``gcd_n``, on ints) of the k-free part of the denominator and
-    the k-columns of the numerator; the denominator is then made monic in n."""
-    _, s_den, scal = shift_quotient_n_parts(ident.term, ident.rhs)
-    den = lists.moved + s_den + [multiplier(ident.term), Poly2.const(scal.denominator)]
-    # equal factors of r(k-1) and the denominator cancel as list items
-    above = Counter(b.shift("k", -1) for b in lists.bottom)
-    below = Counter(f for f in den if f.degree("k") > 0)
+    and s - 1 = w / (y * prod(s_den) * multiplier) for s's scale x/y,
+    R = r(k-1) x(k) / (y * prod(s_den) * multiplier * prod(moved)): neither
+    w nor p enters.  Equal triples of r(k-1) and the denominator cancel, and
+    the denominator's factors with k, the multiplier as it is (4k + 1 stays),
+    are divided out of the numerator by ``terms.split_factors``, each at most
+    as often as it occurs.  What is left in n, w's content among it, cancels
+    through the gcd over Q[n] (``gcd_n``) of the k-free part of the
+    denominator and the numerator's k-columns.  One scale makes that part
+    monic in n and each triple left below monic in k, (e*k + a*n + c)/e."""
+    s_den, (_, y) = ident.quotients[1:3]
+    p = multiplier(ident.term)
+    kfree = [f for f in s_den if not f[0]] + ([p] if p.degree("k") <= 0 else [])
+    above = Counter((e, a, c - e) for e, a, c in lists.bottom)
+    below = Counter([f for f in lists.moved + s_den if f[0]] + ([p] if p.degree("k") > 0 else []))
     above, below = above - below, below - above
-    *out, num = split_factors(x.num * factor_product(list(above.elements())), below, below)
-    left = below - Counter(out)
-    kfree = factor_product([f for f in den if f.degree("k") <= 0])
-    d = x.den * kfree
+    *out, num = split_factors(sum_of_products([(1, [x.num, *above.elements()])]), below, below)
+    left = list((below - Counter(out)).elements())
+    d = sum_of_products([(y, [x.den, *kfree])])
     g = gcd_n(chain([d], (num.k_coeff(j) for j in range(num.degree("k") + 1))))
-    # the denominator d / g, made monic in n
     d = d.divide(g)
-    lc = d.coeff(d.degree("n"), 0)
-    num = num.divide(g * lc)
-    return RatFunc2(num, d * (1 / lc) * factor_product(list(left.elements())))
+    scale = 1 / (d.coeff(d.degree("n"), 0) * math.prod(f[0] for f in left if type(f) is tuple))
+    return RatFunc2(num.divide(g) * scale, sum_of_products([(scale, [d, *left])]))
 
 
 def synthesize_certificate(ident: WZIdentity) -> GosperResult:

@@ -7,13 +7,14 @@ constant prefactor.  Right-hand sides are closed forms base^n * prod (a_i)_n^e_i
 Everything here is exact: lattice values are Fractions, row sums are
 quotients of ints, shift quotients are rational functions of (n, k).  The
 shift quotients are products of linear factors e*k + a*n + c, built from
-the summand as primitive int triples (e, a, c), each with an int scale
-(``shift_quotient_k_triples``, ``shift_quotient_n_triples``); the row sums
-walk the k-quotient's triples, the WZ residual keys them, and
-``shift_quotient_k_parts``/``shift_quotient_n_parts`` rebuild them as Poly2s
-for synthesis.  ``split_factors`` is the one trial division by linear
-factors, given as triples or Poly2s: the WZ residual splits the certificate
-denominator with it, and the certificate assembly divides its numerator.
+the summand as primitive int triples (e, a, c), and each quotient carries
+one scale, an int pair into which every factor's own scale is folded
+(``shift_quotient_k_triples``, ``shift_quotient_n_triples``).  The triple is
+the only form a linear factor takes: the row sums walk the k-quotient's
+triples, the WZ residual keys them, and synthesis pairs, moves and expands
+them.  ``split_factors`` is the one trial division by linear factors, given
+as triples or Poly2s: the WZ residual splits the certificate denominator
+with it, and the certificate assembly divides its numerator.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .algebra import Poly2, Rat, RatFunc2, _lowest
+from .algebra import Poly2, Rat, RatFunc2, _lowest, sum_of_products
 
 
 class PoleError(ArithmeticError):
@@ -62,7 +63,7 @@ class HyperTerm:
         object.__setattr__(self, "prefactor_sqrt", Fraction(self.prefactor_sqrt))
 
     @cached_property
-    def k_factors(self) -> "tuple[list, list]":
+    def k_factors(self) -> "tuple[list, list, tuple[int, int]]":
         """``shift_quotient_k_triples(self)``, built once for the instance
         (the exact sums read it on every row); no caller changes the lists."""
         return shift_quotient_k_triples(self)
@@ -142,22 +143,17 @@ def term_sum_parts(t: HyperTerm, n: int, bound: int) -> tuple[int, int]:
     z prod (arg + k)^e / (k + 1)^fact_pow; p(k) multiplies each P(k) apart from
     it, so a zero of p(k) does not stop the walk.  The sum is kept over the
     current denominator of P.  The factors of the ratio are the k-shift
-    quotient's triples (``t.k_factors``): at row n the factor
-    m*(e*k + a*n + c)/d is the int e*k + (a*n + c), and the m and d of every
-    factor fold into the constant part of the ratio.  A Fraction is built
-    only for the message of a PoleError, raised at the first k where a
-    denominator factor vanishes, as term_value raises it.
+    quotient's triples (``t.k_factors``): at row n the factor e*k + a*n + c
+    is the int e*k + (a*n + c), and the quotient's scale is the constant
+    part of the ratio.  A Fraction is built only for the message of a
+    PoleError, raised at the first k where a denominator factor vanishes, as
+    term_value raises it.
     """
     p_den = math.lcm(*(c.denominator for c in t.p))
     p_int = [c.numerator * (p_den // c.denominator) for c in reversed(t.p)]
-    num_f, den_f = t.k_factors
-    const_num, const_den = t.z.numerator, t.z.denominator
-    for _, m, d in num_f:
-        const_num, const_den = const_num * m, const_den * d
-    for _, m, d in den_f:
-        const_num, const_den = const_num * d, const_den * m
-    ups = [(e, a * n + c) for (e, a, c), _, _ in num_f]
-    downs = [(e, a * n + c) for (e, a, c), _, _ in den_f]
+    num_f, den_f, (const_num, const_den) = t.k_factors
+    ups = [(e, a * n + c) for e, a, c in num_f]
+    downs = [(e, a * n + c) for e, a, c in den_f]
     num, den = 1, 1
     total = p_int[-1] if p_int else 0  # p(0)
     for k in range(bound):
@@ -223,8 +219,11 @@ def rhs_exact(rhs: ClosedForm, n: int) -> Rat:
 #
 # A linear factor e*k + a*n + c is carried as its primitive int triple
 # (e, a, c): content 1, and the first nonzero of (e, a) positive, so equal
-# factors have equal triples and 4k + 1 stays (4, 0, 1).  The shift quotients
-# hand each factor over as (triple, m, d), the factor m*triple/d with d > 0.
+# factors have equal triples and 4k + 1 stays (4, 0, 1).  A shift quotient
+# is (numerator triples, denominator triples, (x, y)): x/y times the product
+# of the numerator triples over that of the denominator triples.  Every
+# triple with k in it has e > 0: k + b*n + u/v is (v, b*v, u), its 1/v
+# folded into the scale.
 
 Triple = tuple  # (e, a, c) for e*k + a*n + c
 _LINEAR = frozenset({(0, 0), (1, 0), (0, 1)})  # the exponents of e*k + a*n + c
@@ -254,20 +253,25 @@ def factor_key(f: Poly2) -> "tuple[Optional[Triple | Poly2], int, int]":
     return _lowest({e: c // m for e, c in ints.items()}, 1), m, f.den
 
 
-def _poly(x: "tuple[Triple, int, int]") -> Poly2:
-    """The Poly2 m*triple/d of a shift-quotient factor (triple, m, d)."""
-    (e, a, c), m, d = x
-    return _lowest({(1, 0): m * a, (0, 1): m * e, (0, 0): m * c}, d)
-
-
 def multiplier(t: HyperTerm) -> Poly2:
     """The multiplier polynomial p(k) as a Poly2."""
     return Poly2({(0, i): c for i, c in enumerate(t.p)})
 
 
-def shift_quotient_k_triples(t: HyperTerm) -> "tuple[list, list]":
-    """F(n,k+1)/F(n,k) without z and the multiplier's p(k+1)/p(k), as
-    (numerator factors, denominator factors), each (triple, m, d).  A factor
+def _folded(num: list, den: list, x: int, y: int) -> "tuple[list, list, tuple[int, int]]":
+    """The triples of the factors (triple, m, d), each m*triple/d, in num
+    and den, and x/y times the scales m/d of num over those of den, as an
+    int pair."""
+    for _, m, d in num:
+        x, y = x * m, y * d
+    for _, m, d in den:
+        x, y = x * d, y * m
+    return [f[0] for f in num], [f[0] for f in den], (x, y)
+
+
+def shift_quotient_k_triples(t: HyperTerm) -> "tuple[list, list, tuple[int, int]]":
+    """F(n,k+1)/F(n,k) without the multiplier's p(k+1)/p(k), as (numerator
+    triples, denominator triples, scale), z folded into the scale.  A factor
     k + b*n + u/v is (v*k + b*v*n + u)/v, whose triple has content
     gcd(v, u) = 1."""
     num: list = []
@@ -277,22 +281,7 @@ def shift_quotient_k_triples(t: HyperTerm) -> "tuple[list, list]":
         x = (v, f.n_coeff * v, f.offset.numerator), 1, v
         (num if f.power > 0 else den).extend([x] * abs(f.power))
     den.extend([((1, 0, 1), 1, 1)] * t.fact_pow)  # k + 1
-    return num, den
-
-
-def shift_quotient_k_parts(t: HyperTerm) -> "tuple[list[Poly2], list[Poly2], Rat]":
-    """Factored F(n,k+1)/F(n,k) without the multiplier's p(k+1)/p(k):
-    (numerator factors, denominator factors, scalar), each factor k + a(n)."""
-    num, den = t.k_factors
-    return [_poly(x) for x in num], [_poly(x) for x in den], t.z
-
-
-def factor_product(factors: list[Poly2], scale: Rat = 1) -> Poly2:
-    """scale times the product of the factors, expanded."""
-    out = Poly2.const(scale)
-    for f in factors:
-        out = out * f
-    return out
+    return _folded(num, den, t.z.numerator, t.z.denominator)
 
 
 def split_factors(b: Poly2, candidates: "Iterable[Triple | Poly2]",
@@ -343,14 +332,16 @@ def shift_quotient_k(t: HyperTerm) -> RatFunc2:
 
     No product path calls it; the benchmark's algebra probe
     (perfbench/layers.py::_algebra_probe) multiplies and shifts its parts."""
-    num, den, scal = shift_quotient_k_parts(t)
+    num, den, scale = t.k_factors
     p = multiplier(t)
-    return RatFunc2(factor_product(num, scal) * p.shift("k", 1), factor_product(den) * p)
+    return RatFunc2(sum_of_products([(Fraction(*scale), [*num, p.shift("k", 1)])]),
+                    sum_of_products([(1, [*den, p])]))
 
 
-def shift_quotient_n_triples(t: HyperTerm, rhs: ClosedForm) -> "tuple[list, list]":
-    """Fhat(n+1,k)/Fhat(n,k), where Fhat = F / RHS, without 1/base, as
-    (numerator factors, denominator factors), each (triple, m, d).
+def shift_quotient_n_triples(t: HyperTerm, rhs: ClosedForm) \
+        -> "tuple[list, list, tuple[int, int]]":
+    """Fhat(n+1,k)/Fhat(n,k), where Fhat = F / RHS, as (numerator triples,
+    denominator triples, scale), 1/base folded into the scale.
 
     For a factor (c + b*n)_k: shifting n by 1 multiplies the Pochhammer by
       prod_{j=0..b-1} (c+bn+k+j)/(c+bn+j)          when b > 0,
@@ -373,15 +364,7 @@ def shift_quotient_n_triples(t: HyperTerm, rhs: ClosedForm) -> "tuple[list, list
     for (arg, e) in rhs.poch_n:
         x = (0, arg.denominator, arg.numerator), 1, arg.denominator  # arg + n
         (den if e > 0 else num).extend([x] * abs(e))
-    return num, den
-
-
-def shift_quotient_n_parts(t: HyperTerm, rhs: ClosedForm) \
-        -> "tuple[list[Poly2], list[Poly2], Rat]":
-    """Factored Fhat(n+1,k)/Fhat(n,k) where Fhat = F / RHS: the factors of
-    ``shift_quotient_n_triples`` as Poly2s, and the scalar 1/base."""
-    num, den = shift_quotient_n_triples(t, rhs)
-    return [_poly(x) for x in num], [_poly(x) for x in den], 1 / rhs.base
+    return _folded(num, den, rhs.base.denominator, rhs.base.numerator)
 
 
 # -- structural reduction at the singular parameter value ----------------------

@@ -61,13 +61,12 @@ class WZIdentity:
     def quotients(self) -> tuple:
         """(s_num, s_den, s_scale, k_num, k_den, k_scale, p) with
         s = s_scale * prod(s_num)/prod(s_den) and F(n,k+1)/F(n,k) =
-        k_scale * prod(k_num)/prod(k_den) * p(k+1)/p(k): lists of primitive
-        triples, scales as int pairs (numerator, denominator), and p the key
-        of the multiplier (``terms.factor_key``), None for a constant."""
-        base, z = self.rhs.base, self.term.z
-        return (*_keys(*shift_quotient_n_triples(self.term, self.rhs), base.denominator,
-                       base.numerator),
-                *_keys(*self.term.k_factors, z.numerator, z.denominator),
+        k_scale * prod(k_num)/prod(k_den) * p(k+1)/p(k): the triples and int
+        pair scales of ``terms.shift_quotient_n_triples`` and
+        ``terms.shift_quotient_k_triples``, and p the key of the multiplier
+        (``terms.factor_key``), None for a constant.  The residual and
+        synthesis both read them."""
+        return (*shift_quotient_n_triples(self.term, self.rhs), *self.term.k_factors,
                 factor_key(multiplier(self.term))[0])
 
     @cached_property
@@ -108,16 +107,6 @@ class CertReport:
 def _require_wz(ident: WZIdentity) -> None:
     if ident.kind != "wz" or ident.rhs is None:
         raise ValueError(f"{ident.name}: not a terminating identity with a closed form")
-
-
-def _keys(num: list, den: list, x: int, y: int) -> tuple:
-    """The triples of the factors (triple, m, d) in num and den, and x/y
-    times the scales m/d of num over those of den, as an int pair."""
-    for _, m, d in num:
-        x, y = x * m, y * d
-    for _, m, d in den:
-        x, y = x * d, y * m
-    return [f[0] for f in num], [f[0] for f in den], (x, y)
 
 
 def _shift(g: "Triple | Poly2") -> "Triple | Poly2":

@@ -21,7 +21,7 @@ from wzpi import (
     synthesize_certificate,
     term_value,
 )
-from wzpi.terms import ClosedForm, HyperTerm, factor_product, p_eval, shift_quotient_n_parts
+from wzpi.terms import ClosedForm, HyperTerm, p_eval, shift_quotient_n_triples
 
 settings.register_profile(
     "exact",
@@ -161,11 +161,27 @@ class RefRat:
         return self.num.eval(n, k) / d
 
 
+def factor_product(factors, scale=1) -> Poly2:
+    """scale times the product of the factors, expanded by plain Poly2
+    products."""
+    out = Poly2.const(scale)
+    for f in factors:
+        out = out * f
+    return out
+
+
+def triple_poly(f) -> Poly2:
+    """The Poly2 e*k + a*n + c of a triple (e, a, c)."""
+    e, a, c = f
+    return Poly2.linear(a, e, c)
+
+
 def shift_quotient_n(t: HyperTerm, rhs: ClosedForm) -> RefRat:
     """Fhat(n+1,k)/Fhat(n,k), Fhat = F / RHS, as one rational function of
-    (n, k), from the factor lists of ``shift_quotient_n_parts``."""
-    num, den, scal = shift_quotient_n_parts(t, rhs)
-    return RefRat(factor_product(num, scal.numerator), factor_product(den, scal.denominator))
+    (n, k), from the triples and the scale of ``shift_quotient_n_triples``."""
+    num, den, (x, y) = shift_quotient_n_triples(t, rhs)
+    return RefRat(factor_product(map(triple_poly, num), x),
+                  factor_product(map(triple_poly, den), y))
 
 
 # -- exact values of G = R * F / RHS on the lattice ---------------------------------

@@ -26,7 +26,9 @@ def test_every_exported_name_exists(module):
 
 @pytest.mark.parametrize("path", ["wzpi.g_value", "wzpi.PoleOnLattice", "wzpi.wz.g_value",
                                   "wzpi.wz.PoleOnLattice", "wzpi.terms.shift_quotient_n",
-                                  "wzpi.RatFn"])
+                                  "wzpi.RatFn", "wzpi.terms.shift_quotient_k_parts",
+                                  "wzpi.terms.shift_quotient_n_parts", "wzpi.terms._poly",
+                                  "wzpi.terms.factor_product", "wzpi.wz._keys"])
 def test_removed_names_are_gone(path):
     module, name = path.rsplit(".", 1)
     module = importlib.import_module(module)

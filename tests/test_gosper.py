@@ -35,10 +35,10 @@ from wzpi import unipoly
 from wzpi.algebra import gcd_n
 from wzpi.cli import main
 from wzpi.gosper import _lc, dispersion_candidates
-from wzpi.terms import factor_product, multiplier, split_factors
+from wzpi.terms import multiplier, split_factors
 
-from conftest import (WZ_NAMES, RefRat, chu_vandermonde, family_identities,
-                      normalised_terms, pfaff_saalschuetz, poly2s, rationals)
+from conftest import (WZ_NAMES, RefRat, chu_vandermonde, factor_product, family_identities,
+                      normalised_terms, pfaff_saalschuetz, poly2s, rationals, triple_poly)
 
 K = Poly2.var("k")
 N = Poly2.var("n")
@@ -46,13 +46,15 @@ N = Poly2.var("n")
 
 def ratio(top, bottom, z=1, w=Poly2.const(1)):
     """The factored shift quotient z * prod(top)/prod(bottom) * w(k+1)/w(k),
-    in the form h_ratio returns."""
+    top and bottom lists of triples (e, a, c) for e*k + a*n + c, in the form
+    h_ratio returns."""
     return Fraction(z), list(top), list(bottom), w
 
 
 def expand(parts) -> RefRat:
     z, top, bottom, w = parts
-    return RefRat(factor_product(top, z) * w.shift("k", 1), factor_product(bottom) * w)
+    return RefRat(factor_product(map(triple_poly, top), z) * w.shift("k", 1),
+                  factor_product(map(triple_poly, bottom)) * w)
 
 
 # -- the UniPolyQn view of a Poly2 ---------------------------------------------------
@@ -74,39 +76,52 @@ def test_tower_shift_commutes_with_eval(a, delta, n0, k0):
 
 # -- dispersion ------------------------------------------------------------------------
 
+# a triple (e, a, c) stands for e*k + a*n + c: (1, 0, -5) is k - 5
+
 def test_dispersion_candidates_catch_integer_shifts():
-    assert dispersion_candidates([K], [K - 5]) == [(K, K - 5, 5)]
+    assert dispersion_candidates([(1, 0, 0)], [(1, 0, -5)]) == [((1, 0, 0), (1, 0, -5), 5)]
     # k and k-2 both sit above k-3; the smaller shift takes it
-    assert dispersion_candidates([K, K - 2], [K - 3]) == [(K - 2, K - 3, 1)]
+    assert (dispersion_candidates([(1, 0, 0), (1, 0, -2)], [(1, 0, -3)])
+            == [((1, 0, -2), (1, 0, -3), 1)])
+    # 2k + 1 is 2k - 3 at k + 2
+    assert dispersion_candidates([(2, 0, 1)], [(2, 0, -3)]) == [((2, 0, 1), (2, 0, -3), 2)]
+    # 2k + 1 is 2k at k + 1/2, and 2k + n + 3 is 2k + n at k + 3/2: no
+    # integer shift
+    assert dispersion_candidates([(2, 0, 1)], [(2, 0, 0)]) == []
+    assert dispersion_candidates([(2, 1, 3)], [(2, 1, 0)]) == []
+    # k + n and k + 2n differ by n, a shift in n
+    assert dispersion_candidates([(1, 1, 0)], [(1, 2, 0)]) == []
 
 
 def test_dispersion_candidates_handle_parameterized_roots():
-    assert dispersion_candidates([K - N], [K - N - 4]) == [(K - N, K - N - 4, 4)]
+    assert dispersion_candidates([(1, -1, 0)], [(1, -1, -4)]) == [((1, -1, 0), (1, -1, -4), 4)]
     # a gap of n is no integer shift
-    assert dispersion_candidates([K + 2 * N], [K + N]) == []
+    assert dispersion_candidates([(1, 2, 0)], [(1, 1, 0)]) == []
 
 
 def test_dispersion_candidates_scale_beyond_degree_counts():
     # root gap 40 with degree-1 inputs: the gap, not the degree, matters
-    assert dispersion_candidates([K], [K - 40]) == [(K, K - 40, 40)]
+    assert dispersion_candidates([(1, 0, 0)], [(1, 0, -40)]) == [((1, 0, 0), (1, 0, -40), 40)]
 
 
 @settings(max_examples=20)
 @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=3),
        st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=3))
 def test_dispersion_candidates_are_complete_for_integer_roots(qroots, rroots):
-    top = [K - x for x in qroots]
-    bottom = [K - x for x in rroots]
+    top = [(1, 0, -x) for x in qroots]
+    bottom = [(1, 0, -x) for x in rroots]
     for a, b, j in dispersion_candidates(top, bottom):
-        assert a - b == j > 0
+        assert triple_poly(a) - triple_poly(b) == j > 0
         top.remove(a)
         bottom.remove(b)
     # no positive integer shift is left between what stays in q and r
-    assert not any(0 < (a - b).coeff(0, 0) for a in top for b in bottom)
+    assert not any(0 < a[2] - b[2] for a in top for b in bottom)
 
 
+# k + b*n + c for c = u/v, as the primitive triple (v, b*v, u)
 linear_factors = st.lists(
-    st.builds(lambda b, c: K + b * N + c, st.integers(min_value=0, max_value=2),
+    st.builds(lambda b, c: (c.denominator, b * c.denominator, c.numerator),
+              st.integers(min_value=0, max_value=2),
               st.fractions(min_value=-4, max_value=4, max_denominator=2)),
     min_size=1, max_size=4)
 
@@ -120,9 +135,7 @@ def test_dispersion_candidates_agree_with_sympy(top, bottom):
 
     def positive_shifts(top, bottom):
         def product(factors):
-            return sympy.Poly(sympy.Mul(*[
-                k + sympy.Rational(f.coeff(1, 0)) * n + sympy.Rational(f.coeff(0, 0))
-                for f in factors]), k)
+            return sympy.Poly(sympy.Mul(*[e * k + a * n + c for e, a, c in factors]), k)
         return dispersionset(product(top), product(bottom)) - {0}
 
     pairs = dispersion_candidates(top, bottom)
@@ -164,8 +177,13 @@ def check_normal_form(parts):
 
 def test_normal_form_known_shapes():
     one = Poly2.const(1)
-    p, q, r = check_normal_form(ratio([K + 2], [K]))
+    p, q, r = check_normal_form(ratio([(1, 0, 2)], [(1, 0, 0)]))
     assert p.poly == K * (K + 1)
+    assert q.poly == one and r.poly == one
+
+    # 2k + 1 over 2k - 3 moves 2k - 3 and 2k - 1 into p, as they are
+    p, q, r = check_normal_form(ratio([(2, 0, 1)], [(2, 0, -3)]))
+    assert p.poly == (2 * K - 3) * (2 * K - 1)
     assert q.poly == one and r.poly == one
 
     p, q, r = check_normal_form(ratio([], []))
@@ -176,14 +194,14 @@ def test_normal_form_known_shapes():
     assert p.poly == r.poly == one
 
     # w goes into p as it is, its content in Q[n] with it
-    p, q, r = check_normal_form(ratio([K + N], [K], w=(2 * N + 4) * (3 * K + N)))
+    p, q, r = check_normal_form(ratio([(1, 1, 0)], [(1, 0, 0)], w=(2 * N + 4) * (3 * K + N)))
     assert p.poly == (2 * N + 4) * (3 * K + N)
     assert q.poly == K + N and r.poly == K
 
 
 def test_normal_form_with_parameter():
     # ratio (k+n+1)/(k+n) shifts a parameterized root
-    check_normal_form(ratio([K + N + 1], [K + N]))
+    check_normal_form(ratio([(1, 1, 1)], [(1, 1, 0)]))
 
 
 @settings(max_examples=25)
@@ -191,18 +209,18 @@ def test_normal_form_with_parameter():
        st.lists(st.integers(min_value=-4, max_value=4), min_size=0, max_size=2),
        st.integers(min_value=1, max_value=5))
 def test_normal_form_property_on_random_rational_ratios(nroots, droots, scale):
-    check_normal_form(ratio([K - x for x in nroots], [K - x for x in droots], z=scale))
+    check_normal_form(ratio([(1, 0, -x) for x in nroots], [(1, 0, -x) for x in droots], z=scale))
 
 
 def test_zero_ratio_is_degenerate():
     with pytest.raises(DegenerateRatio):
-        gosper_normal_form(ratio([K], [], z=0))
+        gosper_normal_form(ratio([(1, 0, 0)], [], z=0))
 
 
 # -- polynomial solver --------------------------------------------------------------
 
 def test_solver_sums_the_identity_summand_k():
-    p, q, r = gosper_normal_form(ratio([K + 1], [K]))
+    p, q, r = gosper_normal_form(ratio([(1, 0, 1)], [(1, 0, 0)]))
     x = gosper_solve(p, q, r)
     assert x == RatFunc2(K * (K - 1), 2)
     assert [RefRat(x).eval(3, k0) for k0 in range(5)] == [0, 0, 1, 3, 6]
@@ -217,27 +235,27 @@ def test_solver_sums_the_identity_summand_k():
 def test_solver_picks_the_kernel_solution_that_vanishes_at_zero(b, expected):
     # a_k = 1/((k+b)(k+b+1)): q = k+b, r(k-1) = k+b+1, sigma = 1, and x = k+b
     # spans the kernel
-    p, q, r = gosper_normal_form(ratio([K + b], [K + b + 2]))
+    p, q, r = gosper_normal_form(ratio([(1, 0, b)], [(1, 0, b + 2)]))
     x = gosper_solve(p, q, r)
     assert x == RatFunc2(expected)
     assert [RefRat(x).eval(1, k0) for k0 in range(3)] == [expected.eval(1, k0) for k0 in range(3)]
 
 
 def test_solver_rejects_factorial_growth():
-    p, q, r = gosper_normal_form(ratio([K + 1], []))
+    p, q, r = gosper_normal_form(ratio([(1, 0, 1)], []))
     assert gosper_solve(p, q, r) is None
 
 
 def test_solver_rejects_reciprocal_summand():
     # a_k = 1/k has no hypergeometric antidifference
-    p, q, r = gosper_normal_form(ratio([K], [K + 1]))
+    p, q, r = gosper_normal_form(ratio([(1, 0, 0)], [(1, 0, 1)]))
     assert gosper_solve(p, q, r) is None
 
 
 @pytest.mark.parametrize("power", [2, 3])
 def test_solver_handles_power_sums(power):
     # a_k = k^power: antidifference is the Faulhaber polynomial
-    p, q, r = gosper_normal_form(ratio([K + 1] * power, [K] * power))
+    p, q, r = gosper_normal_form(ratio([(1, 0, 1)] * power, [(1, 0, 0)] * power))
     x = gosper_solve(p, q, r)
     assert x is not None
     x = RefRat(x)
@@ -325,6 +343,27 @@ def test_difference_ratio_matches_exact_values(name, n0, k0):
 
     expected = h(n0, k0 + 1) / h(n0, k0)
     assert expand(parts).eval(n0, k0) == expected
+
+
+def test_the_normal_form_forms_no_product_of_two_polynomials(monkeypatch):
+    # h_ratio and the normal form expand each of w, p, q and r as one
+    # sum of products of triples
+    expected = [gosper_normal_form(h_ratio(load_builtin(name))) for name in WZ_NAMES]
+    idents = [load_builtin(name) for name in WZ_NAMES]
+    products = []
+    mul = Poly2.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Poly2):
+            products.append((self, other))
+        return mul(self, other)
+    monkeypatch.setattr(Poly2, "__mul__", counted)
+    assert N * K == Poly2({(1, 1): 1}) and len(products) == 1  # the count sees a product
+    products.clear()
+    for ident, want in zip(idents, expected):
+        got = gosper_normal_form(h_ratio(ident))
+        assert [f.poly for f in got] == [f.poly for f in want]
+    assert products == []
 
 
 def test_constant_row_makes_the_difference_degenerate():

@@ -32,7 +32,6 @@ from wzpi.terms import (
     RAMANUJAN_Z,
     carlson_substitution,
     factor_key,
-    factor_product,
     p_eval,
     shift_quotient_k,
     split_factors,
@@ -40,8 +39,8 @@ from wzpi.terms import (
     term_sum_parts,
 )
 
-from conftest import (WZ_NAMES, RefRat, family_identities, nonzero_poly2s, rationals,
-                      shift_quotient_n)
+from conftest import (WZ_NAMES, RefRat, factor_product, family_identities, nonzero_poly2s,
+                      rationals, shift_quotient_n, triple_poly)
 
 
 poch_args = st.fractions(min_value=Fraction(-10), max_value=Fraction(10),
@@ -352,7 +351,7 @@ def test_split_is_plain_repeated_division(factors, cofactor, others, capped, non
             caps[key] += most[g]
     *split, rest = split_factors(b, dict.fromkeys(keys), caps)
     assert Counter(split) == Counter(factor_key(g)[0] for g in got[:-1])
-    assert factor_product([Poly2.linear(f[1], f[0], f[2]) if isinstance(f, tuple) else f
+    assert factor_product([triple_poly(f) if isinstance(f, tuple) else f
                            for f in split] + [rest]) == b
 
 

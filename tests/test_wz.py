@@ -28,11 +28,12 @@ from wzpi import (
     wz_residual,
 )
 from wzpi import wz
-from wzpi.terms import (multiplier, shift_quotient_k, shift_quotient_k_parts,
-                        shift_quotient_n_parts)
+from wzpi.terms import (multiplier, shift_quotient_k, shift_quotient_k_triples,
+                        shift_quotient_n_triples)
 
 from conftest import (WZ_NAMES, PoleOnLattice, RefRat, chu_vandermonde, family_identities,
-                      g_value, nonzero_poly2s, pfaff_saalschuetz, shift_quotient_n)
+                      g_value, nonzero_poly2s, pfaff_saalschuetz, shift_quotient_n,
+                      triple_poly)
 
 PRINTED_OK = ("theorem1", "theorem3", "theorem4", "theorem5", "theorem6",
               "theorem7", "theorem8")
@@ -120,9 +121,10 @@ def residual_is_zero(ident, cert):
 
 def shift_quotient_factor(ident, poly):
     """A nonconstant factor of the shift quotients or p(k) that divides poly."""
-    s_num, s_den, _ = shift_quotient_n_parts(ident.term, ident.rhs)
-    k_num, k_den, _ = shift_quotient_k_parts(ident.term)
-    return next(f for f in s_num + s_den + k_num + k_den + [multiplier(ident.term)]
+    s_num, s_den, _ = shift_quotient_n_triples(ident.term, ident.rhs)
+    k_num, k_den, _ = shift_quotient_k_triples(ident.term)
+    return next(f for f in [*map(triple_poly, s_num + s_den + k_num + k_den),
+                            multiplier(ident.term)]
                 if f.degree("n") + f.degree("k") and poly.divide(f) is not None)
 
 
