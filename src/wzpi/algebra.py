@@ -7,26 +7,20 @@ every coefficient is 1.  That form is canonical, so equality and hashing
 compare the stored pair.  A certificate is a ``RatFunc2``: a numerator and a
 denominator kept exactly as constructed (no gcd cancellation), with no
 arithmetic; equality is decided by cross-multiplication, which is sound and
-complete over an integral domain.
+complete over an integral domain.  Its denominator may be a ``Product`` of
+int triples and Poly2s, as records print it; ``den`` expands it if read.
 
 All scalars are ``fractions.Fraction`` (aliased ``Rat``): arbitrary precision,
 normalized sign, always in lowest terms.  Polynomial arithmetic runs on
 Python ints and ends with one gcd that brings the result to lowest terms.  A
-product with a linear factor or another few-term operand is formed term by
-term; any other packs both integer coefficient sets into one int each by
-Kronecker substitution (k -> x, n -> x^w, x -> 2^s, where w exceeds the
-product's degree in k and the s-bit slots hold any signed coefficient), does
-one bigint multiply and unpacks the slots.  ``sum_of_products`` expands a
-whole sum of products of factors, such as the WZ residual, into one such
-int: a factor is a Poly2 or an int triple (e, a, c) standing for
-e*k + a*n + c; a triple or a Poly2 of at most three terms goes in by
-shift-and-add, any other factor is packed and multiplied, and the slots
-hold the bound
-sum |scale| * |f_1|_inf * prod |f_i|_1, so an int of 0 is the zero
-polynomial and only a nonzero int is unpacked.  A Fraction is
-built only for a value handed back: ``eval``, ``eval_k``, ``coeff`` and
-the read-only ``terms`` mapping.  ``gcd_n``, the gcd in Q[n] that the
-certificate assembly takes, runs on the ints too, by a primitive
+product with a few-term operand is formed term by term.  ``sum_of_products``
+expands a whole sum of products of factors (Poly2s, or int triples (e, a, c)
+for e*k + a*n + c), such as the WZ residual or a product of two larger
+Poly2s, into one int by Kronecker substitution (k -> 2^s, n -> 2^(s*w)),
+with slots that hold a proven bound, so an int of 0 is the zero polynomial.
+A Fraction is built only for a value handed back: ``eval``, ``eval_k``,
+``coeff`` and the read-only ``terms`` mapping.  ``gcd_n``, the gcd in Q[n]
+that the certificate assembly takes, runs on the ints too, by a primitive
 pseudo-remainder sequence.
 """
 from __future__ import annotations
@@ -164,16 +158,7 @@ class Poly2:
                     e = (i + i0, j + j0)
                     ints[e] = ints.get(e, 0) + c * c0
             return _lowest(ints, self.den * other.den)
-        # slot (i, j) of the product sits at i*width + j; each coefficient is a
-        # sum of at most min(len(a), len(b)) products, so it fits in ``size``
-        # bytes with the top bit left for the sign
-        width = self.degree("k") + other.degree("k") + 1
-        size = (max(map(abs, a.values())).bit_length()
-                + max(map(abs, b.values())).bit_length()
-                + min(len(a), len(b)).bit_length()) // 8 + 1
-        slots = (max(a)[0] + max(b)[0] + 1) * width         # max(a)[0]: degree in n
-        packed = _pack(a, width, size) * _pack(b, width, size)
-        return _lowest(_unpack(packed, width, size, slots), self.den * other.den)
+        return sum_of_products([(1, (self, other))])  # both packed, one bigint multiply
 
     __rmul__ = __mul__
 
@@ -520,20 +505,53 @@ def gcd_n(polys: Iterable[Poly2]) -> Poly2:
     return _lowest({(i, 0): c for i, c in enumerate(g)}, 1)
 
 
+class Product:
+    """scale * prod(factors) unexpanded, each factor a nonzero int triple
+    (e, a, c) for e*k + a*n + c or a nonzero Poly2; it compares, hashes and
+    prints as its expansion."""
+
+    __slots__ = ("scale", "factors")
+
+    def __init__(self, scale: Scalar, factors: Iterable["Poly2 | tuple[int, int, int]"]):
+        self.scale, self.factors = Fraction(scale), tuple(factors)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.scale
+
+    def expand(self) -> Poly2:
+        return sum_of_products([(self.scale, self.factors)])
+
+    def __eq__(self, other: object) -> bool:
+        return self.expand() == (other.expand() if isinstance(other, Product) else other)
+
+    def __hash__(self) -> int:
+        return hash(self.expand())
+
+    def __str__(self) -> str:
+        return str(self.expand())
+
+
 class RatFunc2:
     """Unreduced quotient of two Poly2: a certificate as printed or as
-    synthesized.  Equality is decided by cross-multiplication, so instances
-    are unhashable; there is no arithmetic."""
+    synthesized.  A denominator given as a ``Product`` is kept as ``product``
+    and expanded into ``den`` when den is first read (else product is None).
+    Equality is by cross-multiplication, so it is unhashable; no arithmetic."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "product", "_den")
 
-    def __init__(self, num: Poly2 | Scalar, den: Poly2 | Scalar = 1):
-        num = _coerce(num)
-        den = _coerce(den)
-        if den.is_zero:
+    def __init__(self, num: Poly2 | Scalar, den: Poly2 | Product | Scalar = 1):
+        self.num = _coerce(num)
+        self.product = den if isinstance(den, Product) else None
+        self._den = None if self.product is not None else _coerce(den)
+        if (self.product or self._den).is_zero:
             raise DivisionByZeroFunction("zero denominator polynomial")
-        self.num = num
-        self.den = den
+
+    @property
+    def den(self) -> Poly2:
+        if self._den is None:
+            self._den = self.product.expand()
+        return self._den
 
     def __eq__(self, other: object) -> bool:
         """True iff the two quotients agree as rational functions."""

@@ -18,17 +18,22 @@ parse error)::
 
 Unary minus binds tighter than ``^``, so ``-k^2`` means ``(-k)^2``; the
 serializer therefore always writes an explicit coefficient, e.g. ``-1*k^2``.
+
+A ``cert_den`` written as one product of factors each linear or free of k,
+as every bundled record writes it, is an ``algebra.Product`` of their keys
+(``terms.factor_key``) and one scale, not expanded; any other is expanded.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .algebra import Poly2, Rat, RatFunc2
-from .terms import ClosedForm, HyperTerm, PochFactor
+from .algebra import Poly2, Product, Rat, RatFunc2
+from .terms import ClosedForm, HyperTerm, PochFactor, factor_key
 from .wz import WZIdentity
 
 
@@ -86,14 +91,8 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, val, line, col = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", line, col)
-        return self.next()
-
-    def parse(self) -> Poly2:
-        poly = self.expr()
+    def parse(self, first: Optional[Poly2] = None) -> Poly2:
+        poly = self.expr(first)
         kind, val, line, col = self.peek()
         if kind != "eof":
             raise ParseError(
@@ -102,32 +101,32 @@ class _ExprParser:
                 line, col)
         return poly
 
-    def expr(self) -> Poly2:
-        poly = self.term()
+    def expr(self, poly: Optional[Poly2] = None) -> Poly2:  # poly: the first term, if read
+        poly = _product(self.factors()) if poly is None else poly
         while True:
             kind, val, _, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                rhs = self.term()
+                rhs = _product(self.factors())
                 poly = poly + rhs if val == "+" else poly - rhs
             else:
                 return poly
 
-    def term(self) -> Poly2:
-        poly = self.factor()
+    def factors(self) -> list[tuple[Poly2, int]]:
+        fs = [self.factor()]
         while True:
             kind, val, line, col = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                poly = poly * self.factor()
+                fs.append(self.factor())
             elif kind in ("int", "name") or (kind == "op" and val == "("):
                 raise ParseError(
                     f"unexpected {val!r} (implicit multiplication is not allowed)",
                     line, col)
             else:
-                return poly
+                return fs
 
-    def factor(self) -> Poly2:
+    def factor(self) -> tuple[Poly2, int]:
         poly = self.base()
         kind, val, _, _ = self.peek()
         if kind == "op" and val == "^":
@@ -136,8 +135,8 @@ class _ExprParser:
             if kind != "int":
                 raise ParseError("expected a nonnegative integer exponent", line, col)
             self.next()
-            poly = poly ** int(val)
-        return poly
+            return poly, int(val)
+        return poly, 1
 
     def base(self) -> Poly2:
         kind, val, line, col = self.next()
@@ -160,15 +159,37 @@ class _ExprParser:
             return -self.base()
         if kind == "op" and val == "(":
             poly = self.expr()
-            self.expect_op(")")
+            kind, val, line, col = self.next()
+            if kind != "op" or val != ")":
+                raise ParseError("expected ')'", line, col)
             return poly
         raise ParseError(f"expected a value, got {val!r}" if val else "unexpected end",
                          line, col)
 
 
+def _product(fs: list[tuple[Poly2, int]]) -> Poly2:
+    return math.prod((b ** e for b, e in fs[1:]), start=fs[0][0] ** fs[0][1])
+
+
 def parse_poly(text: str, line: int = 1, col0: int = 1) -> Poly2:
     """Parse an expression string into a Poly2."""
     return _ExprParser(text, line, col0).parse()
+
+
+def _parse_den(text: str, line: int) -> "Poly2 | Product":
+    """cert_den as a Product (see the module docstring), else expanded."""
+    parser = _ExprParser(text, line)
+    fs = parser.factors()
+    if parser.peek()[0] != "eof":
+        return parser.parse(_product(fs))
+    sn, sd, keys = 1, 1, []
+    for base, power in fs:
+        key, m, d = factor_key(base)
+        if type(key) is not tuple and base.degree("k") > 0:
+            return _product(fs)
+        sn, sd = sn * m ** power, sd * d ** power
+        keys += [] if key is None else [key] * power
+    return Product(Fraction(sn, sd), keys)
 
 
 # -- identity record -------------------------------------------------------------
@@ -189,7 +210,7 @@ class IdentityFile:
     prefactor_rational: Rat = Fraction(1)
     prefactor_sqrt: Rat = Fraction(1)
     cert_num: Optional[Poly2] = None
-    cert_den: Optional[Poly2] = None
+    cert_den: "Optional[Poly2 | Product]" = None
     erratum: bool = False
 
     @property
@@ -202,12 +223,8 @@ class IdentityFile:
         term = HyperTerm(poch=poch, fact_pow=self.fact_pow, z=self.z, p=self.p,
                          prefactor_rational=self.prefactor_rational,
                          prefactor_sqrt=self.prefactor_sqrt)
-        rhs = None
-        if self.rhs_base is not None:
-            rhs = ClosedForm(base=self.rhs_base, poch_n=self.rhs_poch)
-        cert = None
-        if self.cert_num is not None:
-            cert = RatFunc2(self.cert_num, self.cert_den)
+        rhs = None if self.rhs_base is None else ClosedForm(self.rhs_base, self.rhs_poch)
+        cert = None if self.cert_num is None else RatFunc2(self.cert_num, self.cert_den)
         return WZIdentity(name=self.name, term=term, rhs=rhs, certificate=cert,
                           carlson_a=self.carlson_a, kind=self.kind)
 
@@ -417,7 +434,7 @@ def parse_identity(text: str) -> IdentityFile:
             raise SemanticError("certificate parts must be quoted expressions",
                                 line_cn)
         cert_num = parse_poly(cert_num_s, line_cn)
-        cert_den = parse_poly(cert_den_s, line_cd)
+        cert_den = _parse_den(cert_den_s, line_cd)
         if cert_den.is_zero:
             raise SemanticError("cert_den is the zero polynomial", line_cd)
 

@@ -33,10 +33,11 @@ Pipeline (names follow the classical presentation):
                          system is triangular with at most one zero pivot,
                          whose unknown the rows left over fix; x = X(n,k)/D(n).
 4. ``synthesize_certificate`` -- assemble ``R = (r(k-1) x(k) / p(k))(s - 1)``
-                         as a ``Poly2`` quotient in lowest terms from the
-                         triples, ``terms.split_factors`` and one int gcd in
-                         Q[n] (``algebra.gcd_n``; *A = B* ch. 5-7); accept it
-                         only after the full verifier passes.
+                         in lowest terms from the triples,
+                         ``terms.split_factors`` and one int gcd in Q[n]
+                         (``algebra.gcd_n``; *A = B* ch. 5-7), its
+                         denominator left as its factors; accept it only
+                         after the full verifier passes.
 """
 from __future__ import annotations
 
@@ -44,10 +45,10 @@ import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Optional
 
-from .algebra import Poly2, RatFunc2, Rat, gcd_n, sum_of_products
+from .algebra import Poly2, Product, RatFunc2, Rat, _lowest, gcd_n, sum_of_products
 from .terms import Triple, multiplier, split_factors
 from .unipoly import UniPolyQn
 from .wz import CertReport, WZIdentity, verify_certificate
@@ -67,7 +68,9 @@ class DegenerateRatio(ArithmeticError):
     """The WZ difference vanishes identically, so there is nothing to sum."""
 
 
-_K = Poly2.var("k")
+def _k_times(f: Poly2, i: int) -> Poly2:
+    """f * k^i, by moving the exponents."""
+    return _lowest({(a, b + i): c for (a, b), c in f.ints.items()}, f.den)
 
 
 def _lc(f: Poly2) -> Poly2:
@@ -189,7 +192,7 @@ def _eliminate(rhs: Poly2, images: list[Poly2], pivots: list[Poly2], top: int,
             X, D, rest = X * pivots[i], D * pivots[i], rest * pivots[i]
         else:
             a = a * (1 / pivots[i].coeff(0, 0))
-        X = X + a * _K ** i
+        X = X + _k_times(a, i)
         rest = rest - a * images[i]
     return X, D, rest
 
@@ -218,7 +221,9 @@ def gosper_solve(p: UniPolyQn, q: UniPolyQn, r: UniPolyQn) -> Optional[RatFunc2]
     top = max(Q.degree("k"), RM1.degree("k"))
     if Q.degree("k") == RM1.degree("k") and _lc(Q) == _lc(RM1):
         top -= 1
-    images = [Q * (_K + 1) ** i - RM1 * _K ** i for i in range(d + 1)]
+    # Q (k+1)^i by shift-and-add from Q (k+1)^(i-1), RM1 k^i by moving exponents
+    ups = accumulate(range(d), lambda f, _: _k_times(f, 1) + f, initial=Q)
+    images = [up - _k_times(RM1, i) for i, up in enumerate(ups)]
     pivots = [f.k_coeff(i + top) for i, f in enumerate(images)]
     sigma = next((i for i, c in enumerate(pivots) if c.is_zero), None)
     X, D, rest = _eliminate(P, images, pivots, top, sigma)
@@ -226,7 +231,7 @@ def gosper_solve(p: UniPolyQn, q: UniPolyQn, r: UniPolyQn) -> Optional[RatFunc2]
         # the direction h = Dh k^sigma + Xh has L(h) = -rest_h; x becomes
         # (u X - v h) / (u D), with u, v chosen to clear the top row of rest
         Xh, Dh, rest_h = _eliminate(-images[sigma], images, pivots, top, sigma)
-        h = Dh * _K ** sigma + Xh
+        h = _k_times(Dh, sigma) + Xh
         if not rest_h.is_zero:
             u, v = _lc(rest_h), rest.k_coeff(rest_h.degree("k"))
         else:  # h is a kernel element: choose x(0) = 0 if h(0) is not 0
@@ -301,7 +306,8 @@ def _certificate_from_solution(
     as often as it occurs.  What is left in n, w's content among it, cancels
     through the gcd over Q[n] (``gcd_n``) of the k-free part of the
     denominator and the numerator's k-columns.  One scale makes that part
-    monic in n and each triple left below monic in k, (e*k + a*n + c)/e."""
+    monic in n and each triple left below monic in k, (e*k + a*n + c)/e; the
+    denominator is handed over as that scale and its factors, unexpanded."""
     s_den, (_, y) = ident.quotients[1:3]
     p = multiplier(ident.term)
     kfree = [f for f in s_den if not f[0]] + ([p] if p.degree("k") <= 0 else [])
@@ -314,7 +320,7 @@ def _certificate_from_solution(
     g = gcd_n(chain([d], (num.k_coeff(j) for j in range(num.degree("k") + 1))))
     d = d.divide(g)
     scale = 1 / (d.coeff(d.degree("n"), 0) * math.prod(f[0] for f in left if type(f) is tuple))
-    return RatFunc2(num.divide(g) * scale, sum_of_products([(scale, [d, *left])]))
+    return RatFunc2(num.divide(g) * scale, Product(scale, [d, *left]))
 
 
 def synthesize_certificate(ident: WZIdentity) -> GosperResult:

@@ -13,8 +13,8 @@ one scale, an int pair into which every factor's own scale is folded
 the only form a linear factor takes: the row sums walk the k-quotient's
 triples, the WZ residual keys them, and synthesis pairs, moves and expands
 them.  ``split_factors`` is the one trial division by linear factors, given
-as triples or Poly2s: the WZ residual splits the certificate denominator
-with it, and the certificate assembly divides its numerator.
+as triples or Poly2s: the verifier splits a certificate denominator given
+expanded with it, and the certificate assembly divides its numerator.
 """
 from __future__ import annotations
 

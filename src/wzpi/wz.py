@@ -6,18 +6,14 @@ holds as a rational-function identity, where r = F(n,k+1)/F(n,k) and
 s = Fhat(n+1,k)/Fhat(n,k).  That is the WZ relation
 Fhat(n+1,k) - Fhat(n,k) = G(n,k+1) - G(n,k) with G = R * Fhat, divided
 through by Fhat; cross-multiplication decides it exactly.  ``wz_residual``
-builds it over the least common multiple of the three terms' denominators,
-whose linear factors cancel before anything is expanded.  Every linear
-factor is carried as its primitive int triple (e, a, c) for e*k + a*n + c,
-so the counts, the cancellation, the lcm and the shift k -> k + 1 are int
-work on tuple keys.  Its numerator and its denominator are each one sum of
-products of factors, which ``algebra.sum_of_products`` evaluates as one
-Kronecker-packed int with a slot per monomial wide enough for every
-coefficient; the numerator of a certificate that holds is the int 0, which
-is the zero polynomial.  The split of the certificate denominator into
-linear factors and a cofactor is made once for each ``WZIdentity``; the
-scan for its zeros on the support reads it, solving each linear factor for
-its lattice zero on a row, and evaluates only a nonconstant cofactor.
+builds it over the lcm of the three terms' denominators, on linear factors
+carried as primitive int triples (e, a, c) for e*k + a*n + c, so the lcm
+and the shift k -> k + 1 are int work on tuple keys.  Its numerator is one
+``algebra.sum_of_products``, an int that is 0 exactly when the certificate
+holds; its denominator is left unexpanded.  The certificate denominator's
+split into keys, once per ``WZIdentity``, is read off a denominator given as
+a product, by trial division only from one given expanded; the boundary
+check and the scan for zeros on the support read it.
 
 The exact row sums are checked apart from any certificate, in one walk over
 n on ints: each row sum is an unreduced int quotient, the closed form an int
@@ -33,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .algebra import Poly2, Rat, RatFunc2, sum_of_products
+from .algebra import Poly2, Product, Rat, RatFunc2, sum_of_products
 from .terms import (ClosedForm, HyperTerm, Triple, factor_key, multiplier, rhs_exact,
                     shift_quotient_n_triples, split_factors, term_sum, term_sum_parts,
                     termination_bound)
@@ -71,15 +67,23 @@ class WZIdentity:
 
     @cached_property
     def den_split(self) -> tuple:
-        """The certificate denominator B as (factors, (m, d), key, cofactor):
-        B = prod(factors) * cofactor, where factors are the distinct keys of
-        both shift quotients and p that ``terms.split_factors`` divides out,
-        with multiplicity, and cofactor = m*key/d (m/d when key is None)."""
-        s_num, s_den, _, k_num, k_den, _, p = self.quotients
-        candidates = dict.fromkeys(s_den + s_num + k_num + k_den + ([] if p is None else [p]))
-        *fs, rest = split_factors(self.certificate.den, candidates)
-        key, m, d = factor_key(rest)
-        return fs, (m, d), key, rest
+        """The certificate denominator B as (keys, (m, d)), B = m/d * prod(keys):
+        the keys (``terms.factor_key``), with multiplicity, of the nonconstant
+        factors of a ``Product``, read off with no division.  An expanded B is
+        first split by ``terms.split_factors`` into the factors of both shift
+        quotients and p that divide it and one cofactor, what is left."""
+        prod = self.certificate.product
+        if prod is None:
+            s_num, s_den, _, k_num, k_den, _, p = self.quotients
+            candidates = dict.fromkeys(s_den + s_num + k_num + k_den + ([] if p is None else [p]))
+            prod = Product(1, split_factors(self.certificate.den, candidates))
+        fs, m, d = [], prod.scale.numerator, prod.scale.denominator
+        for g in prod.factors:
+            if type(g) is not tuple:
+                g, gm, gd = factor_key(g)
+                m, d = m * gm, d * gd
+            fs += [] if g is None else [g]
+        return fs, (m, d)
 
 
 @dataclass
@@ -125,39 +129,34 @@ def wz_residual(ident: WZIdentity) -> RatFunc2:
     keys (``terms.factor_key``): a linear factor is its primitive int triple
     (e, a, c), a cheap key for a Counter, and shifts to (e, a, c + e).  The
     shift quotients come as triples with int scales (``ident.quotients``),
-    and B as the keys that ``terms.split_factors`` divides out of it and one
-    cofactor (``ident.den_split``), whose k-shift serves B(k+1) and is one
-    key with it when the two are equal.  Each numerator gains exactly the
-    factors its denominator lacks, so it equals the residual over the full
-    product Sd*B(k+1)*den(r)*B up to a constant.  No Fraction is built for
-    a factor.
+    and B as its keys (``ident.den_split``), whose k-shifts serve B(k+1); a
+    key that is not linear is one key with its k-shift when the two are
+    equal.  Each numerator gains exactly the factors its denominator lacks,
+    so it equals the residual over the full product Sd*B(k+1)*den(r)*B up to
+    a constant.  No Fraction is built for a factor of a parsed record.
 
-    The four numerator terms and the denominator rest*B go to
-    ``sum_of_products`` as lists of factors, and no Poly2 product is formed:
-    each sum is one int, the polynomial's value at k = 2^s, n = 2^(s*w), with
-    w above every term's k-degree and s-bit slots above the bound
-    sum |scale| * |f_1|_inf * prod |f_i|_1 on the coefficients.  Within that
-    bound the value determines the polynomial, so an int of 0 is the zero
-    polynomial and a proof is decided without decoding its numerator.
+    The numerator is one ``sum_of_products`` of the four terms' factor
+    lists, an int that is 0 exactly when the residual is, decoded only if
+    not; the denominator rest*B = m/d * prod(lcm) is a ``Product``.
     """
     _require_wz(ident)
     cert = ident.certificate
     if cert is None:
         raise MissingCertificate(f"{ident.name} carries no certificate")
     s_num, s_den, (sn, sd), k_num, k_den, (zn, zd), p = ident.quotients
-    fs, (bm, bd), cof, _ = ident.den_split
-    p1, b1 = ([] if g is None else [g] for g in (p, cof))
-    d1, d3 = Counter(s_den), Counter(fs + b1)
-    d2 = Counter(k_den + p1 + [_shift(g) for g in fs + b1])
+    fs, (bm, bd) = ident.den_split
+    p1 = [] if p is None else [p]
+    d1, d3 = Counter(s_den), Counter(fs)
+    d2 = Counter(k_den + p1 + [_shift(g) for g in fs])
     lcm = d1 | d2 | d3
-    rest = list((lcm - d3).elements())  # rest * B = m/d * prod(lcm), B = m/d * prod(fs + b1)
+    rest = list((lcm - d3).elements())  # rest * B = m/d * prod(lcm), B = m/d * prod(fs)
     num = sum_of_products([
         (Fraction(sn * bm, sd * bd), s_num + list((lcm - d1).elements())),
         (Fraction(-bm, bd), list(lcm.elements())),
         (Fraction(-zn, zd), [cert.num.shift("k", 1), *(lcm - d2).elements(), *k_num,
                              *map(_shift, p1)]),
         (1, [cert.num, *rest])])
-    return RatFunc2(num, sum_of_products([(Fraction(bm, bd), [*rest, *fs, *b1])]))
+    return RatFunc2(num, Product(Fraction(bm, bd), [*rest, *fs]))
 
 
 def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
@@ -168,15 +167,14 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
     The scan reads the split that the residual made (``ident.den_split``):
     the zero of a linear factor e*k + a*n + c on row n is k = -(a*n + c)/e,
     one divmod, or the whole row when e = 0 and a*n + c = 0; only a factor
-    that is not linear and a nonconstant cofactor are evaluated, each row's
-    coefficients in k formed once and the row run by Horner's rule in ints.
+    that is not linear is evaluated, each row's coefficients in k formed
+    once and the row run by Horner's rule in ints.
     The zeros of a row are merged, each k once, in increasing order.
     The symbolic identity is a statement about rational functions, so it
     holds whatever the lattice values; where the denominator vanishes, G
     has a removable singularity or a pole, and nothing here resolves which.
     """
     report = CertReport(identity_name=ident.name)
-    cert = ident.certificate
     problems = []
 
     residual = wz_residual(ident)
@@ -185,8 +183,11 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
         problems.append(f"WZ residual is a nonzero rational function "
                         f"({len(residual.num.terms)} monomials in the numerator)")
 
-    # a polynomial vanishes at k = 0 iff it has no monomial free of k
-    num0, den0 = (any(not j for _, j in p.ints) for p in (cert.num, cert.den))
+    # at k = 0 a polynomial vanishes iff no monomial is free of k, a triple iff a = c = 0
+    fs, _ = ident.den_split
+    num0 = any(not j for _, j in ident.certificate.num.ints)
+    den0 = not any(g[1:] == (0, 0) if type(g) is tuple else all(j for _, j in g.ints)
+                   for g in fs)
     report.boundary_ok = not num0 and den0
     if num0:
         problems.append("certificate does not vanish at k = 0")
@@ -198,13 +199,11 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
     if not report.base_case_ok:
         problems.append("base case n = 0 sum differs")
 
-    fs, _, key, cofactor = ident.den_split
     lines = {g for g in fs if type(g) is tuple}
-    # the (n-power, coefficient) pairs of every other factor and of a
-    # nonconstant cofactor, grouped by power of k, highest first, for
-    # Horner's rule in k
+    # the (n-power, coefficient) pairs of every other factor, grouped by
+    # power of k, highest first, for Horner's rule in k
     tables = []
-    for g in [g for g in fs if type(g) is not tuple] + ([] if key is None else [cofactor]):
+    for g in [g for g in fs if type(g) is not tuple]:
         by_k: list[list[tuple[int, int]]] = [[] for _ in range(g.degree("k") + 1)]
         for (i, j), c in g.ints.items():
             by_k[-1 - j].append((i, c))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -36,6 +37,23 @@ WZ_NAMES = tuple(n for n in BUILTIN_NAMES
 THEOREM_NAMES = tuple(f"theorem{i}" for i in range(1, 12))
 PRINTED_CERT_NAMES = tuple(n for n in BUILTIN_NAMES
                            if builtin_record(n).has_certificate)
+
+
+def record_text(name: str, factor: str = "") -> str:
+    """The text of a bundled record's file; with ``factor``, its printed
+    certificate's numerator and denominator each multiplied by that
+    expression, the denominator still written as one product."""
+    text = resources.files("wzpi").joinpath("data", f"{name}.identity").read_text()
+    if not factor:
+        return text
+    lines = []
+    for line in text.splitlines():
+        key, _, value = line.partition(" = ")
+        if key in ("cert_num", "cert_den"):
+            body = value[1:-1] if key == "cert_den" else f"({value[1:-1]})"
+            line = f'{key} = "{factor}*{body}"'
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 # -- hypothesis strategies ----------------------------------------------------------

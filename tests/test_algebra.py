@@ -3,15 +3,15 @@ certificate quotient: cross-multiplied equality and no arithmetic."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wzpi import (DivisionByZeroFunction, Poly2, RatFunc2, load_builtin, synthesize_certificate,
-                  wz_residual)
-from wzpi.algebra import SCHOOLBOOK_TERMS, sum_of_products
+from wzpi import DivisionByZeroFunction, Poly2, RatFunc2, load_builtin, synthesize_certificate
+from wzpi.algebra import SCHOOLBOOK_TERMS, Product, sum_of_products
 from wzpi.catalog import parse_poly
 
 from conftest import (PRINTED_CERT_NAMES, WZ_NAMES, lattice_points, nonzero_poly2s,
@@ -442,17 +442,23 @@ def test_division_matches_the_reference(g, f, h):
 
 
 def test_division_matches_the_reference_on_the_residual_split(monkeypatch):
-    # the divisions wz_residual makes when it splits the printed denominators,
-    # then every division of a synthesis pass over the wz records: the
-    # assembly's split and gcd, and the residual of each synthesized certificate
+    # the divisions of the split of each printed denominator, given expanded,
+    # then every division of a synthesis pass over the wz records (the
+    # assembly's split and gcd) and of the split of each synthesized
+    # denominator, given expanded
+    def split(ident, cert):
+        return replace(ident, certificate=RatFunc2(cert.num, cert.den)).den_split
+
     calls = []
     divide = Poly2.divide
     monkeypatch.setattr(Poly2, "divide", lambda a, f: calls.append((a, f)) or divide(a, f))
     for name in PRINTED_CERT_NAMES:
-        wz_residual(load_builtin(name))
+        ident = load_builtin(name)
+        split(ident, ident.certificate)
     printed = len(calls)
     for name in WZ_NAMES:
-        synthesize_certificate(load_builtin(name))
+        ident = load_builtin(name)
+        split(ident, synthesize_certificate(ident).certificate)
     monkeypatch.undo()
     quotients = [divide(a, f) for a, f in calls]
     assert printed > 20 and None not in quotients[:printed]
@@ -572,6 +578,24 @@ def test_zero_denominator_rejected():
         RatFunc2(Poly2.const(1), Poly2())
     with pytest.raises(DivisionByZeroFunction):
         RatFunc2(Poly2.var("n"), 0)
+    with pytest.raises(DivisionByZeroFunction):
+        RatFunc2(Poly2.var("n"), Product(0, [(1, 0, 1)]))
+
+
+def test_a_product_denominator_is_expanded_once_and_only_when_read(monkeypatch):
+    n, k = Poly2.var("n"), Poly2.var("k")
+    square = (n * n + 1) * (n * n + 1)
+    product = Product(Fraction(-3, 2), [(4, 0, 1), (1, -1, -1), (1, -1, -1), n * n + 1])
+    expanded = Fraction(-3, 2) * (4 * k + 1) * (k - n - 1) * (k - n - 1) * (n * n + 1)
+    assert product == expanded and expanded == product and hash(product) == hash(expanded)
+    assert str(product) == str(expanded) and product != square
+    expand, calls = Product.expand, []
+    monkeypatch.setattr(Product, "expand", lambda self: calls.append(self) or expand(self))
+    x = RatFunc2(k, product)
+    assert x.product is product and calls == []
+    assert x.den == expanded and x.den is x.den and calls == [product]
+    assert RatFunc2(k, expanded).product is None
+    assert x == RatFunc2(2 * k, 2 * expanded)
 
 
 def test_certificates_have_no_arithmetic():

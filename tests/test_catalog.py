@@ -19,10 +19,13 @@ from wzpi import (
     load_identity_file,
     parse_identity,
     serialize_identity,
+    verify_certificate,
+    wz_residual,
 )
+from wzpi.algebra import Product
 from wzpi.catalog import parse_poly
 
-from conftest import poly2s
+from conftest import poly2s, record_text
 
 
 # -- polynomial expression parser ----------------------------------------------------
@@ -205,3 +208,65 @@ def test_certificate_halves_must_appear_together():
 def test_unknown_keys_rejected():
     with pytest.raises(SemanticError):
         parse_identity(MINIMAL + "mystery_key = 1\n")
+
+
+# -- cert_den as a product -------------------------------------------------------------
+
+CERT = MINIMAL + 'cert_num = "k"\ncert_den = "{}"\n'
+CERT_DEN_LINE = CERT.count("\n")
+
+
+@pytest.mark.parametrize("den", ["(4*k+1)*0*(n+1)", "(n-n)^2*(k+1)", "(k+1)*(0)^1", "0"])
+def test_a_product_with_a_zero_factor_is_the_zero_polynomial(den):
+    with pytest.raises(SemanticError, match="cert_den is the zero polynomial") as info:
+        parse_identity(CERT.format(den))
+    assert info.value.line == CERT_DEN_LINE
+
+
+@pytest.mark.parametrize("den, scale, triples, cofactor", [
+    # 3n + 3 - k is -1 times its key (1, -3, -3); -(4k + 1) is squared
+    ("27*(4*k+1)^2*(3*n+3-k)", -27, [(4, 0, 1), (4, 0, 1), (1, -3, -3)], None),
+    ("-(4*k+1)^2*n^2*(n^2+1)", 1, [(4, 0, 1), (4, 0, 1), (0, 1, 0), (0, 1, 0)], "n^2+1"),
+    ("2*k^2*(2*k+2)*1/3", Fraction(4, 3), [(1, 0, 0), (1, 0, 0), (1, 0, 1)], None),
+    ("(6*n+4)*(k+1/2*n)^3", Fraction(1, 4), [(0, 3, 2)] + [(2, 1, 0)] * 3, None),
+    ("(4*k+1)^0*5", 5, [], None),
+])
+def test_powers_and_constants_of_a_product_are_parsed(den, scale, triples, cofactor):
+    got = parse_identity(CERT.format(den)).cert_den
+    assert isinstance(got, Product) and got == parse_poly(den)
+    assert list(got.factors) == triples + ([] if cofactor is None else [parse_poly(cofactor)])
+    assert got.scale == scale
+    assert str(got) == str(parse_poly(den))
+
+
+@pytest.mark.parametrize("den", ["(n^2+k^2+1)*(4*k+1)", "(k^2)*n", "k*n+1", "(4*k+1)*(k+1)-1"])
+def test_a_factor_nonlinear_in_k_or_a_sum_is_parsed_expanded(den):
+    got = parse_identity(CERT.format(den)).cert_den
+    assert type(got) is Poly2 and got == parse_poly(den)
+
+
+@pytest.mark.parametrize("name, factor, num_terms, den_terms, factored", [
+    ("theorem9", "(n^2+k^2+1)", 145, 283, False), ("theorem9", "(n-3)", 88, 209, True),
+    ("theorem9", "(2*n+3)", 89, 209, True), ("theorem2", "(n-3)", 106, 106, True)])
+def test_a_common_factor_written_in_the_record_keeps_the_residual_size(
+        name, factor, num_terms, den_terms, factored):
+    # the sizes of test_wz.py::test_residual_size_with_a_nonconstant_cofactor,
+    # where the same factor is multiplied in after the parse
+    ident = parse_identity(record_text(name, factor)).to_identity()
+    assert (ident.certificate.product is not None) == factored
+    residual = wz_residual(ident)
+    assert (len(residual.num.ints), len(residual.den.ints)) == (num_terms, den_terms)
+    assert verify_certificate(ident).symbolic_ok is False
+
+
+@pytest.mark.parametrize("bad", [
+    "", "n +", "(n", "n)", "x + 1", "n ^ k", "n ** 2", "1/0", "n // 2",
+    "4n", "^2", "(4*k+1)*(n", "(4*k+1)*x", "2*(k+1) 3",
+])
+def test_a_malformed_cert_den_fails_where_the_expression_parser_does(bad):
+    with pytest.raises(ParseError) as want:
+        parse_poly(bad, CERT_DEN_LINE)
+    with pytest.raises(ParseError) as got:
+        parse_identity(CERT.format(bad))
+    assert (got.value.line, got.value.col, str(got.value)) == \
+        (want.value.line, want.value.col, str(want.value))

@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from wzpi import (BUILTIN_NAMES, Poly2, RatFunc2, builtin_record, parse_identity,
-                  rhs_exact, serialize_identity)
+from wzpi import (BUILTIN_NAMES, Poly2, RatFunc2, builtin_record, load_identity_file,
+                  parse_identity, rhs_exact, serialize_identity, verify_certificate)
 from wzpi import cli
 from wzpi.cli import (
     EXIT_BROKEN_PIPE,
@@ -19,6 +22,8 @@ from wzpi.cli import (
     EXIT_USAGE,
     main,
 )
+
+from conftest import WZ_NAMES
 
 
 def run(capsys, *argv):
@@ -250,6 +255,24 @@ def test_synth_emit_writes_a_verifiable_record(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--file", str(target), "--n-max", "4")
     assert code == EXIT_OK
     assert "certificate: pass" in out
+
+
+@pytest.mark.parametrize("name", WZ_NAMES)
+def test_an_emitted_record_parses_back_to_the_synthesized_factors(capsys, tmp_path, name,
+                                                                  synthesis):
+    # --emit writes R_den expanded; parsed back, it is split into the same
+    # factors and scale as the synthesized product, and it verifies
+    target = tmp_path / f"{name}.identity"
+    code, _, _ = run(capsys, "synth", "--id", name, "--emit", str(target))
+    assert code == EXIT_OK
+    ident = load_identity_file(str(target)).to_identity()
+    made = replace(ident, certificate=synthesis.get(name).certificate)
+    assert ident.certificate.product is None and made.certificate.product is not None
+    assert ident.certificate == made.certificate
+    (fs, (m, d)), (fs2, (m2, d2)) = ident.den_split, made.den_split
+    assert (Counter(fs), Fraction(m, d)) == (Counter(fs2), Fraction(m2, d2))
+    report = verify_certificate(ident)
+    assert report.ok and report.failure_detail == ""
 
 
 def test_synth_rejects_non_wz_identities(capsys):

@@ -1,8 +1,9 @@
-"""Smoke runs of the scripts that read the continuation-point helpers
-(trig_identity_check, reduces_to_ramanujan): each exits 0 and reports no
-failure."""
+"""Smoke runs of the scripts: those that read the continuation-point
+helpers (trig_identity_check, reduces_to_ramanujan) exit 0 and report no
+failure, and the operation counts repeat under another hash seed."""
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -14,8 +15,8 @@ from conftest import WZ_NAMES
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str) -> str:
-    env = dict(os.environ)
+def run_script(name: str, **extra_env: str) -> str:
+    env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / name)], env=env,
@@ -38,3 +39,16 @@ def test_every_identity_reduces_in_the_reduction_table():
     assert "MISMATCH" not in out
     rows = [line for line in out.splitlines() if line.endswith(" ok")]
     assert len(rows) == len(WZ_NAMES)  # every wz record has a continuation point
+
+
+def test_op_counts_repeat_under_another_hash_seed():
+    runs = [run_script("op_counts.py", PYTHONHASHSEED=seed) for seed in ("0", "12345")]
+    assert runs[0] == runs[1]
+    counts = json.loads(runs[0])
+    assert set(counts) == {"verify", "synth"}
+    for name in counts:
+        assert set(counts[name]) == {"products", "divide", "split_factors",
+                                     "sum_of_products", "calls"}
+    # the printed denominators are read as products: nothing is divided
+    assert counts["verify"]["divide"] == counts["verify"]["split_factors"] == 0
+    assert counts["synth"]["products"] > 0 and counts["verify"]["calls"] > 0

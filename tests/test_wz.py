@@ -2,6 +2,7 @@
 sums, lattice values of the companion function, and telescoping."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wzpi import (
+    BUILTIN_NAMES,
     CertReport,
     ClosedForm,
     MissingCertificate,
@@ -19,7 +21,9 @@ from wzpi import (
     RatFunc2,
     builtin_record,
     load_builtin,
+    parse_identity,
     rhs_exact,
+    serialize_identity,
     synthesize_certificate,
     term_value,
     termination_bound,
@@ -28,12 +32,13 @@ from wzpi import (
     wz_residual,
 )
 from wzpi import wz
+from wzpi.algebra import Product
 from wzpi.terms import (multiplier, shift_quotient_k, shift_quotient_k_triples,
                         shift_quotient_n_triples)
 
 from conftest import (WZ_NAMES, PoleOnLattice, RefRat, chu_vandermonde, family_identities,
-                      g_value, nonzero_poly2s, pfaff_saalschuetz, shift_quotient_n,
-                      triple_poly)
+                      g_value, nonzero_poly2s, pfaff_saalschuetz, record_text,
+                      shift_quotient_n, triple_poly)
 
 PRINTED_OK = ("theorem1", "theorem3", "theorem4", "theorem5", "theorem6",
               "theorem7", "theorem8")
@@ -254,11 +259,88 @@ def test_one_check_makes_one_residual_and_one_split(monkeypatch):
         monkeypatch.setattr(wz, name, counted(name, getattr(wz, name)))
     report = wz.verify_certificate(ident)
     assert report.symbolic_ok is False
-    assert calls == [("wz_residual", ident), ("split_factors", ident.certificate.den)]
+    # the parsed denominator is a product: its factors are read, not split
+    assert ident.certificate.product is not None
+    assert calls == [("wz_residual", ident)]
+    # an expanded one is split once, by trial division
+    calls.clear()
+    cert = ident.certificate
+    expanded = replace(ident, certificate=RatFunc2(cert.num, cert.den))
+    wz.verify_certificate(expanded)
+    assert calls == [("wz_residual", expanded), ("split_factors", cert.den)]
     # a replaced certificate is split afresh
     calls.clear()
     wz.verify_certificate(replace(ident, certificate=_with_common_factor(ident, N - 3).certificate))
     assert [name for name, _ in calls] == ["wz_residual", "split_factors"]
+
+
+# -- a denominator given as its factors against the same one expanded ---------------
+
+def assert_factored_matches_expanded(ident):
+    """The certificate's factored denominator and the same polynomial given
+    expanded give equal dens, the same split up to order, the same residual
+    numerator and the same report."""
+    cert = ident.certificate
+    assert cert.product is not None
+    expanded = replace(ident, certificate=RatFunc2(cert.num, cert.den))
+    assert expanded.certificate.product is None
+    assert cert.den == cert.product.expand() == expanded.certificate.den
+    (fs, (m, d)), (fs2, (m2, d2)) = ident.den_split, expanded.den_split
+    assert (Counter(fs), Fraction(m, d)) == (Counter(fs2), Fraction(m2, d2))
+    assert wz_residual(ident).num == wz_residual(expanded).num
+    assert verify_certificate(ident) == verify_certificate(expanded)
+
+
+@pytest.mark.parametrize("name", PRINTED_OK + PRINTED_BAD)
+def test_a_printed_denominator_as_parsed_matches_it_expanded(name):
+    # the record file writes cert_den as a product, and the serializer
+    # writes it expanded: both parse to the same polynomial
+    rec = builtin_record(name)
+    again = parse_identity(serialize_identity(rec))
+    assert type(again.cert_den) is Poly2 and again.cert_den == rec.cert_den
+    assert_factored_matches_expanded(rec.to_identity())
+
+
+@pytest.mark.parametrize("name", WZ_NAMES)
+def test_a_synthesized_denominator_as_assembled_matches_it_expanded(name, synthesis):
+    assert_factored_matches_expanded(
+        replace(load_builtin(name), certificate=synthesis.get(name).certificate))
+
+
+def test_a_verify_pass_neither_divides_nor_expands_a_denominator(monkeypatch):
+    # to_identity on the 14 records, the 9 printed checks and the exact sums
+    counts = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+    for owner, name in ((Poly2, "divide"), (Product, "expand"), (wz, "split_factors")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    assert Product(2, [(1, 0, 1)]).expand() == 2 * K + 2 and counts["expand"] == 1
+    counts.clear()
+    checked = 0
+    for name in BUILTIN_NAMES:
+        ident = load_builtin(name)
+        if ident.kind != "wz":
+            continue
+        if ident.certificate is not None:
+            checked += 1
+            verify_certificate(ident, n_scan=20)
+        verify_exact_sums(ident, n_max=20)
+    assert checked == 9 and counts == Counter()
+
+
+@pytest.mark.parametrize("factor, text", [
+    (K, "k"), (N - 3, "(n-3)"), (K - 2, "(k-2)"), ((N - K) * (N - 3), "(n-k)*(n-3)")])
+def test_a_common_factor_in_the_product_gives_the_expanded_report(factor, text):
+    # the boundary check and the scan read the factors of the parsed product
+    # as they read the split of the same denominator expanded
+    ident = parse_identity(record_text("theorem1", text)).to_identity()
+    assert ident.certificate.product is not None
+    assert verify_certificate(ident) == \
+        verify_certificate(_with_common_factor(load_builtin("theorem1"), factor))
 
 
 FAMILIES = {
