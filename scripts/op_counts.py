@@ -12,7 +12,8 @@ Counted per pass:
 
 - ``products``: ``Poly2 * Poly2`` products (a product with a scalar is not
   counted);
-- ``divide``: ``Poly2.divide`` calls;
+- ``divide``, ``row`` and ``shift``: ``Poly2.divide``, ``Poly2.row`` and
+  ``Poly2.shift`` calls;
 - ``split_factors`` and ``sum_of_products``: calls of those functions, from
   any module of the package;
 - ``calls``: Python-level function calls (``sys.setprofile`` "call"
@@ -39,6 +40,7 @@ from wzpi.catalog import BUILTIN_NAMES, builtin_record
 N_MAX = 20
 WZ_NAMES = tuple(n for n in BUILTIN_NAMES if builtin_record(n).kind == "wz")
 FUNCTIONS = {"split_factors": terms.split_factors, "sum_of_products": algebra.sum_of_products}
+METHODS = ("divide", "row", "shift")  # Poly2 methods counted per call
 
 
 def verify_pass() -> None:
@@ -58,17 +60,14 @@ def synth_pass() -> None:
 
 @contextmanager
 def _counters(counts: Counter) -> Iterator[None]:
-    """Count products, divisions and the calls of FUNCTIONS inside the block,
-    wherever a module of the package binds them."""
-    mul, divide = Poly2.__mul__, Poly2.divide
+    """Count products and the calls of METHODS inside the block, and those
+    of FUNCTIONS wherever a module of the package binds them."""
+    mul = Poly2.__mul__
+    methods = {name: getattr(Poly2, name) for name in METHODS}
 
     def counted_mul(a, b):
         counts["products"] += isinstance(b, Poly2)
         return mul(a, b)
-
-    def counted_divide(a, f):
-        counts["divide"] += 1
-        return divide(a, f)
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -79,20 +78,24 @@ def _counters(counts: Counter) -> Iterator[None]:
     modules = [m for n, m in sys.modules.items() if n == "wzpi" or n.startswith("wzpi.")]
     saved = [(m, name, fn) for m in modules for name, fn in FUNCTIONS.items()
              if getattr(m, name, None) is fn]
-    Poly2.__mul__, Poly2.divide = counted_mul, counted_divide
+    Poly2.__mul__ = counted_mul
+    for name, fn in methods.items():
+        setattr(Poly2, name, counted(name, fn))
     for m, name, fn in saved:
         setattr(m, name, counted(name, fn))
     try:
         yield
     finally:
-        Poly2.__mul__, Poly2.divide = mul, divide
+        Poly2.__mul__ = mul
+        for name, fn in methods.items():
+            setattr(Poly2, name, fn)
         for m, name, fn in saved:
             setattr(m, name, fn)
 
 
 def count_ops(run: Callable[[], None]) -> dict[str, int]:
-    """The products, divisions and FUNCTIONS calls of one run of ``run``."""
-    counts = Counter({"products": 0, "divide": 0, **dict.fromkeys(FUNCTIONS, 0)})
+    """The products and the METHODS and FUNCTIONS calls of one run of ``run``."""
+    counts = Counter({"products": 0, **dict.fromkeys(METHODS, 0), **dict.fromkeys(FUNCTIONS, 0)})
     with _counters(counts):
         run()
     return dict(counts)

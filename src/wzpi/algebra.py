@@ -18,10 +18,12 @@ expands a whole sum of products of factors (Poly2s, or int triples (e, a, c)
 for e*k + a*n + c), such as the WZ residual or a product of two larger
 Poly2s, into one int by Kronecker substitution (k -> 2^s, n -> 2^(s*w)),
 with slots that hold a proven bound, so an int of 0 is the zero polynomial.
-A Fraction is built only for a value handed back: ``eval``, ``eval_k``,
-``coeff`` and the read-only ``terms`` mapping.  ``gcd_n``, the gcd in Q[n]
-that the certificate assembly takes, runs on the ints too, by a primitive
-pseudo-remainder sequence.
+One evaluator, ``row``, puts a rational for one variable in ints; ``eval``,
+``eval_k``, ``gcd_n`` (the gcd in Q[n] of the certificate assembly, by a
+primitive pseudo-remainder sequence on ints) and the zero tests of
+``terms.split_factors`` and ``wz.verify_certificate`` read it.  A Fraction
+is built only for a value handed back: ``eval``, ``eval_k``, ``coeff`` and
+the read-only ``terms`` mapping.
 """
 from __future__ import annotations
 
@@ -226,35 +228,33 @@ class Poly2:
 
     # -- evaluation and substitution -----------------------------------------
 
-    def eval(self, n: Scalar, k: Scalar) -> Rat:
-        """Value at a rational point (n, k) = (a/b, c/d): the ints
-        C_ij a^i b^(dn-i) c^j d^(dk-j) summed over den b^dn d^dk, where C are
-        the stored ints and dn, dk are the degrees."""
+    def row(self, var: str, value: Scalar) -> tuple[list[int], int]:
+        """The polynomial at var = value = a/b, a polynomial in the other
+        variable w, as (ints, den): ints[-1 - j], highest power first, is
+        the int coefficient of w^j over den.  A term c*v^i*w^j adds
+        c*a^i*b^(top-i) to w^j, over self.den*b^top, top the degree in var."""
+        pos = ("n", "k").index(var)
         if not self.ints:
-            return Fraction(0)
-        n = Fraction(n)
-        k = Fraction(k)
-        dn = self.degree("n")
-        dk = self.degree("k")
-        npow = [n.numerator ** i * n.denominator ** (dn - i) for i in range(dn + 1)]
-        kpow = [k.numerator ** j * k.denominator ** (dk - j) for j in range(dk + 1)]
-        total = 0
-        for (i, j), c in self.ints.items():
-            total += c * npow[i] * kpow[j]
-        return Fraction(total, self.den * n.denominator ** dn * k.denominator ** dk)
+            return [], self.den
+        a, b = value.numerator, value.denominator
+        degrees = tuple(map(max, zip(*self.ints)))  # in n and in k
+        top, out = degrees[pos], [0] * (degrees[1 - pos] + 1)
+        for e, c in self.ints.items():
+            out[-1 - e[1 - pos]] += c * a ** e[pos] * b ** (top - e[pos])
+        return out, self.den * b ** top
+
+    def eval(self, n: Scalar, k: Scalar) -> Rat:
+        """Value at a rational point (n, k), k = c/d: Horner's rule at c/d
+        on ``row("n", n)``, over its den times d^dk, dk the degree in k."""
+        row, den = self.row("n", n)
+        return Fraction(_horner(row, k.numerator, k.denominator),
+                        den * k.denominator ** max(len(row) - 1, 0))
 
     def eval_k(self, k: Scalar) -> list[Rat]:
-        """Substitute a rational for k; coefficients of n^0..n^deg remain."""
-        k = Fraction(k)
-        dk = self.degree("k")
-        kpow = [k.numerator ** j * k.denominator ** (dk - j) for j in range(dk + 1)]
-        out = [0] * (self.degree("n") + 1)
-        for (i, j), c in self.ints.items():
-            out[i] += c * kpow[j]
-        while out and not out[-1]:
-            out.pop()
-        den = self.den * k.denominator ** dk
-        return [Fraction(c, den) for c in out]
+        """Substitute a rational for k: the coefficients of n^0..n^deg of
+        ``row("k", k)``, the last nonzero."""
+        row, den = self.row("k", k)
+        return [Fraction(c, den) for c in _istrip(row[::-1])]
 
     def shift(self, var: str, delta: Scalar) -> "Poly2":
         """Substitute var -> var + delta for delta = a/b, in ints: c*v^m
@@ -320,6 +320,15 @@ def _lowest(ints: dict[tuple[int, int], int], den: int) -> Poly2:
     out.ints = {e: c // g for e, c in ints.items()} if g > 1 else ints
     out.den = den // g
     return out
+
+
+def _horner(row: Sequence[int], u: int, v: int) -> int:
+    """v^(len(row) - 1) times the polynomial with coefficients ``row``,
+    highest power first, at u/v: Horner's rule in ints."""
+    val, vp = 0, 1
+    for x in row:
+        val, vp = val * u + x * vp, vp * v
+    return val
 
 
 def _pack(coeffs: dict[tuple[int, int], int], width: int, size: int) -> int:
@@ -453,22 +462,9 @@ def _iprem(u: list[int], v: list[int]) -> list[int]:
     return u
 
 
-def _icontent(c: Sequence[int]) -> int:
-    g = 0
-    for x in c:
-        g = math.gcd(g, abs(x))
-        if g == 1:
-            break
-    return g
-
-
 def _iprimitive(c: Sequence[int]) -> list[int]:
     c = _istrip(list(c))
-    if not c:
-        return []
-    g = _icontent(c)
-    if c[-1] < 0:
-        g = -g
+    g = math.gcd(*c) if c and c[-1] > 0 else -math.gcd(*c)
     return [x // g for x in c]
 
 
@@ -493,13 +489,10 @@ def gcd_n(polys: Iterable[Poly2]) -> Poly2:
     """The gcd over Q[n] of polynomials in n alone, primitive: int
     coefficients with content 1 and a positive leading one.  It is zero
     when every input is, and it reads no input after the gcd reaches 1.  A
-    denominator is a unit of Q[n], so only the ints enter."""
+    denominator is a unit of Q[n], so only the ints of ``row("k", 0)`` enter."""
     g: list[int] = []
     for f in polys:
-        col = [0] * (f.degree("n") + 1)
-        for (i, _), c in f.ints.items():
-            col[i] = c
-        g = _igcd_poly(g, col)
+        g = _igcd_poly(g, f.row("k", 0)[0][::-1])
         if g == [1]:
             break
     return _lowest({(i, 0): c for i, c in enumerate(g)}, 1)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .algebra import Poly2
-from .terms import (ClosedForm, HyperTerm, PoleError, p_eval, term_sum,
+from .terms import (ClosedForm, HyperTerm, PoleError, p_eval, rhs_exact, term_sum,
                     termination_bound)
 from .wz import WZIdentity
 
@@ -63,10 +63,14 @@ def log_gamma(x: float) -> tuple[float, int]:
 def rhs_numeric(rhs: ClosedForm, n: float) -> float:
     """Closed-form value base^n * prod (arg)_n^e at a real argument n.
 
-    The logs n*log(base) and e*(log Gamma(arg + n) - log Gamma(arg)) are
-    added, with their signs kept apart, and exponentiated once, so that large
-    factors of a small value do not overflow on the way.
+    At a nonnegative integer n <= MAX_TERMS it rounds rhs_exact's value
+    once, raising its PoleError.  Elsewhere the logs n*log(base) and
+    e*(log Gamma(arg + n) - log Gamma(arg)) are added, with their signs kept
+    apart, and exponentiated once, so that large factors of a small value do
+    not overflow on the way.
     """
+    if 0 <= n <= MAX_TERMS and float(n).is_integer():
+        return float(rhs_exact(rhs, int(n)))
     n = float(n)
     log_abs = n * math.log(float(rhs.base))
     sign = 1

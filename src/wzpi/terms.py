@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .algebra import Poly2, Rat, RatFunc2, _lowest, sum_of_products
+from .algebra import Poly2, Rat, RatFunc2, _horner, _lowest, sum_of_products
 
 
 class PoleError(ArithmeticError):
@@ -293,8 +293,8 @@ def split_factors(b: Poly2, candidates: "Iterable[Triple | Poly2]",
 
     A linear candidate is tried only where b vanishes at a point of its zero
     line: g = e*k + a*n + c at n = 1/7, k = -(a + 7c)/(7e), and g = a*n + c
-    at n = -c/a, k = 1/7.  b is evaluated there in ints, as the row
-    7^top * b(1/7, k) (or b(n, 1/7)) at u/v times v^deg, built once for each
+    at n = -c/a, k = 1/7.  b is evaluated there in ints, by Horner's rule
+    at u/v on its ``Poly2.row`` at n = 1/7 (or k = 1/7), built once for each
     b.  The divisor Poly2 of a triple is built only when that test passes.
     Any other candidate, such as a nonlinear multiplier p(k), is divided
     plainly.
@@ -309,14 +309,8 @@ def split_factors(b: Poly2, candidates: "Iterable[Triple | Poly2]",
         while left:
             if pos is not None:
                 if pos not in rows:
-                    top, rows[pos] = b.degree("nk"[1 - pos]), [0] * (b.degree("nk"[pos]) + 1)
-                    sevens = [7 ** i for i in range(top + 1)]
-                    for x, y in b.ints.items():
-                        rows[pos][-1 - x[pos]] += y * sevens[top - x[1 - pos]]
-                val, vp = 0, 1  # Horner's rule on sum_j row[j] u^j v^(deg - j)
-                for x in rows[pos]:
-                    val, vp = val * u + x * vp, vp * v
-                if val:
+                    rows[pos] = b.row("nk"[1 - pos], Fraction(1, 7))[0]
+                if _horner(rows[pos], u, v):
                     break
             if type(div) is tuple:
                 div = Poly2.linear(a, e, c)

@@ -6,6 +6,7 @@ in k over Q[n] viewed through one ``Poly2``; the benchmark's probes read
 them through ``eval_n`` and ``coeffs``.  ``UniPoly`` is a view of one
 ``Poly2`` in k alone, whose ring operations, evaluation and long division
 it uses; its gcd is ``algebra``'s int primitive pseudo-remainder sequence.
+Its values and ``int_coeffs``, and ``UniPolyQn.eval_n``, read ``Poly2.row``.
 ``RatFn`` is a bare (num, den) pair and ``interpolate`` a Lagrange
 interpolant.  The module waits for ROADMAP item 1 to drop the probes.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .algebra import Poly2, Rat, Scalar, _igcd_poly
+from .algebra import Poly2, Rat, Scalar, _igcd_poly, _lowest
 
 
 class UniPoly:
@@ -77,9 +78,9 @@ class UniPoly:
         return self * (1 / self.lc)
 
     def int_coeffs(self) -> "tuple[list[int], int]":
-        """Return (integer coefficient list, common denominator)."""
-        ints = self.poly.ints
-        return [ints.get((0, j), 0) for j in range(self.degree + 1)], self.poly.den
+        """Return (ascending integer coefficient list, common denominator)."""
+        row, den = self.poly.row("n", 0)
+        return row[::-1], den
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd in Q[x]."""
@@ -142,4 +143,5 @@ class UniPolyQn:
 
     def eval_n(self, n0: Rat) -> UniPoly:
         """Specialize n, returning a univariate polynomial in k over Q."""
-        return UniPoly([self.coeff(j).eval(n0, 0) for j in range(self.degree() + 1)])
+        row, den = self.poly.row("n", n0)
+        return UniPoly(_lowest({(0, j): c for j, c in enumerate(reversed(row))}, den))

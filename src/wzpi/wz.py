@@ -167,8 +167,8 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
     The scan reads the split that the residual made (``ident.den_split``):
     the zero of a linear factor e*k + a*n + c on row n is k = -(a*n + c)/e,
     one divmod, or the whole row when e = 0 and a*n + c = 0; only a factor
-    that is not linear is evaluated, each row's coefficients in k formed
-    once and the row run by Horner's rule in ints.
+    that is not linear is evaluated, its ``Poly2.row`` at each n formed once
+    and run by Horner's rule in ints, inline for each k.
     The zeros of a row are merged, each k once, in increasing order.
     The symbolic identity is a statement about rational functions, so it
     holds whatever the lattice values; where the denominator vanishes, G
@@ -200,14 +200,7 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
         problems.append("base case n = 0 sum differs")
 
     lines = {g for g in fs if type(g) is tuple}
-    # the (n-power, coefficient) pairs of every other factor, grouped by
-    # power of k, highest first, for Horner's rule in k
-    tables = []
-    for g in [g for g in fs if type(g) is not tuple]:
-        by_k: list[list[tuple[int, int]]] = [[] for _ in range(g.degree("k") + 1)]
-        for (i, j), c in g.ints.items():
-            by_k[-1 - j].append((i, c))
-        tables.append(by_k)
+    others = [g for g in fs if type(g) is not tuple]
     poles = []
     for n in range(n_scan + 1):
         bound = termination_bound(ident.term, n)
@@ -221,8 +214,8 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
                     zeros.add(k)
             elif not a * n + c:
                 zeros.update(range(bound + 1))
-        for by_k in tables:
-            row = [sum(c * n ** i for i, c in col) for col in by_k]
+        for g in others:
+            row = g.row("n", n)[0]  # in k, highest power first
             for k in range(bound + 1):
                 v = 0
                 for c in row:

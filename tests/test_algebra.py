@@ -266,6 +266,21 @@ def test_sum_of_products_at_the_bound_of_a_linear_product(c, m):
         assert sum_of_products([(c, [(e, a, g)] * m)]) == expected
 
 
+@given(st.one_of(big_poly2s(), big_poly2s(max_degree=0), st.just(Poly2())),
+       st.sampled_from("nk"),
+       st.one_of(st.just(0), st.integers(-5, 5), rationals, big_coefficients))
+def test_row_matches_fraction_reference(a, var, value):
+    # the other variable's coefficients, highest power first, from the terms
+    pos = "nk".index(var)
+    want = [Fraction(0)] * (a.degree("nk"[1 - pos]) + 1)
+    for e, c in a.terms.items():
+        want[-1 - e[1 - pos]] += c * Fraction(value) ** e[pos]
+    ints, den = a.row(var, value)
+    assert all(type(x) is int for x in ints)
+    assert den == a.den * Fraction(value).denominator ** max(a.degree(var), 0)
+    assert [Fraction(x, den) for x in ints] == want
+
+
 @given(big_poly2s(), st.tuples(st.integers(min_value=-40, max_value=0),
                                st.integers(min_value=-40, max_value=0)))
 def test_eval_matches_fraction_reference_at_negative_lattice_points(a, pt):

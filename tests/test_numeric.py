@@ -148,7 +148,11 @@ def pochhammer(arg) -> ClosedForm:
     return ClosedForm(base=1, poch_n=((arg, 1),))
 
 
-def test_rhs_numeric_raises_where_the_closed_form_overflows():
+def test_rhs_numeric_raises_where_the_closed_form_overflows(monkeypatch):
+    def no_exact(rhs, n):
+        raise AssertionError(f"exact closed form built at n = {n}")
+
+    monkeypatch.setattr(numeric, "rhs_exact", no_exact)  # 1e308 is past MAX_TERMS
     with pytest.raises(OverflowError):
         rhs_numeric(load_builtin("theorem1").rhs, 1e308)
 
@@ -175,11 +179,23 @@ def test_rhs_numeric_of_a_pochhammer_matches_exact_values():
 @pytest.mark.parametrize("name", WZ_NAMES)
 def test_rhs_numeric_tracks_exact_rhs(name):
     rhs = load_builtin(name).rhs
-    # at n = 171 single factors of the product pass the largest double
+    # at n = 171 single factors of the product pass the largest double; at an
+    # integer the value is the exact one rounded once, given as int or float
     for n in [*range(41), 171]:
         exact = float(rhs_exact(rhs, n))
-        got = rhs_numeric(rhs, n)
-        assert abs(got - exact) <= 1e-12 * abs(exact)
+        assert rhs_numeric(rhs, n) == rhs_numeric(rhs, float(n)) == exact
+
+
+def test_rhs_numeric_at_an_integer_is_exact_where_gamma_has_a_pole():
+    # 1/(-2)_n: (-2)_2 = 2, though Gamma(-2) is a pole; (-2)_3 = 0 is a pole
+    # of the closed form, raised as rhs_exact raises it
+    rhs = ClosedForm(base=1, poch_n=((-2, -1),))
+    assert rhs_numeric(rhs, 2) == 0.5
+    with pytest.raises(PoleError):
+        rhs_exact(rhs, 3)
+    with pytest.raises(PoleError):
+        rhs_numeric(rhs, 3)
+    assert rhs_numeric(ClosedForm(base=1, poch_n=((-2, 1),)), 5) == 0.0
 
 
 def test_rhs_numeric_at_rational_points_matches_oracle():

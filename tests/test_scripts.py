@@ -47,8 +47,10 @@ def test_op_counts_repeat_under_another_hash_seed():
     counts = json.loads(runs[0])
     assert set(counts) == {"verify", "synth"}
     for name in counts:
-        assert set(counts[name]) == {"products", "divide", "split_factors",
+        assert set(counts[name]) == {"products", "divide", "row", "shift", "split_factors",
                                      "sum_of_products", "calls"}
-    # the printed denominators are read as products: nothing is divided
+    # the printed denominators are read as products: nothing is divided, and
+    # their factors are all linear, so the scan evaluates no row
     assert counts["verify"]["divide"] == counts["verify"]["split_factors"] == 0
+    assert counts["verify"]["row"] == 0 and counts["synth"]["row"] > 0
     assert counts["synth"]["products"] > 0 and counts["verify"]["calls"] > 0
