@@ -7,8 +7,11 @@ every coefficient is 1.  That form is canonical, so equality and hashing
 compare the stored pair.  A certificate is a ``RatFunc2``: a numerator and a
 denominator kept exactly as constructed (no gcd cancellation), with no
 arithmetic; equality is decided by cross-multiplication, which is sound and
-complete over an integral domain.  Its denominator may be a ``Product`` of
-int triples and Poly2s, as records print it; ``den`` expands it if read.
+complete over an integral domain.  Its denominator may be a ``Product``, as
+records print it; ``den`` expands it if read.  ``Product`` is the one place
+where a factored denominator is made canonical.  Its invariant: each factor
+is a key (``factor_key``), a primitive triple or a primitive nonconstant
+Poly2, and every content and constant is folded into its one scale.
 
 All scalars are ``fractions.Fraction`` (aliased ``Rat``): arbitrary precision,
 normalized sign, always in lowest terms.  Polynomial arithmetic runs on
@@ -19,11 +22,11 @@ for e*k + a*n + c), such as the WZ residual or a product of two larger
 Poly2s, into one int by Kronecker substitution (k -> 2^s, n -> 2^(s*w)),
 with slots that hold a proven bound, so an int of 0 is the zero polynomial.
 One evaluator, ``row``, puts a rational for one variable in ints; ``eval``,
-``eval_k``, ``gcd_n`` (the gcd in Q[n] of the certificate assembly, by a
-primitive pseudo-remainder sequence on ints) and the zero tests of
-``terms.split_factors`` and ``wz.verify_certificate`` read it.  A Fraction
-is built only for a value handed back: ``eval``, ``eval_k``, ``coeff`` and
-the read-only ``terms`` mapping.
+``eval_k`` and the zero tests of ``terms.split_factors`` and
+``wz.verify_certificate`` read it.  ``gcd_n``, the assembly's gcd in Q[n] by
+a primitive pseudo-remainder sequence, reads k-columns straight off the ints.
+A Fraction is built only for a value handed back: ``eval``, ``eval_k``,
+``coeff`` and the read-only ``terms`` mapping.
 """
 from __future__ import annotations
 
@@ -40,13 +43,6 @@ SCHOOLBOOK_TERMS = 8
 
 class DivisionByZeroFunction(ZeroDivisionError):
     """Raised when a rational function would be built with a zero denominator."""
-
-
-def _binomial_row(m: int) -> list[int]:
-    row = [1]
-    for _ in range(m):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row
 
 
 class Poly2:
@@ -271,8 +267,8 @@ class Poly2:
         apow = [a ** t for t in range(top + 1)]
         bpow = [b ** t for t in range(top + 1)]
         # rows[m][t]: the int that c*v^m contributes to v^t, over c
-        rows = [[binom * apow[m - t] * bpow[top - m + t]
-                 for t, binom in enumerate(_binomial_row(m))] for m in range(top + 1)]
+        rows = [[math.comb(m, t) * apow[m - t] * bpow[top - m + t] for t in range(m + 1)]
+                for m in range(top + 1)]
         ints: dict[tuple[int, int], int] = {}
         for (i, j), c in self.ints.items():
             m = (i, j)[pos]
@@ -434,9 +430,7 @@ def sum_of_products(terms: Iterable[tuple[Scalar, Sequence["Poly2 | tuple[int, i
 
 
 def _coerce(x: "Poly2 | Scalar") -> Poly2:
-    if isinstance(x, Poly2):
-        return x
-    return Poly2.const(x)
+    return x if isinstance(x, Poly2) else Poly2.const(x)
 
 
 # -- gcds in Q[n] on ints (primitive pseudo-remainder sequence) -------------------
@@ -486,27 +480,69 @@ def _igcd_poly(a: list[int], b: list[int]) -> list[int]:
 
 
 def gcd_n(polys: Iterable[Poly2]) -> Poly2:
-    """The gcd over Q[n] of polynomials in n alone, primitive: int
-    coefficients with content 1 and a positive leading one.  It is zero
-    when every input is, and it reads no input after the gcd reaches 1.  A
-    denominator is a unit of Q[n], so only the ints of ``row("k", 0)`` enter."""
+    """The gcd over Q[n] of the k-columns of every input, primitive: int
+    coefficients with content 1 and a positive leading one.  It is zero when
+    every input is, and it reads no input after the gcd reaches 1.  A
+    denominator is a unit of Q[n], so each column enters as its ints."""
     g: list[int] = []
     for f in polys:
-        g = _igcd_poly(g, f.row("k", 0)[0][::-1])
-        if g == [1]:
-            break
+        cols: dict[int, list[int]] = {}
+        top = f.degree("n") + 1
+        for (i, j), c in f.ints.items():
+            cols.setdefault(j, [0] * top)[i] = c
+        for col in cols.values():
+            if (g := _igcd_poly(g, col)) == [1]:
+                return _lowest({(0, 0): 1}, 1)
     return _lowest({(i, 0): c for i, c in enumerate(g)}, 1)
 
 
+# -- factored denominators: a linear factor e*k + a*n + c is its primitive int
+# triple (e, a, c), content 1 and the first nonzero of (e, a) positive
+
+Triple = tuple  # (e, a, c) for e*k + a*n + c
+_LINEAR = frozenset({(0, 0), (1, 0), (0, 1)})  # the exponents of e*k + a*n + c
+
+
+def _scaled(e: int, a: int, c: int, d: int) -> "tuple[Triple, int, int]":
+    """(e*k + a*n + c)/d, (e, a) not both 0, as (triple, m, d)."""
+    m = math.gcd(e, a, c)
+    if e < 0 or not e and a < 0:
+        m = -m
+    return (e // m, a // m, c // m), m, d
+
+
+def factor_key(f: "Poly2 | Triple") -> "tuple[Triple | Poly2 | None, int, int]":
+    """f, a Poly2 or a triple, as (key, m, d) with f = m*key/d: the
+    primitive triple of a linear f; for any other nonconstant f the Poly2
+    over 1 with int content 1 and a positive leading int (highest in k, then
+    in n), which a k-shift keeps as it is; and None for a constant f = m/d."""
+    if type(f) is tuple:
+        return (None, f[2], 1) if not (f[0] or f[1]) else _scaled(*f, 1)
+    ints = f.ints
+    if ints.keys() <= {(0, 0)}:
+        return None, ints.get((0, 0), 0), f.den
+    if _LINEAR.issuperset(ints):
+        return _scaled(ints.get((0, 1), 0), ints.get((1, 0), 0), ints.get((0, 0), 0), f.den)
+    m = math.gcd(*ints.values())
+    if ints[max(ints, key=lambda e: (e[1], e[0]))] < 0:
+        m = -m
+    return _lowest({e: c // m for e, c in ints.items()}, 1), m, f.den
+
+
 class Product:
-    """scale * prod(factors) unexpanded, each factor a nonzero int triple
-    (e, a, c) for e*k + a*n + c or a nonzero Poly2; it compares, hashes and
-    prints as its expansion."""
+    """scale * prod(factors) unexpanded and canonical: each factor given, a
+    Poly2 or a triple, is stored as its key (``factor_key``), and every
+    content and constant is folded into ``scale``, on an int pair with one
+    Fraction at the end.  It compares, hashes and prints as its expansion."""
 
     __slots__ = ("scale", "factors")
 
-    def __init__(self, scale: Scalar, factors: Iterable["Poly2 | tuple[int, int, int]"]):
-        self.scale, self.factors = Fraction(scale), tuple(factors)
+    def __init__(self, scale: Scalar, factors: Iterable["Poly2 | Triple"]):
+        x, y, keys = scale.numerator, scale.denominator, []
+        for key, m, d in map(factor_key, factors):
+            x, y = x * m, y * d
+            keys += [] if key is None else [key]
+        self.scale, self.factors = Fraction(x, y), tuple(keys)
 
     @property
     def is_zero(self) -> bool:

@@ -20,20 +20,22 @@ Unary minus binds tighter than ``^``, so ``-k^2`` means ``(-k)^2``; the
 serializer therefore always writes an explicit coefficient, e.g. ``-1*k^2``.
 
 A ``cert_den`` written as one product of factors each linear or free of k,
-as every bundled record writes it, is an ``algebra.Product`` of their keys
-(``terms.factor_key``) and one scale, not expanded; any other is expanded.
+as every bundled record writes it, is ``algebra.Product(1, <the factors>)``;
+a sum or a factor nonlinear in k is expanded.  The serializer writes a
+Product as its scale and keys, which parse back to the same keys and scale.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
 from .algebra import Poly2, Product, Rat, RatFunc2
-from .terms import ClosedForm, HyperTerm, PochFactor, factor_key
+from .terms import ClosedForm, HyperTerm, PochFactor
 from .wz import WZIdentity
 
 
@@ -91,8 +93,8 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def parse(self, first: Optional[Poly2] = None) -> Poly2:
-        poly = self.expr(first)
+    def parse(self) -> Poly2:
+        poly = self.expr()
         kind, val, line, col = self.peek()
         if kind != "eof":
             raise ParseError(
@@ -101,8 +103,8 @@ class _ExprParser:
                 line, col)
         return poly
 
-    def expr(self, poly: Optional[Poly2] = None) -> Poly2:  # poly: the first term, if read
-        poly = _product(self.factors()) if poly is None else poly
+    def expr(self) -> Poly2:
+        poly = _product(self.factors())
         while True:
             kind, val, _, _ = self.peek()
             if kind == "op" and val in "+-":
@@ -180,16 +182,11 @@ def _parse_den(text: str, line: int) -> "Poly2 | Product":
     """cert_den as a Product (see the module docstring), else expanded."""
     parser = _ExprParser(text, line)
     fs = parser.factors()
-    if parser.peek()[0] != "eof":
-        return parser.parse(_product(fs))
-    sn, sd, keys = 1, 1, []
-    for base, power in fs:
-        key, m, d = factor_key(base)
-        if type(key) is not tuple and base.degree("k") > 0:
-            return _product(fs)
-        sn, sd = sn * m ** power, sd * d ** power
-        keys += [] if key is None else [key] * power
-    return Product(Fraction(sn, sd), keys)
+    if parser.peek()[0] == "eof":
+        prod = Product(1, [base for base, power in fs for _ in range(power)])
+        if all(type(g) is tuple or g.degree("k") <= 0 for g in prod.factors):
+            return prod
+    return parse_poly(text, line)
 
 
 # -- identity record -------------------------------------------------------------
@@ -370,8 +367,6 @@ def parse_identity(text: str) -> IdentityFile:
 
     def parse_factor_list(key: str) -> tuple[PochFactor, ...]:
         entries, line = take(key, [])
-        if entries is None:
-            entries = []
         if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
             raise SemanticError(f"{key} must be a list of quoted factors", line)
         factors = []
@@ -459,19 +454,22 @@ def parse_identity(text: str) -> IdentityFile:
 def _fmt_linear(b: int, c: Rat) -> str:
     if b == 0:
         return str(c)
-    if b == 1:
-        head = "n"
-    elif b == -1:
-        head = "-n"
-    else:
-        head = f"{b}*n"
-    if not c:
-        return head
-    return f"{head}{'+' if c > 0 else '-'}{abs(c)}"
+    head = {1: "n", -1: "-n"}.get(b, f"{b}*n")
+    return f"{head}{'+' if c > 0 else '-'}{abs(c)}" if c else head
 
 
 def _fmt_poch(f: PochFactor) -> str:
     return f'"({_fmt_linear(f.n_coeff, f.offset)})^{f.power}"'
+
+
+def _fmt_den(den: "Poly2 | Product") -> str:
+    """A Product as its scale and keys, which parse back to the same, else expanded."""
+    if not isinstance(den, Product):
+        return str(den)
+    parts = [str(den.scale)] * (den.scale != 1) + [
+        f"({Poly2.linear(g[1], g[0], g[2]) if type(g) is tuple else g})" + f"^{e}" * (e > 1)
+        for g, e in Counter(den.factors).items()]
+    return "*".join(parts) or "1"
 
 
 def serialize_identity(rec: IdentityFile) -> str:
@@ -500,7 +498,7 @@ def serialize_identity(rec: IdentityFile) -> str:
         rows.append(("prefactor_sqrt", str(rec.prefactor_sqrt)))
     if rec.cert_num is not None:
         rows.append(("cert_num", f'"{rec.cert_num}"'))
-        rows.append(("cert_den", f'"{rec.cert_den}"'))
+        rows.append(("cert_den", f'"{_fmt_den(rec.cert_den)}"'))
     if rec.erratum:
         rows.append(("erratum", "true"))
     body = "\n".join(f"{k} = {v}" for k, v in sorted(rows))

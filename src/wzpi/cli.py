@@ -260,7 +260,7 @@ def cmd_synth(args) -> int:
     rep.add("synthesis", "pass", detail, started)
     emitted: Optional[str] = None
     if args.emit is not None:
-        repaired = replace(rec, cert_num=cert.num, cert_den=cert.den, erratum=False)
+        repaired = replace(rec, cert_num=cert.num, cert_den=cert.product, erratum=False)
         path = args.emit or f"{rec.name}-repaired.identity"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(serialize_identity(repaired))

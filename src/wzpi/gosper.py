@@ -45,7 +45,7 @@ import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Optional
 
 from .algebra import Poly2, Product, RatFunc2, Rat, _lowest, gcd_n, sum_of_products
@@ -305,9 +305,9 @@ def _certificate_from_solution(
     are divided out of the numerator by ``terms.split_factors``, each at most
     as often as it occurs.  What is left in n, w's content among it, cancels
     through the gcd over Q[n] (``gcd_n``) of the k-free part of the
-    denominator and the numerator's k-columns.  One scale makes that part
-    monic in n and each triple left below monic in k, (e*k + a*n + c)/e; the
-    denominator is handed over as that scale and its factors, unexpanded."""
+    denominator and the numerator's k-columns, read off its ints.  One scale
+    makes that part monic in n and each triple left below monic in k; the
+    denominator goes to ``Product``, which keys it, as that scale and factors."""
     s_den, (_, y) = ident.quotients[1:3]
     p = multiplier(ident.term)
     kfree = [f for f in s_den if not f[0]] + ([p] if p.degree("k") <= 0 else [])
@@ -317,7 +317,7 @@ def _certificate_from_solution(
     *out, num = split_factors(sum_of_products([(1, [x.num, *above.elements()])]), below, below)
     left = list((below - Counter(out)).elements())
     d = sum_of_products([(y, [x.den, *kfree])])
-    g = gcd_n(chain([d], (num.k_coeff(j) for j in range(num.degree("k") + 1))))
+    g = gcd_n([d, num])
     d = d.divide(g)
     scale = 1 / (d.coeff(d.degree("n"), 0) * math.prod(f[0] for f in left if type(f) is tuple))
     return RatFunc2(num.divide(g) * scale, Product(scale, [d, *left]))

@@ -15,6 +15,8 @@ triples, the WZ residual keys them, and synthesis pairs, moves and expands
 them.  ``split_factors`` is the one trial division by linear factors, given
 as triples or Poly2s: the verifier splits a certificate denominator given
 expanded with it, and the certificate assembly divides its numerator.
+``factor_key``, the key of a factor, lives in ``algebra`` beside ``Product``,
+the one canonical factored denominator, and is imported from there.
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .algebra import Poly2, Rat, RatFunc2, _horner, _lowest, sum_of_products
+from .algebra import (Poly2, Rat, RatFunc2, Triple, _horner, _scaled, factor_key,
+                      sum_of_products)
 
 
 class PoleError(ArithmeticError):
@@ -218,39 +221,10 @@ def rhs_exact(rhs: ClosedForm, n: int) -> Rat:
 # -- shift quotients ----------------------------------------------------------
 #
 # A linear factor e*k + a*n + c is carried as its primitive int triple
-# (e, a, c): content 1, and the first nonzero of (e, a) positive, so equal
-# factors have equal triples and 4k + 1 stays (4, 0, 1).  A shift quotient
-# is (numerator triples, denominator triples, (x, y)): x/y times the product
-# of the numerator triples over that of the denominator triples.  Every
-# triple with k in it has e > 0: k + b*n + u/v is (v, b*v, u), its 1/v
-# folded into the scale.
-
-Triple = tuple  # (e, a, c) for e*k + a*n + c
-_LINEAR = frozenset({(0, 0), (1, 0), (0, 1)})  # the exponents of e*k + a*n + c
-
-
-def _scaled(e: int, a: int, c: int, d: int) -> "tuple[Triple, int, int]":
-    """(e*k + a*n + c)/d as (triple, m, d)."""
-    m = math.gcd(e, a, c)
-    if e < 0 or not e and a < 0:
-        m = -m
-    return (e // m, a // m, c // m), m, d
-
-
-def factor_key(f: Poly2) -> "tuple[Optional[Triple | Poly2], int, int]":
-    """f as (key, m, d) with f = m*key/d: the primitive triple of a linear f;
-    for any other nonconstant f the Poly2 over 1 with int content 1 and a
-    positive leading int (highest in k, then in n), which a k-shift keeps
-    as it is; and None for a constant f = m/d."""
-    ints = f.ints
-    if ints.keys() <= {(0, 0)}:
-        return None, ints.get((0, 0), 0), f.den
-    if _LINEAR.issuperset(ints):
-        return _scaled(ints.get((0, 1), 0), ints.get((1, 0), 0), ints.get((0, 0), 0), f.den)
-    m = math.gcd(*ints.values())
-    if ints[max(ints, key=lambda e: (e[1], e[0]))] < 0:
-        m = -m
-    return _lowest({e: c // m for e, c in ints.items()}, 1), m, f.den
+# (e, a, c) (``algebra.factor_key``).  A shift quotient is (numerator
+# triples, denominator triples, (x, y)): x/y times the product of the
+# numerator triples over that of the denominator triples.  Every triple with
+# k in it has e > 0: k + b*n + u/v is (v, b*v, u), its 1/v folded into the scale.
 
 
 def multiplier(t: HyperTerm) -> Poly2:
@@ -302,7 +276,7 @@ def split_factors(b: Poly2, candidates: "Iterable[Triple | Poly2]",
     fs, rows = [], {}
     for g in candidates:
         left, div, pos = -1 if most is None else most[g], g, None  # -1: no cap
-        line = g if type(g) is tuple else factor_key(g)[0]
+        line = factor_key(g)[0]
         if type(line) is tuple:
             e, a, c = line
             pos, (u, v) = int(e != 0), ((-(a + 7 * c), 7 * e) if e else (-c, a))

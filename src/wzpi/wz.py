@@ -11,9 +11,10 @@ carried as primitive int triples (e, a, c) for e*k + a*n + c, so the lcm
 and the shift k -> k + 1 are int work on tuple keys.  Its numerator is one
 ``algebra.sum_of_products``, an int that is 0 exactly when the certificate
 holds; its denominator is left unexpanded.  The certificate denominator's
-split into keys, once per ``WZIdentity``, is read off a denominator given as
-a product, by trial division only from one given expanded; the boundary
-check and the scan for zeros on the support read it.
+keys (``den_split``) are those of the ``algebra.Product`` it was given as; only
+one given expanded is split, by trial division, into a Product, once per
+``WZIdentity``.  The boundary check and the scan for zeros on the support
+read them.
 
 The exact row sums are checked apart from any certificate, in one walk over
 n on ints: each row sum is an unreduced int quotient, the closed form an int
@@ -29,8 +30,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .algebra import Poly2, Product, Rat, RatFunc2, sum_of_products
-from .terms import (ClosedForm, HyperTerm, Triple, factor_key, multiplier, rhs_exact,
+from .algebra import Poly2, Product, Rat, RatFunc2, factor_key, sum_of_products
+from .terms import (ClosedForm, HyperTerm, Triple, multiplier, rhs_exact,
                     shift_quotient_n_triples, split_factors, term_sum, term_sum_parts,
                     termination_bound)
 from .terms import term_value  # noqa: F401  (perfbench/spans.py wraps wz.term_value)
@@ -60,30 +61,21 @@ class WZIdentity:
         k_scale * prod(k_num)/prod(k_den) * p(k+1)/p(k): the triples and int
         pair scales of ``terms.shift_quotient_n_triples`` and
         ``terms.shift_quotient_k_triples``, and p the key of the multiplier
-        (``terms.factor_key``), None for a constant.  The residual and
-        synthesis both read them."""
+        (``algebra.factor_key``), None for a constant; residual and synthesis read them."""
         return (*shift_quotient_n_triples(self.term, self.rhs), *self.term.k_factors,
                 factor_key(multiplier(self.term))[0])
 
     @cached_property
-    def den_split(self) -> tuple:
-        """The certificate denominator B as (keys, (m, d)), B = m/d * prod(keys):
-        the keys (``terms.factor_key``), with multiplicity, of the nonconstant
-        factors of a ``Product``, read off with no division.  An expanded B is
-        first split by ``terms.split_factors`` into the factors of both shift
-        quotients and p that divide it and one cofactor, what is left."""
-        prod = self.certificate.product
-        if prod is None:
-            s_num, s_den, _, k_num, k_den, _, p = self.quotients
-            candidates = dict.fromkeys(s_den + s_num + k_num + k_den + ([] if p is None else [p]))
-            prod = Product(1, split_factors(self.certificate.den, candidates))
-        fs, m, d = [], prod.scale.numerator, prod.scale.denominator
-        for g in prod.factors:
-            if type(g) is not tuple:
-                g, gm, gd = factor_key(g)
-                m, d = m * gm, d * gd
-            fs += [] if g is None else [g]
-        return fs, (m, d)
+    def den_split(self) -> Product:
+        """The certificate denominator B as a ``Product``: B itself when given
+        as one, read with no division; else the Product of B's split by
+        ``terms.split_factors`` into the factors of both shift quotients and
+        p that divide it and one cofactor, what is left."""
+        if self.certificate.product is not None:
+            return self.certificate.product
+        s_num, s_den, _, k_num, k_den, _, p = self.quotients
+        candidates = dict.fromkeys(s_den + s_num + k_num + k_den + ([] if p is None else [p]))
+        return Product(1, split_factors(self.certificate.den, candidates))
 
 
 @dataclass
@@ -126,14 +118,13 @@ def wz_residual(ident: WZIdentity) -> RatFunc2:
 
     Zero iff ident.certificate proves the identity.  With R = A/B it is built
     over the lcm of the denominators Sd, B(k+1)*den(r) and B as multisets of
-    keys (``terms.factor_key``): a linear factor is its primitive int triple
-    (e, a, c), a cheap key for a Counter, and shifts to (e, a, c + e).  The
-    shift quotients come as triples with int scales (``ident.quotients``),
-    and B as its keys (``ident.den_split``), whose k-shifts serve B(k+1); a
-    key that is not linear is one key with its k-shift when the two are
-    equal.  Each numerator gains exactly the factors its denominator lacks,
-    so it equals the residual over the full product Sd*B(k+1)*den(r)*B up to
-    a constant.  No Fraction is built for a factor of a parsed record.
+    keys (``algebra.factor_key``): a triple (e, a, c) shifts to (e, a, c + e),
+    and a key that is not linear is one key with its k-shift when the two are
+    equal.  The shift quotients come as triples with int scales
+    (``ident.quotients``), and B as a ``Product`` (``ident.den_split``).  Each
+    numerator gains exactly the factors its denominator lacks, so it equals
+    the residual over the full product Sd*B(k+1)*den(r)*B up to a constant.
+    No Fraction is built for a factor.
 
     The numerator is one ``sum_of_products`` of the four terms' factor
     lists, an int that is 0 exactly when the residual is, decoded only if
@@ -144,7 +135,8 @@ def wz_residual(ident: WZIdentity) -> RatFunc2:
     if cert is None:
         raise MissingCertificate(f"{ident.name} carries no certificate")
     s_num, s_den, (sn, sd), k_num, k_den, (zn, zd), p = ident.quotients
-    fs, (bm, bd) = ident.den_split
+    B = ident.den_split
+    fs, bm, bd = B.factors, B.scale.numerator, B.scale.denominator
     p1 = [] if p is None else [p]
     d1, d3 = Counter(s_den), Counter(fs)
     d2 = Counter(k_den + p1 + [_shift(g) for g in fs])
@@ -156,7 +148,7 @@ def wz_residual(ident: WZIdentity) -> RatFunc2:
         (Fraction(-zn, zd), [cert.num.shift("k", 1), *(lcm - d2).elements(), *k_num,
                              *map(_shift, p1)]),
         (1, [cert.num, *rest])])
-    return RatFunc2(num, Product(Fraction(bm, bd), [*rest, *fs]))
+    return RatFunc2(num, Product(B.scale, [*rest, *fs]))
 
 
 def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
@@ -184,7 +176,7 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
                         f"({len(residual.num.terms)} monomials in the numerator)")
 
     # at k = 0 a polynomial vanishes iff no monomial is free of k, a triple iff a = c = 0
-    fs, _ = ident.den_split
+    fs = ident.den_split.factors
     num0 = any(not j for _, j in ident.certificate.num.ints)
     den0 = not any(g[1:] == (0, 0) if type(g) is tuple else all(j for _, j in g.ints)
                    for g in fs)

@@ -54,3 +54,36 @@ def test_op_counts_repeat_under_another_hash_seed():
     assert counts["verify"]["divide"] == counts["verify"]["split_factors"] == 0
     assert counts["verify"]["row"] == 0 and counts["synth"]["row"] > 0
     assert counts["synth"]["products"] > 0 and counts["verify"]["calls"] > 0
+
+
+def test_bench_record_writes_every_key(tmp_path):
+    out = tmp_path / "BENCH_0.json"
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)  # the script finds src/ itself
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--pr", "0", "--seeds", "1",
+         "--seconds", "1", "--repeat", "1", "--out", str(out)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(out.read_text())
+    assert set(record) == {"pr", "env", "workloads", "wall_ms", "op_counts"}
+    assert set(record["env"]) == {"nproc", "cpu_model", "python", "PYTHONDONTWRITEBYTECODE",
+                                  "head", "src_at_head", "src_sha256", "seeds", "seconds"}
+    assert record["pr"] == 0 and record["env"]["seeds"] == [1]
+    gated = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert set(record["workloads"]) == {"verify", "synth"}
+    for workload in record["workloads"].values():
+        assert (workload["runs"], workload["correct"], workload["failed"]) == (1, True, 0)
+        assert set(workload["metrics"]) == gated
+        for m in workload["metrics"].values():
+            assert set(m) == {"unit", "median", "q1", "q3", "values"} and len(m["values"]) == 1
+            assert m["q1"] == m["median"] == m["q3"] == m["values"][0]
+    assert set(record["wall_ms"]) == {"python3 -c pass", "import wzpi",
+                                      "wzpi verify --all --allow-errata",
+                                      "wzpi synth --id theorem10"}
+    assert all(w["repeat"] == 1 and w["median"] > 0 for w in record["wall_ms"].values())
+    assert record["op_counts"]["verify"]["split_factors"] == 0
+    assert set(record["op_counts"]) == {"verify", "synth"}
+    for counts in record["op_counts"].values():
+        assert set(counts) == {"products", "divide", "row", "shift", "split_factors",
+                               "sum_of_products", "calls"}

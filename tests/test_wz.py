@@ -2,6 +2,7 @@
 sums, lattice values of the companion function, and telescoping."""
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -285,8 +286,8 @@ def assert_factored_matches_expanded(ident):
     expanded = replace(ident, certificate=RatFunc2(cert.num, cert.den))
     assert expanded.certificate.product is None
     assert cert.den == cert.product.expand() == expanded.certificate.den
-    (fs, (m, d)), (fs2, (m2, d2)) = ident.den_split, expanded.den_split
-    assert (Counter(fs), Fraction(m, d)) == (Counter(fs2), Fraction(m2, d2))
+    split, split2 = ident.den_split, expanded.den_split
+    assert (Counter(split.factors), split.scale) == (Counter(split2.factors), split2.scale)
     assert wz_residual(ident).num == wz_residual(expanded).num
     assert verify_certificate(ident) == verify_certificate(expanded)
 
@@ -294,11 +295,39 @@ def assert_factored_matches_expanded(ident):
 @pytest.mark.parametrize("name", PRINTED_OK + PRINTED_BAD)
 def test_a_printed_denominator_as_parsed_matches_it_expanded(name):
     # the record file writes cert_den as a product, and the serializer
-    # writes it expanded: both parse to the same polynomial
+    # writes it as its keys and scale, which parse back unchanged
     rec = builtin_record(name)
-    again = parse_identity(serialize_identity(rec))
-    assert type(again.cert_den) is Poly2 and again.cert_den == rec.cert_den
+    again = parse_identity(serialize_identity(rec)).cert_den
+    assert isinstance(again, Product)
+    assert (Counter(again.factors), again.scale) == (Counter(rec.cert_den.factors),
+                                                     rec.cert_den.scale)
     assert_factored_matches_expanded(rec.to_identity())
+
+
+@pytest.mark.parametrize("name", ["theorem1", "theorem9"])
+def test_a_product_keys_its_factors_and_folds_every_content_into_its_scale(name):
+    # the printed denominator given again: its first key as a Poly2 with
+    # content 3, the others as triples times -2, and constants as a Poly2
+    # and as a triple, all divided out of the scale
+    ident = load_builtin(name)
+    canonical = ident.certificate.product
+    (e, a, c), *rest = canonical.factors
+    messy = Product(canonical.scale / (3 * (-2) ** len(rest) * 5 * 7),
+                    [3 * Poly2.linear(a, e, c), *(tuple(-2 * x for x in g) for g in rest),
+                     Poly2.const(5), (0, 0, 7)])
+    assert (messy.factors, messy.scale) == (canonical.factors, canonical.scale)
+    want = wz_residual(ident)
+    got = wz_residual(replace(ident, certificate=RatFunc2(ident.certificate.num, messy)))
+    assert got.num == want.num
+    assert (got.product.factors, got.product.scale) == (want.product.factors,
+                                                         want.product.scale)
+
+
+def test_a_product_key_that_is_not_linear_is_primitive():
+    got = Product(2, [2 * N * N + 2, (0, 0, -1), (0, -3, 6), -K * K * N])
+    assert (got.factors, got.scale) == ((N * N + 1, (0, 1, -2), K * K * N), -12)
+    assert all(type(g) is tuple or g.den == 1 and math.gcd(*g.ints.values()) == 1
+               for g in got.factors)
 
 
 @pytest.mark.parametrize("name", WZ_NAMES)
