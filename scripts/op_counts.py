@@ -16,6 +16,8 @@ Counted per pass:
   ``Poly2.shift`` calls;
 - ``split_factors`` and ``sum_of_products``: calls of those functions, from
   any module of the package;
+- ``fractions``: ``Fraction`` constructions (``Fraction.__new__`` calls), by
+  the package and by ``Fraction``'s own arithmetic;
 - ``calls``: Python-level function calls (``sys.setprofile`` "call"
   events), in a separate pass run without the counters above.
 
@@ -31,6 +33,7 @@ import json
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from fractions import Fraction
 from typing import Callable, Iterator
 
 from wzpi import algebra, gosper, terms, wz
@@ -60,10 +63,15 @@ def synth_pass() -> None:
 
 @contextmanager
 def _counters(counts: Counter) -> Iterator[None]:
-    """Count products and the calls of METHODS inside the block, and those
-    of FUNCTIONS wherever a module of the package binds them."""
+    """Count products, Fractions and the calls of METHODS inside the block,
+    and those of FUNCTIONS wherever a module of the package binds them."""
     mul = Poly2.__mul__
     methods = {name: getattr(Poly2, name) for name in METHODS}
+    new = vars(Fraction)["__new__"]  # a staticmethod, put back as it is
+
+    def counted_new(cls, *args, **kwargs):
+        counts["fractions"] += 1
+        return new.__func__(cls, *args, **kwargs)
 
     def counted_mul(a, b):
         counts["products"] += isinstance(b, Poly2)
@@ -79,6 +87,7 @@ def _counters(counts: Counter) -> Iterator[None]:
     saved = [(m, name, fn) for m in modules for name, fn in FUNCTIONS.items()
              if getattr(m, name, None) is fn]
     Poly2.__mul__ = counted_mul
+    Fraction.__new__ = staticmethod(counted_new)
     for name, fn in methods.items():
         setattr(Poly2, name, counted(name, fn))
     for m, name, fn in saved:
@@ -87,6 +96,7 @@ def _counters(counts: Counter) -> Iterator[None]:
         yield
     finally:
         Poly2.__mul__ = mul
+        Fraction.__new__ = new
         for name, fn in methods.items():
             setattr(Poly2, name, fn)
         for m, name, fn in saved:
@@ -94,8 +104,10 @@ def _counters(counts: Counter) -> Iterator[None]:
 
 
 def count_ops(run: Callable[[], None]) -> dict[str, int]:
-    """The products and the METHODS and FUNCTIONS calls of one run of ``run``."""
-    counts = Counter({"products": 0, **dict.fromkeys(METHODS, 0), **dict.fromkeys(FUNCTIONS, 0)})
+    """The products, Fractions and METHODS and FUNCTIONS calls of one run of
+    ``run``."""
+    counts = Counter({"products": 0, "fractions": 0, **dict.fromkeys(METHODS, 0),
+                      **dict.fromkeys(FUNCTIONS, 0)})
     with _counters(counts):
         run()
     return dict(counts)

@@ -11,16 +11,18 @@ complete over an integral domain.  Its denominator may be a ``Product``, as
 records print it; ``den`` expands it if read.  ``Product`` is the one place
 where a factored denominator is made canonical.  Its invariant: each factor
 is a key (``factor_key``), a primitive triple or a primitive nonconstant
-Poly2, and every content and constant is folded into its one scale.
+Poly2 (in a WZ residual also a key at k + 1, ``KShifted``), and every
+content and constant is folded into its one scale.
 
 All scalars are ``fractions.Fraction`` (aliased ``Rat``): arbitrary precision,
 normalized sign, always in lowest terms.  Polynomial arithmetic runs on
 Python ints and ends with one gcd that brings the result to lowest terms.  A
 product with a few-term operand is formed term by term.  ``sum_of_products``
-expands a whole sum of products of factors (Poly2s, or int triples (e, a, c)
-for e*k + a*n + c), such as the WZ residual or a product of two larger
-Poly2s, into one int by Kronecker substitution (k -> 2^s, n -> 2^(s*w)),
-with slots that hold a proven bound, so an int of 0 is the zero polynomial.
+expands a whole sum of products of factors (Poly2s, int triples (e, a, c)
+for e*k + a*n + c, or a Poly2 at k + 1), such as the WZ residual or a
+product of two larger Poly2s, into one int by Kronecker substitution
+(k -> 2^s, n -> 2^(s*w)), with slots that hold a proven bound, so an int of
+0 is the zero polynomial.
 One evaluator, ``row``, puts a rational for one variable in ints; ``eval``,
 ``eval_k`` and the zero tests of ``terms.split_factors`` and
 ``wz.verify_certificate`` read it.  ``gcd_n``, the assembly's gcd in Q[n] by
@@ -359,11 +361,37 @@ def _unpack(packed: int, width: int, size: int, slots: int) -> dict[tuple[int, i
     return ints
 
 
-def sum_of_products(terms: Iterable[tuple[Scalar, Sequence["Poly2 | tuple[int, int, int]"]]]) \
+class KShifted(tuple):
+    """(A,), the Poly2 A at k + 1 unexpanded: a factor of ``sum_of_products``
+    and a key of a factored denominator that equals no triple and no Poly2."""
+
+    __slots__ = ()
+
+    def __new__(cls, poly: Poly2) -> "KShifted":
+        return super().__new__(cls, (poly,))
+
+
+def _pack_at_k1(ints: dict[tuple[int, int], int], width: int, bits: int) -> int:
+    """The Poly2 with ``ints`` at k = 2^bits + 1, n = 2^(bits*width): Horner's
+    rule at k + 1, by shift-and-add, on each n-row, the highest row first."""
+    dn, dk = map(max, zip(*ints))
+    rows = [[0] * (dk + 1) for _ in range(dn + 1)]
+    for (i, j), c in ints.items():
+        rows[dn - i][dk - j] = c
+    x = 0
+    for row in rows:
+        v = 0
+        for c in row:
+            v = (v << bits) + v + c
+        x = (x << bits * width) + v
+    return x
+
+
+def sum_of_products(terms: Iterable[tuple[Scalar, Sequence["Poly2 | Triple | KShifted"]]]) \
         -> Poly2:
     """The sum of scale * prod(factors) over the (scale, factors) pairs,
-    expanded as one int.  A factor is a Poly2 or an int triple (e, a, c),
-    which stands for e*k + a*n + c.
+    expanded as one int.  A factor is a Poly2, an int triple (e, a, c) for
+    e*k + a*n + c, or a ``KShifted`` A for A(n, k + 1).
 
     Over the common denominator D of the terms, each term is an int m times
     the product of its factors' ints.  Every term is evaluated at
@@ -372,9 +400,14 @@ def sum_of_products(terms: Iterable[tuple[Scalar, Sequence["Poly2 | tuple[int, i
     |f*g|_inf <= |f|_inf * |g|_1 (each coefficient of f*g sums products
     f_a g_b, one for each term b of g), no coefficient of the sum exceeds
     sum |m| * |f_1|_inf * prod_{i>=2} |f_i|_1 over the terms, and s is
-    chosen in bytes with one bit above that bound for the sign.  A triple
-    goes in by shift-and-add from its three ints, and so does a Poly2 of at
-    most three terms; any other is packed and multiplied once.  Distinct
+    chosen in bytes with one bit above that bound for the sign.  A triple's
+    norms are read off its three ints.  A(n, k + 1) = sum c_ij n^i (k + 1)^j,
+    and (k + 1)^j has coefficients binom(j, t) that sum to 2^j, so
+    |A(n, k + 1)|_1 <= sum |c_ij| 2^j, which stands for both its norms.  A
+    triple goes in by shift-and-add from its three ints, and so does a
+    Poly2 of at most three terms; A(n, k + 1) is packed from A's ints by
+    Horner's rule at 2^s + 1 (``_pack_at_k1``), any other Poly2 by
+    ``_pack``, and each packed int is multiplied in once.  Distinct
     polynomials then give distinct ints, so an int of 0 is the zero
     polynomial and is not decoded; any other int is decoded once.  A zero
     scale or a zero factor drops its term, and an empty factor list is the
@@ -382,23 +415,28 @@ def sum_of_products(terms: Iterable[tuple[Scalar, Sequence["Poly2 | tuple[int, i
     """
     live = []  # (scale, factors, k-degree, n-degree, denominator, norm product)
     for scale, fs in terms:
-        scale = Fraction(scale)
         if not scale:
             continue
         dk = dn = 0
         d, norm, top = scale.denominator, 1, (0, 1, 1)  # top: (terms, |f|_inf, |f|_1)
         for f in fs:
             if type(f) is tuple:
-                vals, fk, fn = f, f[0] != 0, f[1] != 0
+                e, a, c = map(abs, f)
+                if not (e or a or c):
+                    break
+                dk, dn, count = dk + (e > 0), dn + (a > 0), (e > 0) + (a > 0) + (c > 0)
+                inf, l1 = max(e, a, c), e + a + c
             else:
-                vals, fk, fn, d = f.ints.values(), f.degree("k"), f.degree("n"), d * f.den
-            vals = [abs(c) for c in vals if c]
-            if not vals:
-                break
-            dk, dn, l1 = dk + fk, dn + fn, sum(vals)
+                g = f[0] if type(f) is KShifted else f
+                if not g.ints:
+                    break
+                fn, fk = map(max, zip(*g.ints))
+                dk, dn, d, count = dk + fk, dn + fn, d * g.den, len(g.ints)
+                vals = [abs(c) << j * (g is not f) for (_, j), c in g.ints.items()]
+                inf, l1 = max(vals) if g is f else sum(vals), sum(vals)
             norm *= l1
-            if len(vals) > top[0]:
-                top = len(vals), max(vals), l1
+            if count > top[0]:
+                top = count, inf, l1
         else:  # |f_1|_inf taken on the factor with the most terms
             live.append((scale, fs, dk, dn, d, norm // top[2] * top[1]))
     if not live:
@@ -416,12 +454,14 @@ def sum_of_products(terms: Iterable[tuple[Scalar, Sequence["Poly2 | tuple[int, i
             if type(f) is tuple:
                 e, a, c = f
                 x = (e * x << bits) + (a * x << nbits) + c * x
+            elif type(f) is KShifted:
+                packed.append(_pack_at_k1(f[0].ints, width, bits))
             elif len(f.ints) > 3:
-                packed.append(f)
+                packed.append(_pack(f.ints, width, size))
             else:
                 x = sum(c * x << bits * (i * width + j) for (i, j), c in f.ints.items())
-        for f in packed:
-            x *= _pack(f.ints, width, size)
+        for y in packed:
+            x *= y
         total += x
     if not total:
         return Poly2()
@@ -543,6 +583,13 @@ class Product:
             x, y = x * m, y * d
             keys += [] if key is None else [key]
         self.scale, self.factors = Fraction(x, y), tuple(keys)
+
+    @classmethod
+    def _keyed(cls, scale: Rat, keys: Iterable["Triple | Poly2 | KShifted"]) -> "Product":
+        """scale * prod(keys), keys given as keys: none is keyed again."""
+        out = cls.__new__(cls)
+        out.scale, out.factors = scale, tuple(keys)
+        return out
 
     @property
     def is_zero(self) -> bool:

@@ -19,10 +19,10 @@ parse error)::
 Unary minus binds tighter than ``^``, so ``-k^2`` means ``(-k)^2``; the
 serializer therefore always writes an explicit coefficient, e.g. ``-1*k^2``.
 
-A ``cert_den`` written as one product of factors each linear or free of k,
-as every bundled record writes it, is ``algebra.Product(1, <the factors>)``;
-a sum or a factor nonlinear in k is expanded.  The serializer writes a
-Product as its scale and keys, which parse back to the same keys and scale.
+A ``cert_den`` written as one product of factors, as every bundled record
+writes it, is ``algebra.Product(1, <the factors>)``, a factor nonlinear in k
+among them; a sum is expanded.  The serializer writes a Product as its scale
+and keys, which parse back to the same keys and scale.
 """
 from __future__ import annotations
 
@@ -183,9 +183,7 @@ def _parse_den(text: str, line: int) -> "Poly2 | Product":
     parser = _ExprParser(text, line)
     fs = parser.factors()
     if parser.peek()[0] == "eof":
-        prod = Product(1, [base for base, power in fs for _ in range(power)])
-        if all(type(g) is tuple or g.degree("k") <= 0 for g in prod.factors):
-            return prod
+        return Product(1, [base for base, power in fs for _ in range(power)])
     return parse_poly(text, line)
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
@@ -339,7 +339,7 @@ def synthesize_certificate(ident: WZIdentity) -> GosperResult:
     if x is None:
         return GosperResult("NotSummable", None, bound, confirmed)
     cert = _certificate_from_solution(ident, x, lists)
-    trial = replace(ident, certificate=cert)
+    trial = ident.with_certificate(cert)
     report = verify_certificate(trial, n_scan=12)
     if not report.symbolic_ok:
         raise RuntimeError(

@@ -10,13 +10,13 @@ shift quotients are products of linear factors e*k + a*n + c, built from
 the summand as primitive int triples (e, a, c), and each quotient carries
 one scale, an int pair into which every factor's own scale is folded
 (``shift_quotient_k_triples``, ``shift_quotient_n_triples``).  The triple is
-the only form a linear factor takes: the row sums walk the k-quotient's
-triples, the WZ residual keys them, and synthesis pairs, moves and expands
-them.  ``split_factors`` is the one trial division by linear factors, given
-as triples or Poly2s: the verifier splits a certificate denominator given
-expanded with it, and the certificate assembly divides its numerator.
-``factor_key``, the key of a factor, lives in ``algebra`` beside ``Product``,
-the one canonical factored denominator, and is imported from there.
+the only form a linear factor takes: ``term_sums`` walks the k-quotient's
+triples over the rows of one call, the WZ residual keys them, and synthesis
+pairs, moves and expands them.  ``split_factors`` is the one trial division
+by linear factors, given as triples or Poly2s: the verifier splits a
+certificate denominator given expanded with it, and the certificate
+assembly divides its numerator.  ``factor_key``, the key of a factor, lives
+in ``algebra`` beside ``Product``, the one canonical factored denominator.
 """
 from __future__ import annotations
 
@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .algebra import (Poly2, Rat, RatFunc2, Triple, _horner, _scaled, factor_key,
                       sum_of_products)
@@ -32,6 +33,11 @@ from .algebra import (Poly2, Rat, RatFunc2, Triple, _horner, _scaled, factor_key
 
 class PoleError(ArithmeticError):
     """A denominator factor vanished at the requested lattice point."""
+
+
+def _rat(x: "Rat | int") -> Rat:
+    """x as a Fraction, x itself when it is one."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,7 @@ class PochFactor:
     def __post_init__(self):
         if self.power == 0:
             raise ValueError("PochFactor power must be nonzero")
-        object.__setattr__(self, "offset", Fraction(self.offset))
+        object.__setattr__(self, "offset", _rat(self.offset))
 
     def arg_at(self, n: "Rat | int") -> Rat:
         return self.offset + self.n_coeff * Fraction(n)
@@ -60,16 +66,28 @@ class HyperTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "poch", tuple(self.poch))
-        object.__setattr__(self, "z", Fraction(self.z))
-        object.__setattr__(self, "p", tuple(Fraction(c) for c in self.p))
-        object.__setattr__(self, "prefactor_rational", Fraction(self.prefactor_rational))
-        object.__setattr__(self, "prefactor_sqrt", Fraction(self.prefactor_sqrt))
+        object.__setattr__(self, "z", _rat(self.z))
+        object.__setattr__(self, "p", tuple(map(_rat, self.p)))
+        object.__setattr__(self, "prefactor_rational", _rat(self.prefactor_rational))
+        object.__setattr__(self, "prefactor_sqrt", _rat(self.prefactor_sqrt))
 
     @cached_property
     def k_factors(self) -> "tuple[list, list, tuple[int, int]]":
         """``shift_quotient_k_triples(self)``, built once for the instance
         (the exact sums read it on every row); no caller changes the lists."""
         return shift_quotient_k_triples(self)
+
+    @cached_property
+    def p_ints(self) -> "tuple[list[int], int]":
+        """p(k) as (ints, den): ints, highest power first, over den."""
+        den = math.lcm(*(c.denominator for c in self.p))
+        return [c.numerator * (den // c.denominator) for c in reversed(self.p)], den
+
+    @cached_property
+    def stops(self) -> "list[tuple[int, int]]":
+        """(c, b) of each numerator factor (c + b*n)_k with an integer offset c."""
+        return [(f.offset.numerator, f.n_coeff) for f in self.poch
+                if f.power > 0 and f.offset.denominator == 1]
 
 
 @dataclass(frozen=True)
@@ -78,10 +96,8 @@ class ClosedForm:
     poch_n: tuple[tuple[Rat, int], ...]    # (argument, power) pairs, powers nonzero
 
     def __post_init__(self):
-        object.__setattr__(self, "base", Fraction(self.base))
-        object.__setattr__(
-            self, "poch_n",
-            tuple((Fraction(a), int(e)) for (a, e) in self.poch_n))
+        object.__setattr__(self, "base", _rat(self.base))
+        object.__setattr__(self, "poch_n", tuple((_rat(a), int(e)) for (a, e) in self.poch_n))
 
 
 def poch_exact(arg: "Rat | int", count: int) -> Rat:
@@ -137,72 +153,72 @@ def term_value(t: HyperTerm, n: int, k: int) -> Rat:
     return v
 
 
-def term_sum_parts(t: HyperTerm, n: int, bound: int) -> tuple[int, int]:
-    """The sum of term_value(t, n, k) over k = 0..bound as an unreduced
-    quotient of ints (num, den) with den > 0, in one walk over k.
+def _values(start: list, triples: list, n: int, bound: int) -> Iterator[int]:
+    """start[:bound] times each triple (e > 0) at row n, k < bound, as C-level ranges."""
+    out = start[:bound]
+    for e, a, c in triples:
+        c += a * n
+        out = map(mul, out, range(c, c + e * bound, e))
+    return out
 
-    The Pochhammer part P(k) = z^k prod (arg)_k^e / k!^fact_pow is an
-    unreduced quotient of ints, advanced by the term ratio
-    z prod (arg + k)^e / (k + 1)^fact_pow; p(k) multiplies each P(k) apart from
-    it, so a zero of p(k) does not stop the walk.  The sum is kept over the
-    current denominator of P.  The factors of the ratio are the k-shift
-    quotient's triples (``t.k_factors``): at row n the factor e*k + a*n + c
-    is the int e*k + (a*n + c), and the quotient's scale is the constant
-    part of the ratio.  A Fraction is built only for the message of a
-    PoleError, raised at the first k where a denominator factor vanishes, as
-    term_value raises it.
+
+def term_sums(t: HyperTerm, rows: "Sequence[tuple[int, int]]") -> Iterator[tuple[int, int]]:
+    """For each (n, bound) of rows in turn, the sum of term_value(t, n, k)
+    over k = 0..bound as an unreduced quotient of ints (num, den), den > 0,
+    each row made when it is asked for: one walk over the rows of one call.
+
+    P(k) = z^k prod (arg)_k^e / k!^fact_pow steps by the k-shift quotient
+    (``t.k_factors``), its triples' values at a row multiplied in C
+    (``_values``), and p(k) multiplies each P(k) apart.  The triples free of
+    n, with the scale, and p(k + 1), a range when p is linear, are built
+    once for the largest bound and sliced per row.  One Python loop is left:
+    num *= u; total = total*d + p*num.  A row first takes one divmod per
+    denominator triple, to raise term_value's PoleError at the first k where
+    one vanishes below the bound, the earlier triple on a tie.
     """
-    p_den = math.lcm(*(c.denominator for c in t.p))
-    p_int = [c.numerator * (p_den // c.denominator) for c in reversed(t.p)]
+    (ints, p_den), pre = t.p_ints, t.prefactor_rational
     num_f, den_f, (const_num, const_den) = t.k_factors
-    ups = [(e, a * n + c) for e, a, c in num_f]
-    downs = [(e, a * n + c) for e, a, c in den_f]
-    num, den = 1, 1
-    total = p_int[-1] if p_int else 0  # p(0)
-    for k in range(bound):
-        step_num, step_den = const_num, const_den
-        for e, c in ups:
-            step_num *= e * k + c
-        for e, c in downs:
-            v = e * k + c
-            if not v:
-                raise PoleError(f"denominator factor ({Fraction(c, e)})_{k + 1} "
-                                f"vanishes at n={n}, k={k + 1}")
-            step_den *= v
-        num *= step_num
-        den *= step_den
-        p = 0
-        for c in p_int:
-            p = p * (k + 1) + c
-        total = total * step_den + p * num
-    pre = t.prefactor_rational
-    num, den = total * pre.numerator, den * p_den * pre.denominator
-    return (num, den) if den > 0 else (-num, -den)
+    top = max((bound for _, bound in rows), default=0)
+    ups = list(_values([const_num] * top, [g for g in num_f if not g[1]], 0, top))
+    downs = list(_values([const_den] * top, [g for g in den_f if not g[1]], 0, top))
+    num_n, den_n = [g for g in num_f if g[1]], [g for g in den_f if g[1]]
+    if len(ints) == 2 and ints[0]:  # p(k + 1) = u*(k + 1) + v
+        steps = range(sum(ints), ints[0] * (top + 1) + ints[1], ints[0])
+    else:
+        steps = [_horner(ints, k, 1) for k in range(1, top + 1)]
+    p0, p_den = ints[-1] if ints else 0, p_den * pre.denominator
+    for n, bound in rows:
+        zeros = [(k, a * n + c, e) for e, a, c in den_f
+                 for k, r in [divmod(-(a * n + c), e)] if not r and 0 <= k < bound]
+        if zeros:
+            k, c, e = min(zeros, key=lambda z: z[0])
+            raise PoleError(f"denominator factor ({Fraction(c, e)})_{k + 1} "
+                            f"vanishes at n={n}, k={k + 1}")
+        dens = list(_values(downs, den_n, n, bound))
+        num, total = 1, p0
+        for u, d, p in zip(_values(ups, num_n, n, bound), dens, steps):
+            num *= u
+            total = total * d + p * num
+        total, den = total * pre.numerator, math.prod(dens) * p_den
+        yield (total, den) if den > 0 else (-total, -den)
+
+
+def term_sum_parts(t: HyperTerm, n: int, bound: int) -> tuple[int, int]:
+    """The row sum up to bound as (num, den): ``term_sums`` on the one row."""
+    return next(term_sums(t, [(n, bound)]))
 
 
 def term_sum(t: HyperTerm, n: int, bound: int) -> Rat:
-    """Exact sum of term_value(t, n, k) over k = 0..bound: term_sum_parts
-    reduced to one Fraction."""
+    """Exact sum of term_value(t, n, k) over k = 0..bound, as one Fraction."""
     return Fraction(*term_sum_parts(t, n, bound))
 
 
 def termination_bound(t: HyperTerm, n: int) -> Optional[int]:
     """Largest k with a possibly nonzero summand, or None if the series
-    does not terminate at this n.
-
-    A numerator factor with argument v a nonpositive integer kills every
-    k > -v, so the bound is min(-v) over such factors.  For integer n,
-    v = c + b*n is an integer exactly when the offset c is, so the test runs
-    in ints.
-    """
-    bound: Optional[int] = None
-    for f in t.poch:
-        if f.power <= 0 or f.offset.denominator != 1:
-            continue
-        v = f.offset.numerator + f.n_coeff * n
-        if v <= 0:
-            bound = -v if bound is None else min(bound, -v)
-    return bound
+    does not terminate at this n: min(-v) over the numerator factors whose
+    argument v = c + b*n is a nonpositive integer, which at integer n it is
+    only for an integer offset c (``t.stops``), so the test runs in ints."""
+    return min([-v for c, b in t.stops if (v := c + b * n) <= 0], default=None)
 
 
 def rhs_exact(rhs: ClosedForm, n: int) -> Rat:

@@ -17,22 +17,22 @@ one given expanded is split, by trial division, into a Product, once per
 read them.
 
 The exact row sums are checked apart from any certificate, in one walk over
-n on ints: each row sum is an unreduced int quotient, the closed form an int
-pair moved from row to row by its n-ratio, and the two are compared by
-cross-multiplication.  Fractions are built for the values row_sum hands back
-and for the message of a mismatch.
+the rows on ints (``terms.term_sums``): each row sum is an unreduced int
+quotient, the closed form an int pair moved from row to row by its n-ratio,
+and the two are compared by cross-multiplication.  Fractions are built for
+the values row_sum hands back and for the message of a mismatch.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .algebra import Poly2, Product, Rat, RatFunc2, factor_key, sum_of_products
+from .algebra import KShifted, Poly2, Product, Rat, RatFunc2, factor_key, sum_of_products
 from .terms import (ClosedForm, HyperTerm, Triple, multiplier, rhs_exact,
-                    shift_quotient_n_triples, split_factors, term_sum, term_sum_parts,
+                    shift_quotient_n_triples, split_factors, term_sum, term_sums,
                     termination_bound)
 from .terms import term_value  # noqa: F401  (perfbench/spans.py wraps wz.term_value)
 
@@ -46,7 +46,8 @@ class WZIdentity:
     """A summand with its closed form and certificate.  The factored shift
     quotients and the split of the certificate denominator are computed on
     first use and kept on the instance; ``dataclasses.replace`` makes a new
-    instance, which computes its own."""
+    instance, which computes its own, and ``with_certificate`` one that
+    shares the quotients."""
     name: str
     term: HyperTerm
     rhs: Optional[ClosedForm]
@@ -77,6 +78,13 @@ class WZIdentity:
         candidates = dict.fromkeys(s_den + s_num + k_num + k_den + ([] if p is None else [p]))
         return Product(1, split_factors(self.certificate.den, candidates))
 
+    def with_certificate(self, cert: RatFunc2) -> "WZIdentity":
+        """This identity with certificate cert and the same ``quotients``, if built."""
+        out = replace(self, certificate=cert)
+        if "quotients" in self.__dict__:
+            out.__dict__["quotients"] = self.quotients
+        return out
+
 
 @dataclass
 class CertReport:
@@ -105,12 +113,12 @@ def _require_wz(ident: WZIdentity) -> None:
         raise ValueError(f"{ident.name}: not a terminating identity with a closed form")
 
 
-def _shift(g: "Triple | Poly2") -> "Triple | Poly2":
-    """A key at k + 1: (e, a, c + e) for a triple."""
+def _shift(g: "Triple | Poly2") -> "Triple | Poly2 | KShifted":
+    """A key at k + 1: (e, a, c + e) for a triple, a k-free Poly2 itself, else KShifted."""
     if type(g) is tuple:
         e, a, c = g
         return e, a, c + e
-    return g.shift("k", 1)
+    return KShifted(g) if any(j for _, j in g.ints) else g
 
 
 def wz_residual(ident: WZIdentity) -> RatFunc2:
@@ -118,17 +126,14 @@ def wz_residual(ident: WZIdentity) -> RatFunc2:
 
     Zero iff ident.certificate proves the identity.  With R = A/B it is built
     over the lcm of the denominators Sd, B(k+1)*den(r) and B as multisets of
-    keys (``algebra.factor_key``): a triple (e, a, c) shifts to (e, a, c + e),
-    and a key that is not linear is one key with its k-shift when the two are
-    equal.  The shift quotients come as triples with int scales
-    (``ident.quotients``), and B as a ``Product`` (``ident.den_split``).  Each
-    numerator gains exactly the factors its denominator lacks, so it equals
-    the residual over the full product Sd*B(k+1)*den(r)*B up to a constant.
-    No Fraction is built for a factor.
-
-    The numerator is one ``sum_of_products`` of the four terms' factor
-    lists, an int that is 0 exactly when the residual is, decoded only if
-    not; the denominator rest*B = m/d * prod(lcm) is a ``Product``.
+    keys: the shift quotients' triples (``ident.quotients``) and B's
+    ``Product`` (``ident.den_split``), shifted by ``_shift``.  A KShifted key
+    equals no other, so a B with g and g(k + 1), g nonlinear in k, gets a
+    multiple one factor above the lcm; the residual is zero over it just as
+    well.  No Fraction is built for a factor and no Poly2 is shifted.  The
+    numerator is one ``sum_of_products``, an int that is 0 exactly when the
+    residual is, decoded only if not; the denominator rest*B =
+    m/d * prod(lcm) is a ``Product`` of those keys as they are.
     """
     _require_wz(ident)
     cert = ident.certificate
@@ -145,10 +150,10 @@ def wz_residual(ident: WZIdentity) -> RatFunc2:
     num = sum_of_products([
         (Fraction(sn * bm, sd * bd), s_num + list((lcm - d1).elements())),
         (Fraction(-bm, bd), list(lcm.elements())),
-        (Fraction(-zn, zd), [cert.num.shift("k", 1), *(lcm - d2).elements(), *k_num,
+        (Fraction(-zn, zd), [KShifted(cert.num), *(lcm - d2).elements(), *k_num,
                              *map(_shift, p1)]),
         (1, [cert.num, *rest])])
-    return RatFunc2(num, Product(B.scale, [*rest, *fs]))
+    return RatFunc2(num, Product._keyed(B.scale, [*rest, *fs]))
 
 
 def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
@@ -173,7 +178,7 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
     report.symbolic_ok = residual.num.is_zero
     if not report.symbolic_ok:
         problems.append(f"WZ residual is a nonzero rational function "
-                        f"({len(residual.num.terms)} monomials in the numerator)")
+                        f"({len(residual.num.ints)} monomials in the numerator)")
 
     # at k = 0 a polynomial vanishes iff no monomial is free of k, a triple iff a = c = 0
     fs = ident.den_split.factors
@@ -221,41 +226,33 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
     return report
 
 
-def _row_bound(ident: WZIdentity, n: int) -> int:
-    bound = termination_bound(ident.term, n)
-    if bound is None:
-        raise ValueError(f"{ident.name}: series does not terminate at n = {n}")
-    return bound
-
-
 def row_sum(ident: WZIdentity, n: int) -> tuple[Rat, Rat]:
-    """Exact (sum of row n over its whole support, closed form at n).
-
-    Raises ValueError when the series does not terminate at n.
-    """
-    return term_sum(ident.term, n, _row_bound(ident, n)), rhs_exact(ident.rhs, n)
+    """Exact (sum of row n over its whole support, closed form at n); a
+    ValueError where the series does not terminate at n."""
+    if (bound := termination_bound(ident.term, n)) is None:
+        raise ValueError(f"{ident.name}: series does not terminate at n = {n}")
+    return term_sum(ident.term, n, bound), rhs_exact(ident.rhs, n)
 
 
 def verify_exact_sums(ident: WZIdentity, n_max: int = 20) -> CertReport:
     """Exact row sums against the closed form for n = 0..n_max, in one walk
-    over n on ints.
-
-    Each row sum is term_sum_parts' unreduced int quotient.  The closed form
-    is an int pair (rn, rd), moved from row n to row n + 1 by its n-ratio
-    base * prod (a_i + n)^e_i, and the two are compared by cross-multiplying;
-    Fractions are built only for the message of a mismatch.  The errors are
-    row_sum's, row by row: ValueError where the series does not terminate,
-    then term_sum's PoleError, then rhs_exact's where a denominator factor of
-    the closed form has vanished (rd = 0) at a row that is checked.
+    over n on ints: one ``terms.term_sums`` call walks the rows up to the
+    first that does not terminate, and the closed form is an int pair
+    (rn, rd) moved from row to row by its n-ratio base * prod (a_i + n)^e_i.
+    They are compared by cross-multiplying, with Fractions only for the
+    message of a mismatch.  The errors are row_sum's, row by row: ValueError
+    where the series does not terminate, then term_sum's PoleError, then
+    rhs_exact's where a denominator factor of the closed form has vanished.
     """
     _require_wz(ident)
     report = CertReport(identity_name=ident.name)
-    rhs = ident.rhs
+    rhs, t = ident.rhs, ident.term
     # a_i = u/v: a_i + n = (u + n*v)/v
     ratio = [(a.numerator, a.denominator, e) for a, e in rhs.poch_n]
-    rn, rd = 1, 1
-    for n in range(n_max + 1):
-        tn, td = term_sum_parts(ident.term, n, _row_bound(ident, n))
+    bounds = [termination_bound(t, n) for n in range(n_max + 1)] + [None]
+    rows = list(enumerate(bounds[:bounds.index(None)]))  # up to the first that does not end
+    rn, rd, base_num, base_den = 1, 1, rhs.base.numerator, rhs.base.denominator
+    for n, (tn, td) in enumerate(term_sums(t, rows)):
         if not rd:
             rhs_exact(rhs, n)  # raises the PoleError of the vanished factor
         if tn * rd != rn * td:
@@ -264,12 +261,14 @@ def verify_exact_sums(ident: WZIdentity, n_max: int = 20) -> CertReport:
             report.failure_detail = (f"row sum mismatch at n = {n}: "
                                      f"{Fraction(tn, td)} != {Fraction(rn, rd)}")
             return report
-        rn, rd = rn * rhs.base.numerator, rd * rhs.base.denominator
+        rn, rd = rn * base_num, rd * base_den
         for u, v, e in ratio:
             if e > 0:
                 rn, rd = rn * (u + n * v) ** e, rd * v ** e
             else:
                 rn, rd = rn * v ** -e, rd * (u + n * v) ** -e
+    if len(rows) <= n_max:
+        row_sum(ident, len(rows))  # raises the ValueError of that row
     report.exact_sums_ok = True
     report.n_checked = n_max
     return report

@@ -1,6 +1,7 @@
 """Shared strategies and fixtures for the wzpi test suite."""
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 from importlib import resources
@@ -22,7 +23,8 @@ from wzpi import (
     synthesize_certificate,
     term_value,
 )
-from wzpi.terms import ClosedForm, HyperTerm, p_eval, shift_quotient_n_triples
+from wzpi.terms import (ClosedForm, HyperTerm, PoleError, p_eval, shift_quotient_k_triples,
+                        shift_quotient_n_triples)
 
 settings.register_profile(
     "exact",
@@ -200,6 +202,41 @@ def shift_quotient_n(t: HyperTerm, rhs: ClosedForm) -> RefRat:
     num, den, (x, y) = shift_quotient_n_triples(t, rhs)
     return RefRat(factor_product(map(triple_poly, num), x),
                   factor_product(map(triple_poly, den), y))
+
+
+# -- row sums, one k at a time ------------------------------------------------------
+
+def reference_term_sum_parts(t: HyperTerm, n: int, bound: int) -> "tuple[int, int]":
+    """The row sum over k = 0..bound as the unreduced (num, den) that the
+    per-k walk made before the row walk: each step's numerator and
+    denominator multiplied out factor by factor, the pole tested at each k,
+    p(k + 1) by Horner's rule."""
+    p_den = math.lcm(*(c.denominator for c in t.p))
+    p_int = [c.numerator * (p_den // c.denominator) for c in reversed(t.p)]
+    num_f, den_f, (const_num, const_den) = shift_quotient_k_triples(t)
+    ups = [(e, a * n + c) for e, a, c in num_f]
+    downs = [(e, a * n + c) for e, a, c in den_f]
+    num, den = 1, 1
+    total = p_int[-1] if p_int else 0
+    for k in range(bound):
+        step_num, step_den = const_num, const_den
+        for e, c in ups:
+            step_num *= e * k + c
+        for e, c in downs:
+            v = e * k + c
+            if not v:
+                raise PoleError(f"denominator factor ({Fraction(c, e)})_{k + 1} "
+                                f"vanishes at n={n}, k={k + 1}")
+            step_den *= v
+        num *= step_num
+        den *= step_den
+        p = 0
+        for c in p_int:
+            p = p * (k + 1) + c
+        total = total * step_den + p * num
+    pre = t.prefactor_rational
+    num, den = total * pre.numerator, den * p_den * pre.denominator
+    return (num, den) if den > 0 else (-num, -den)
 
 
 # -- exact values of G = R * F / RHS on the lattice ---------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wzpi import DivisionByZeroFunction, Poly2, RatFunc2, load_builtin, synthesize_certificate
-from wzpi.algebra import SCHOOLBOOK_TERMS, Product, sum_of_products
+from wzpi.algebra import SCHOOLBOOK_TERMS, KShifted, Product, sum_of_products
 from wzpi.catalog import parse_poly
 
 from conftest import (PRINTED_CERT_NAMES, WZ_NAMES, lattice_points, nonzero_poly2s,
@@ -160,7 +160,9 @@ def test_product_edge_cases():
 
 def as_poly2(f) -> Poly2:
     """A factor of sum_of_products as a Poly2: an int triple (e, a, c) is
-    e*k + a*n + c."""
+    e*k + a*n + c, and a KShifted A is A shifted by ``Poly2.shift``."""
+    if isinstance(f, KShifted):
+        return f[0].shift("k", 1)
     if isinstance(f, tuple):
         e, a, c = f
         return Poly2({(0, 1): e, (1, 0): a, (0, 0): c})
@@ -199,6 +201,8 @@ triple_factors = st.tuples(st.one_of(big_ints, st.just(0)), st.one_of(big_ints, 
                            big_ints)
 kernel_factors = st.one_of(linear_factors, triple_factors, monomial_factors,
                            big_poly2s(max_degree=3, max_terms=6),
+                           st.one_of(monomial_factors, big_poly2s(max_degree=3, max_terms=6),
+                                     st.just(Poly2())).map(KShifted),
                            st.one_of(big_coefficients, rationals).map(Poly2.const),
                            st.just(Poly2()))
 product_terms = st.lists(st.tuples(st.one_of(rationals, big_coefficients),
@@ -264,6 +268,23 @@ def test_sum_of_products_at_the_bound_of_a_linear_product(c, m):
         expected = power_of_linear(a, e, g, m) * c
         assert sum_of_products([(c, [f] * m)]) == expected == Poly2.const(c) * f ** m
         assert sum_of_products([(c, [(e, a, g)] * m)]) == expected
+
+
+@pytest.mark.parametrize("t", [1, 2, 8, 9])
+@pytest.mark.parametrize("delta", [-2, -1, 0])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_factor_at_k_plus_one_packs_at_the_slot_bound(t, delta, sign):
+    # f = 1 + k + k^2 + k^3 against A(n, k + 1) for A = c*k^3: the k^3
+    # coefficient of f * (k + 1)^3 * c is c * 2^3 = |f|_inf * sum |c_ij| 2^j,
+    # the bound met exactly; with d*k^3 beside it, the slot bound is
+    # 2^(8t-1) + delta: just below, at or just above a byte boundary
+    k = Poly2.var("k")
+    c, d = sign * (2 ** (8 * t - 4) - 1), sign * (8 + delta)
+    f, a = Poly2({(0, j): 1 for j in range(4)}), c * k ** 3
+    got = sum_of_products([(1, [f, KShifted(a)]), (d, [k ** 3])])
+    shifted = [(1, [f, a.shift("k", 1)]), (d, [k ** 3])]
+    assert got == sum_of_products(shifted) == reference_sum_of_products(shifted)
+    assert got.coeff(0, 3) == sign * (2 ** (8 * t - 1) + delta)
 
 
 @given(st.one_of(big_poly2s(), big_poly2s(max_degree=0), st.just(Poly2())),

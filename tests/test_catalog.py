@@ -22,8 +22,8 @@ from wzpi import (
     verify_certificate,
     wz_residual,
 )
-from wzpi.algebra import Product
-from wzpi.catalog import parse_poly
+from wzpi.algebra import Product, factor_key
+from wzpi.catalog import _fmt_den, parse_poly
 
 from conftest import poly2s, record_text
 
@@ -114,6 +114,24 @@ def test_records_agree_with_identity_view(name):
     assert all(p > 0 for p in den_powers)
     neg = [f for f in ident.term.poch if f.power < 0]
     assert len(neg) == len(den_powers)
+
+
+def test_to_identity_builds_no_fraction(monkeypatch):
+    # every value of a parsed record is a Fraction already, and the term,
+    # its factors and the closed form keep it as it is
+    records = [builtin_record(name) for name in BUILTIN_NAMES]
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    idents = [rec.to_identity() for rec in records]
+    monkeypatch.undo()
+    assert built == []
+    assert all(ident.term.z is rec.z and ident.term.p[0] is rec.p[0]
+               for ident, rec in zip(idents, records))
 
 
 def test_kind_split_matches_expectations():
@@ -239,21 +257,33 @@ def test_powers_and_constants_of_a_product_are_parsed(den, scale, triples, cofac
     assert str(got) == str(parse_poly(den))
 
 
-@pytest.mark.parametrize("den", ["(n^2+k^2+1)*(4*k+1)", "(k^2)*n", "k*n+1", "(4*k+1)*(k+1)-1"])
-def test_a_factor_nonlinear_in_k_or_a_sum_is_parsed_expanded(den):
+@pytest.mark.parametrize("den", ["k*n+1", "(4*k+1)*(k+1)-1"])
+def test_a_sum_is_parsed_expanded(den):
     got = parse_identity(CERT.format(den)).cert_den
     assert type(got) is Poly2 and got == parse_poly(den)
 
 
-@pytest.mark.parametrize("name, factor, num_terms, den_terms, factored", [
+@pytest.mark.parametrize("den", ["(n^2+k^2+1)*(4*k+1)", "(k^2)*n"])
+def test_a_factor_nonlinear_in_k_is_parsed_as_a_product_key(den):
+    # the factor is kept whole, as its key, beside the triples
+    got = parse_identity(CERT.format(den)).cert_den
+    assert isinstance(got, Product) and got == parse_poly(den)
+    assert [type(g) for g in got.factors].count(Poly2) == 1
+    again = parse_identity(CERT.format(_fmt_den(got))).cert_den
+    assert (again.factors, again.scale) == (got.factors, got.scale)
+
+
+@pytest.mark.parametrize("name, factor, num_terms, den_terms, linear", [
     ("theorem9", "(n^2+k^2+1)", 145, 283, False), ("theorem9", "(n-3)", 88, 209, True),
     ("theorem9", "(2*n+3)", 89, 209, True), ("theorem2", "(n-3)", 106, 106, True)])
 def test_a_common_factor_written_in_the_record_keeps_the_residual_size(
-        name, factor, num_terms, den_terms, factored):
+        name, factor, num_terms, den_terms, linear):
     # the sizes of test_wz.py::test_residual_size_with_a_nonconstant_cofactor,
-    # where the same factor is multiplied in after the parse
+    # where the same factor is multiplied in after the parse; written as a
+    # factor of the product, it is one key of the parsed Product, linear or not
     ident = parse_identity(record_text(name, factor)).to_identity()
-    assert (ident.certificate.product is not None) == factored
+    key = factor_key(parse_poly(factor))[0]
+    assert key in ident.certificate.product.factors and (type(key) is tuple) == linear
     residual = wz_residual(ident)
     assert (len(residual.num.ints), len(residual.den.ints)) == (num_terms, den_terms)
     assert verify_certificate(ident).symbolic_ok is False

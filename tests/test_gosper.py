@@ -31,7 +31,7 @@ from wzpi import (
     term_value,
     wz_residual,
 )
-from wzpi import unipoly
+from wzpi import unipoly, wz
 from wzpi.algebra import gcd_n
 from wzpi.cli import main
 from wzpi.gosper import _lc, dispersion_candidates
@@ -599,6 +599,22 @@ def test_gcd_n_reads_nothing_after_the_gcd_is_one(f):
         yield f + 1
         raise AssertionError("gcd_n read past a gcd of 1")
     assert gcd_n(coprime()) == Poly2.const(1)
+
+
+@pytest.mark.parametrize("name", ["zeilberger", "theorem2"])
+def test_synthesis_builds_the_shift_quotients_once(monkeypatch, name):
+    # the trial identity that checks the certificate shares them
+    calls = []
+    built = wz.shift_quotient_n_triples
+    monkeypatch.setattr(wz, "shift_quotient_n_triples", lambda *a: calls.append(a) or built(*a))
+    ident = load_builtin(name)
+    assert synthesize_certificate(ident).status == "Summable"
+    assert len(calls) == 1
+    trial = ident.with_certificate(ident.certificate)
+    assert trial.quotients is ident.quotients and len(calls) == 1
+    # an identity whose quotients are not built yet leaves them to the trial
+    fresh = load_builtin(name)
+    assert "quotients" not in fresh.with_certificate(None).__dict__
 
 
 def test_no_product_path_builds_a_unipoly(monkeypatch, capsys, synthesis):

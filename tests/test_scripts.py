@@ -47,12 +47,15 @@ def test_op_counts_repeat_under_another_hash_seed():
     counts = json.loads(runs[0])
     assert set(counts) == {"verify", "synth"}
     for name in counts:
-        assert set(counts[name]) == {"products", "divide", "row", "shift", "split_factors",
-                                     "sum_of_products", "calls"}
+        assert set(counts[name]) == {"products", "fractions", "divide", "row", "shift",
+                                     "split_factors", "sum_of_products", "calls"}
     # the printed denominators are read as products: nothing is divided, and
-    # their factors are all linear, so the scan evaluates no row
+    # their factors are all linear, so the scan evaluates no row; the
+    # residual packs A(n, k + 1) from A's ints, so nothing is shifted
     assert counts["verify"]["divide"] == counts["verify"]["split_factors"] == 0
     assert counts["verify"]["row"] == 0 and counts["synth"]["row"] > 0
+    assert counts["verify"]["shift"] == 0
+    assert counts["verify"]["fractions"] > 0 and counts["synth"]["fractions"] > 0
     assert counts["synth"]["products"] > 0 and counts["verify"]["calls"] > 0
 
 
@@ -85,5 +88,5 @@ def test_bench_record_writes_every_key(tmp_path):
     assert record["op_counts"]["verify"]["split_factors"] == 0
     assert set(record["op_counts"]) == {"verify", "synth"}
     for counts in record["op_counts"].values():
-        assert set(counts) == {"products", "divide", "row", "shift", "split_factors",
-                               "sum_of_products", "calls"}
+        assert set(counts) == {"products", "fractions", "divide", "row", "shift",
+                               "split_factors", "sum_of_products", "calls"}

@@ -37,10 +37,12 @@ from wzpi.terms import (
     split_factors,
     term_sum,
     term_sum_parts,
+    term_sums,
 )
 
 from conftest import (WZ_NAMES, RefRat, factor_product, family_identities, nonzero_poly2s,
-                      rationals, shift_quotient_n, triple_poly)
+                      nonzero_rationals, rationals, reference_term_sum_parts, shift_quotient_n,
+                      triple_poly)
 
 
 poch_args = st.fractions(min_value=Fraction(-10), max_value=Fraction(10),
@@ -221,6 +223,58 @@ def test_term_sum_walks_past_integer_roots_of_the_multiplier():
     assert values[2] == values[5] == 0 and all(values[k] for k in (0, 1, 3, 4, 6, 9))
     for bound in range(10):
         assert term_sum(t, 9, bound) == sum(values[:bound + 1])
+
+
+# a factor (c + b*n)_k^power, its k-quotient triple (e, b*e, .) with e the
+# denominator of c, 1 to 3, so e > 1 on factors with and without n
+walk_factors = st.builds(PochFactor, st.integers(min_value=-2, max_value=2),
+                         st.fractions(min_value=-6, max_value=6, max_denominator=3),
+                         st.sampled_from([-2, -1, 1, 2]))
+
+
+def _with_root(r: int, q: list) -> tuple:
+    """The ascending coefficients of (k - r) * q(k)."""
+    return tuple(a - r * b for a, b in zip([0, *q], [*q, 0]))
+
+
+# p of degree 0 to 3, some with an integer root r on the support
+multipliers = st.one_of(
+    st.lists(nonzero_rationals, min_size=1, max_size=4),
+    st.builds(_with_root, st.integers(min_value=0, max_value=6),
+              st.lists(nonzero_rationals, min_size=1, max_size=3)))
+walk_rows = st.lists(st.tuples(st.integers(min_value=0, max_value=6),
+                               st.integers(min_value=0, max_value=7)), min_size=1, max_size=4)
+
+
+@given(st.lists(walk_factors, max_size=4), st.integers(min_value=0, max_value=2),
+       nonzero_rationals, multipliers, nonzero_rationals, walk_rows)
+@example([PochFactor(0, -3, -1), PochFactor(1, -5, -1)], 1, Fraction(-2), (1, 4), 1,
+         [(6, 2), (3, 5)])  # (-3)_k vanishes from k = 4, (n - 5)_k at n = 3 from k = 3
+@example([PochFactor(1, -2, -1)], 0, Fraction(1, 3), (0, 1), 1,
+         [(0, 2), (0, 3)])  # (-2)_k vanishes from k = 3: at the second bound only
+@example([PochFactor(0, Fraction(1, 2), 1)], 1, Fraction(-1, 2), (3, 0), 1,
+         [(0, 4)])  # p = 3 + 0*k, written with a zero leading coefficient
+@example([PochFactor(1, Fraction(1, 2), 2), PochFactor(0, Fraction(-1, 3), -1)], 2,
+         Fraction(-1), (5,), Fraction(-3, 7), [(0, 0), (4, 1), (2, 0), (5, 3)])
+def test_the_row_walk_matches_the_per_k_walk_and_the_summed_term_values(
+        poch, fact_pow, z, p, pre, rows):
+    # row by row, the same (num, den) as the per-k walk, or the same PoleError
+    # at the same row, whose text term_value raises too
+    t = HyperTerm(poch=tuple(poch), fact_pow=fact_pow, z=z, p=p, prefactor_rational=pre)
+    walk = term_sums(t, rows)
+    for n, bound in rows:
+        try:
+            want = reference_term_sum_parts(t, n, bound)
+        except PoleError as exc:
+            text = f"^{re.escape(str(exc))}$"
+            with pytest.raises(PoleError, match=text):
+                next(walk)
+            with pytest.raises(PoleError, match=text):
+                term_value_sum(t, n, bound)
+            return
+        assert next(walk) == want == term_sum_parts(t, n, bound)
+        assert Fraction(*want) == term_value_sum(t, n, bound)
+    assert next(walk, None) is None
 
 
 # -- closed forms --------------------------------------------------------------------

@@ -15,11 +15,13 @@ from wzpi import (
     BUILTIN_NAMES,
     CertReport,
     ClosedForm,
+    HyperTerm,
     MissingCertificate,
     PochFactor,
     PoleError,
     Poly2,
     RatFunc2,
+    WZIdentity,
     builtin_record,
     load_builtin,
     parse_identity,
@@ -330,6 +332,34 @@ def test_a_product_key_that_is_not_linear_is_primitive():
                for g in got.factors)
 
 
+def test_a_key_nonlinear_in_k_round_trips_and_is_checked_with_no_shift(monkeypatch):
+    # the serializer writes k^2 + n as one factor; it parses back to the same
+    # keys and scale, and the check packs it at k + 1 with no Poly2.shift
+    rec = builtin_record("theorem1")
+    bare = Product(1, [(4, 0, 1), K * K + N])
+    again = parse_identity(serialize_identity(replace(rec, cert_den=bare))).cert_den
+    assert (again.factors, again.scale) == (bare.factors, bare.scale)
+    # theorem1's certificate with k^2 + n in both halves
+    cert_den = Product(rec.cert_den.scale, [*rec.cert_den.factors, K * K + N])
+    text = serialize_identity(replace(rec, cert_num=rec.cert_num * (K * K + N), cert_den=cert_den))
+    ident = parse_identity(text).to_identity()
+    got = ident.certificate.product
+    assert (Counter(got.factors), got.scale) == (Counter(cert_den.factors), cert_den.scale)
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+    for name in ("divide", "shift"):
+        monkeypatch.setattr(Poly2, name, counted(name, getattr(Poly2, name)))
+    monkeypatch.setattr(wz, "split_factors", counted("split_factors", wz.split_factors))
+    report = verify_certificate(ident)
+    monkeypatch.undo()
+    assert calls == []
+    assert report.ok and report.symbolic_ok
+    # k^2 + n vanishes at (0, 0), on the support, which the scan reports
+    assert report.failure_detail == "certificate denominator vanishes on support at [(0, 0)]"
+
+
 @pytest.mark.parametrize("name", WZ_NAMES)
 def test_a_synthesized_denominator_as_assembled_matches_it_expanded(name, synthesis):
     assert_factored_matches_expanded(
@@ -599,6 +629,40 @@ def test_exact_sums_raise_where_the_series_does_not_terminate():
     outcome = (ValueError, "zeilberger: series does not terminate at n = 0")
     for check in (reference_exact_sums, verify_exact_sums):
         assert exact_sums_outcome(check, replace(ident, term=term), 5) == outcome
+
+
+def ends_before_row_5(base=Fraction(1, 2), rhs_poch=(), den=(), pre=Fraction(1, 16)):
+    """sum_k (n - 4)_k (-1)^k / k! / 16 = (1/2)^n for n <= 4, given the
+    factors den below and the closed form's base and rhs_poch; from n = 5 on
+    the series does not terminate."""
+    term = HyperTerm(poch=(PochFactor(1, -4, 1), *den), fact_pow=1, z=-1, p=(1,),
+                     prefactor_rational=pre)
+    return WZIdentity("ends", term, ClosedForm(base, rhs_poch), None, None, "wz")
+
+
+ENDS = (ValueError, "ends: series does not terminate at n = 5")
+
+
+@pytest.mark.parametrize("ident, outcome, upto_4", [
+    (ends_before_row_5(), ENDS, (True, 4, "")),
+    # the closed form's (-4)_n / (-4)_n vanishes in a denominator on row 5 itself
+    (ends_before_row_5(rhs_poch=((Fraction(-4), 1), (Fraction(-4), -1))), ENDS, (True, 4, "")),
+    (ends_before_row_5(base=Fraction(1, 3)), (False, 1, "row sum mismatch at n = 1: 1/2 != 1/3"),
+     None),
+    # below the summand (1 - n)_k, and row 0 scaled back to 1 = 209/24 * 24/209
+    (ends_before_row_5(den=(PochFactor(-1, 1, -1),), pre=Fraction(24, 209)),
+     (PoleError, "denominator factor (0)_1 vanishes at n=1, k=1"), None),
+    (ends_before_row_5(rhs_poch=((Fraction(0), -1),)),
+     (PoleError, "(0)_1 vanishes in a denominator"), None),
+], ids=["terminating", "closed-form-pole-on-row-5", "mismatch", "summand-pole", "closed-form-pole"])
+def test_exact_sums_keep_their_error_order_before_a_row_that_does_not_terminate(
+        ident, outcome, upto_4):
+    # rows 0..4 terminate and row 5 does not: what an earlier row raises or
+    # reports comes first, and row 5 raises ValueError before its closed form's pole
+    for check in (reference_exact_sums, verify_exact_sums):
+        assert exact_sums_outcome(check, ident, 8) == outcome
+        if upto_4 is not None:
+            assert exact_sums_outcome(check, ident, 4) == upto_4
 
 
 # -- lattice values of G = R * (summand / closed form) -------------------------------
