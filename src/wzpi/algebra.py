@@ -19,10 +19,11 @@ normalized sign, always in lowest terms.  Polynomial arithmetic runs on
 Python ints and ends with one gcd that brings the result to lowest terms.  A
 product with a few-term operand is formed term by term.  ``sum_of_products``
 expands a whole sum of products of factors (Poly2s, int triples (e, a, c)
-for e*k + a*n + c, or a Poly2 at k + 1), such as the WZ residual or a
-product of two larger Poly2s, into one int by Kronecker substitution
-(k -> 2^s, n -> 2^(s*w)), with slots that hold a proven bound, so an int of
-0 is the zero polynomial.
+for e*k + a*n + c, or a Poly2 at k + 1), such as the WZ residual, Gosper's
+confirmation or a product of two larger Poly2s, into one int by Kronecker
+substitution, with slots that hold a proven bound, so an int of 0 is the
+zero polynomial.  One packer, ``_pack``, puts a Poly2 in by Horner's rule at
+k = 2^s + delta (delta = 1 for a Poly2 at k + 1), n = 2^(s*w).
 One evaluator, ``row``, puts a rational for one variable in ints; ``eval``,
 ``eval_k`` and the zero tests of ``terms.split_factors`` and
 ``wz.verify_certificate`` read it.  ``gcd_n``, the assembly's gcd in Q[n] by
@@ -329,21 +330,6 @@ def _horner(row: Sequence[int], u: int, v: int) -> int:
     return val
 
 
-def _pack(coeffs: dict[tuple[int, int], int], width: int, size: int) -> int:
-    """Sum of c * 2^(8*size*(i*width + j)): positive and negative
-    coefficients go into two byte strings, one slot of ``size`` bytes each."""
-    slots = (max(coeffs)[0] + 1) * width
-    pos = bytearray(slots * size)
-    neg = bytearray(slots * size)
-    for (i, j), c in coeffs.items():
-        at = (i * width + j) * size
-        if c > 0:
-            pos[at:at + size] = c.to_bytes(size, "little")
-        else:
-            neg[at:at + size] = (-c).to_bytes(size, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
 def _unpack(packed: int, width: int, size: int, slots: int) -> dict[tuple[int, int], int]:
     """The nonzero coefficients of a packed int whose slots of ``size``
     bytes each hold a coefficient c with |c| < 2^(8*size - 1): slot
@@ -371,9 +357,9 @@ class KShifted(tuple):
         return super().__new__(cls, (poly,))
 
 
-def _pack_at_k1(ints: dict[tuple[int, int], int], width: int, bits: int) -> int:
-    """The Poly2 with ``ints`` at k = 2^bits + 1, n = 2^(bits*width): Horner's
-    rule at k + 1, by shift-and-add, on each n-row, the highest row first."""
+def _pack(ints: dict[tuple[int, int], int], width: int, bits: int, delta: int) -> int:
+    """The Poly2 with ``ints`` at k = 2^bits + delta, n = 2^(bits*width), delta 1 for a
+    ``KShifted``: Horner's rule by shift-and-add on each n-row, the highest first."""
     dn, dk = map(max, zip(*ints))
     rows = [[0] * (dk + 1) for _ in range(dn + 1)]
     for (i, j), c in ints.items():
@@ -382,7 +368,7 @@ def _pack_at_k1(ints: dict[tuple[int, int], int], width: int, bits: int) -> int:
     for row in rows:
         v = 0
         for c in row:
-            v = (v << bits) + v + c
+            v = (v << bits) + v * delta + c
         x = (x << bits * width) + v
     return x
 
@@ -404,14 +390,13 @@ def sum_of_products(terms: Iterable[tuple[Scalar, Sequence["Poly2 | Triple | KSh
     norms are read off its three ints.  A(n, k + 1) = sum c_ij n^i (k + 1)^j,
     and (k + 1)^j has coefficients binom(j, t) that sum to 2^j, so
     |A(n, k + 1)|_1 <= sum |c_ij| 2^j, which stands for both its norms.  A
-    triple goes in by shift-and-add from its three ints, and so does a
-    Poly2 of at most three terms; A(n, k + 1) is packed from A's ints by
-    Horner's rule at 2^s + 1 (``_pack_at_k1``), any other Poly2 by
-    ``_pack``, and each packed int is multiplied in once.  Distinct
-    polynomials then give distinct ints, so an int of 0 is the zero
-    polynomial and is not decoded; any other int is decoded once.  A zero
-    scale or a zero factor drops its term, and an empty factor list is the
-    constant scale.
+    triple goes in by shift-and-add from its three ints; one packer,
+    ``_pack``, puts any Poly2 A in by Horner's rule on its ints at 2^s + delta,
+    delta = 0 for A and 1 for A(n, k + 1), and each packed int is multiplied
+    in once.  Distinct polynomials then give distinct ints, so an int of 0 is
+    the zero polynomial and is not decoded; any other int is decoded once.  A
+    zero scale or a zero factor drops its term, and an empty factor list is
+    the constant scale.
     """
     live = []  # (scale, factors, k-degree, n-degree, denominator, norm product)
     for scale, fs in terms:
@@ -455,11 +440,9 @@ def sum_of_products(terms: Iterable[tuple[Scalar, Sequence["Poly2 | Triple | KSh
                 e, a, c = f
                 x = (e * x << bits) + (a * x << nbits) + c * x
             elif type(f) is KShifted:
-                packed.append(_pack_at_k1(f[0].ints, width, bits))
-            elif len(f.ints) > 3:
-                packed.append(_pack(f.ints, width, size))
+                packed.append(_pack(f[0].ints, width, bits, 1))
             else:
-                x = sum(c * x << bits * (i * width + j) for (i, j), c in f.ints.items())
+                packed.append(_pack(f.ints, width, bits, 0))
         for y in packed:
             x *= y
         total += x

@@ -31,7 +31,8 @@ Pipeline (names follow the classical presentation):
                          ``q(k) x(k+1) - r(k-1) x(k) = p(k)`` by back-
                          substitution on ``Poly2`` without fractions: the
                          system is triangular with at most one zero pivot,
-                         whose unknown the rows left over fix; x = X(n,k)/D(n).
+                         whose unknown the rows left over fix; x = X(n,k)/D(n),
+                         confirmed by one packed int that must be 0.
 4. ``synthesize_certificate`` -- assemble ``R = (r(k-1) x(k) / p(k))(s - 1)``
                          in lowest terms from the triples,
                          ``terms.split_factors`` and one int gcd in Q[n]
@@ -48,7 +49,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .algebra import Poly2, Product, RatFunc2, Rat, _lowest, gcd_n, sum_of_products
+from .algebra import KShifted, Poly2, Product, RatFunc2, Rat, _lowest, gcd_n, sum_of_products
 from .terms import Triple, multiplier, split_factors
 from .unipoly import UniPolyQn
 from .wz import CertReport, WZIdentity, verify_certificate
@@ -211,7 +212,8 @@ def gosper_solve(p: UniPolyQn, q: UniPolyQn, r: UniPolyQn) -> Optional[RatFunc2]
     the equation has a polynomial kernel (the WZ difference is rational in
     k), and the solution with x(0) = 0 is chosen, so that the certificate
     vanishes at k = 0.  Returns None when no polynomial solution exists
-    within the degree bound.
+    within the degree bound.  The solution is confirmed as one
+    ``sum_of_products`` (X(n, k + 1) a ``KShifted``) whose int must be 0.
     """
     rm1 = r.shift(-1)
     d = _degree_bound(p, q, rm1)
@@ -240,8 +242,8 @@ def gosper_solve(p: UniPolyQn, q: UniPolyQn, r: UniPolyQn) -> Optional[RatFunc2]
             X, D, rest = u * X - v * h, u * D, u * rest - v * rest_h
     if not rest.is_zero:
         return None
-    # independent confirmation of the recurrence
-    if Q * X.shift("k", 1) - RM1 * X != D * P:
+    # independent confirmation of the recurrence: one packed int, which must be 0
+    if not sum_of_products([(1, [Q, KShifted(X)]), (-1, [RM1, X]), (-1, [D, P])]).is_zero:
         raise RuntimeError("solver produced a non-solution")
     return RatFunc2(X, D)
 

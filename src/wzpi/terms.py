@@ -100,26 +100,20 @@ class ClosedForm:
         object.__setattr__(self, "poch_n", tuple((_rat(a), int(e)) for (a, e) in self.poch_n))
 
 
-def poch_exact(arg: "Rat | int", count: int) -> Rat:
-    """Rising factorial (arg)_count for integer count (negative allowed).
-
-    For arg = a/b, (a/b)_m = prod (a + j*b) / b^m and (a/b)_(-m) =
-    b^m / prod (a - j*b): the products run in ints and one Fraction is built.
-    """
-    arg = Fraction(arg)
-    a, b = arg.numerator, arg.denominator
+def _poch_ints(a: int, b: int, count: int) -> tuple[int, int]:
+    """(a/b)_count, b > 0, as an int pair (num, den): prod (a + j*b) / b^m
+    for count = m >= 0, and b^m / prod (a - j*b) for count = -m, raising
+    PoleError on a zero factor."""
     if count >= 0:
-        v = 1
-        for j in range(count):
-            v *= a + j * b
-        return Fraction(v, b ** count)
-    v = 1
-    for j in range(1, -count + 1):
-        f = a - j * b
-        if not f:
-            raise PoleError(f"({arg})_{count} hits a zero factor")
-        v *= f
-    return Fraction(b ** -count, v)
+        return math.prod(range(a, a + count * b, b)), b ** count
+    if not (v := math.prod(range(a - b, a + (count - 1) * b, -b))):
+        raise PoleError(f"({Fraction(a, b)})_{count} hits a zero factor")
+    return b ** -count, v
+
+
+def poch_exact(arg: "Rat | int", count: int) -> Rat:
+    """Rising factorial (arg)_count, count an int of either sign (``_poch_ints``)."""
+    return Fraction(*_poch_ints(*Fraction(arg).as_integer_ratio(), count))
 
 
 def p_eval(t: HyperTerm, k: "Rat | int") -> Rat:
@@ -221,17 +215,31 @@ def termination_bound(t: HyperTerm, n: int) -> Optional[int]:
     return min([-v for c, b in t.stops if (v := c + b * n) <= 0], default=None)
 
 
+def _termination_rows(t: HyperTerm, n_max: int) -> list[tuple[int, int]]:
+    """(n, termination_bound(t, n)) for n = 0..n_max up to the first n where the
+    series does not terminate, in one call: the pole scan's and exact sums' rows."""
+    rows = []
+    for n in range(n_max + 1):
+        if not (ends := [-v for c, b in t.stops if (v := c + b * n) <= 0]):
+            break
+        rows.append((n, min(ends)))
+    return rows
+
+
 def rhs_exact(rhs: ClosedForm, n: int) -> Rat:
-    v = rhs.base ** n
-    for (arg, e) in rhs.poch_n:
-        pk = poch_exact(arg, n)
+    """base^n * prod (arg)_n^e: one int product per factor (``_poch_ints``), one
+    Fraction at the end; a PoleError names the first vanishing denominator factor."""
+    x, y = rhs.base.numerator, rhs.base.denominator
+    x, y = (x ** n, y ** n) if n >= 0 else (y ** -n, x ** -n)
+    for arg, e in rhs.poch_n:
+        u, v = _poch_ints(arg.numerator, arg.denominator, n)
         if e > 0:
-            v *= pk ** e
+            x, y = x * u ** e, y * v ** e
+        elif not u:
+            raise PoleError(f"({arg})_{n} vanishes in a denominator")
         else:
-            if not pk:
-                raise PoleError(f"({arg})_{n} vanishes in a denominator")
-            v /= pk ** (-e)
-    return v
+            x, y = x * v ** -e, y * u ** -e
+    return Fraction(x, y)
 
 
 # -- shift quotients ----------------------------------------------------------

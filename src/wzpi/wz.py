@@ -30,8 +30,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .algebra import KShifted, Poly2, Product, Rat, RatFunc2, factor_key, sum_of_products
-from .terms import (ClosedForm, HyperTerm, Triple, multiplier, rhs_exact,
+from .algebra import KShifted, Poly2, Product, Rat, RatFunc2, _horner, factor_key, sum_of_products
+from .terms import (ClosedForm, HyperTerm, Triple, _termination_rows, multiplier, rhs_exact,
                     shift_quotient_n_triples, split_factors, term_sum, term_sums,
                     termination_bound)
 from .terms import term_value  # noqa: F401  (perfbench/spans.py wraps wz.term_value)
@@ -165,7 +165,7 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
     the zero of a linear factor e*k + a*n + c on row n is k = -(a*n + c)/e,
     one divmod, or the whole row when e = 0 and a*n + c = 0; only a factor
     that is not linear is evaluated, its ``Poly2.row`` at each n formed once
-    and run by Horner's rule in ints, inline for each k.
+    and run by Horner's rule in ints (``algebra._horner``) at each k.
     The zeros of a row are merged, each k once, in increasing order.
     The symbolic identity is a statement about rational functions, so it
     holds whatever the lattice values; where the denominator vanishes, G
@@ -199,10 +199,7 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
     lines = {g for g in fs if type(g) is tuple}
     others = [g for g in fs if type(g) is not tuple]
     poles = []
-    for n in range(n_scan + 1):
-        bound = termination_bound(ident.term, n)
-        if bound is None:
-            break
+    for n, bound in _termination_rows(ident.term, n_scan):
         zeros = set()
         for e, a, c in lines:
             if e:
@@ -213,12 +210,7 @@ def verify_certificate(ident: WZIdentity, n_scan: int = 20) -> CertReport:
                 zeros.update(range(bound + 1))
         for g in others:
             row = g.row("n", n)[0]  # in k, highest power first
-            for k in range(bound + 1):
-                v = 0
-                for c in row:
-                    v = v * k + c
-                if not v:
-                    zeros.add(k)
+            zeros.update(k for k in range(bound + 1) if not _horner(row, k, 1))
         poles.extend((n, k) for k in sorted(zeros))
     if poles:
         problems.append(f"certificate denominator vanishes on support at {poles[:4]}")
@@ -249,8 +241,7 @@ def verify_exact_sums(ident: WZIdentity, n_max: int = 20) -> CertReport:
     rhs, t = ident.rhs, ident.term
     # a_i = u/v: a_i + n = (u + n*v)/v
     ratio = [(a.numerator, a.denominator, e) for a, e in rhs.poch_n]
-    bounds = [termination_bound(t, n) for n in range(n_max + 1)] + [None]
-    rows = list(enumerate(bounds[:bounds.index(None)]))  # up to the first that does not end
+    rows = _termination_rows(t, n_max)
     rn, rd, base_num, base_den = 1, 1, rhs.base.numerator, rhs.base.denominator
     for n, (tn, td) in enumerate(term_sums(t, rows)):
         if not rd:

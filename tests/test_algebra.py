@@ -199,9 +199,15 @@ monomial_factors = st.tuples(st.integers(min_value=0, max_value=3),
 # e*k + a*n + c as an int triple, with e = 0 or a = 0 in about half the draws
 triple_factors = st.tuples(st.one_of(big_ints, st.just(0)), st.one_of(big_ints, st.just(0)),
                            big_ints)
-kernel_factors = st.one_of(linear_factors, triple_factors, monomial_factors,
+# 1 to 3 terms of either sign, packed by the same Horner packer as longer factors
+few_term_factors = st.dictionaries(st.tuples(st.integers(min_value=0, max_value=3),
+                                             st.integers(min_value=0, max_value=3)),
+                                   st.one_of(big_ints, big_coefficients).filter(bool),
+                                   min_size=1, max_size=3).map(Poly2)
+kernel_factors = st.one_of(linear_factors, triple_factors, monomial_factors, few_term_factors,
                            big_poly2s(max_degree=3, max_terms=6),
-                           st.one_of(monomial_factors, big_poly2s(max_degree=3, max_terms=6),
+                           st.one_of(monomial_factors, few_term_factors,
+                                     big_poly2s(max_degree=3, max_terms=6),
                                      st.just(Poly2())).map(KShifted),
                            st.one_of(big_coefficients, rationals).map(Poly2.const),
                            st.just(Poly2()))
@@ -250,7 +256,7 @@ def test_sum_of_products_on_both_sides_of_a_slot_byte_boundary(t, delta, sign, p
         c = sign * (2 ** (8 * t - 1) + delta - 4)
         wide = Poly2({(1, 1): c, (2, 0): 1, (0, 2): 1, (0, 0): 1})
         terms = [(1, [wide]), (-1, [n * n]), (-1, [k * k]), (-1, []), (-sign, [n])]
-    else:  # two one-term factors, shifted in; bound |c| + 1
+    else:  # two one-term factors; bound |c| + 1
         c = sign * (2 ** (8 * t - 1) + delta - 1)
         terms = [(c, [n, k]), (-sign, [n])]
     got = sum_of_products(terms)

@@ -31,7 +31,7 @@ from wzpi import (
     term_value,
     wz_residual,
 )
-from wzpi import unipoly, wz
+from wzpi import gosper, unipoly, wz
 from wzpi.algebra import gcd_n
 from wzpi.cli import main
 from wzpi.gosper import _lc, dispersion_candidates
@@ -224,6 +224,20 @@ def test_solver_sums_the_identity_summand_k():
     x = gosper_solve(p, q, r)
     assert x == RatFunc2(K * (K - 1), 2)
     assert [RefRat(x).eval(3, k0) for k0 in range(5)] == [0, 0, 1, 3, 6]
+
+
+def test_the_solution_is_confirmed_apart_from_the_solve(monkeypatch):
+    # an elimination that hands back a wrong X with nothing left over must
+    # not pass: the confirmation is one packed int, and it is not 0
+    eliminate = gosper._eliminate
+
+    def wrong(*args):
+        X, D, _ = eliminate(*args)
+        return X + K, D, Poly2()
+    monkeypatch.setattr(gosper, "_eliminate", wrong)
+    p, q, r = gosper_normal_form(ratio([(1, 0, 1)], [(1, 0, 0)]))
+    with pytest.raises(RuntimeError, match="^solver produced a non-solution$"):
+        gosper_solve(p, q, r)
 
 
 @pytest.mark.parametrize("b, expected", [

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wzpi import (
     ClosedForm,
@@ -196,6 +198,46 @@ def test_rhs_numeric_at_an_integer_is_exact_where_gamma_has_a_pole():
     with pytest.raises(PoleError):
         rhs_numeric(rhs, 3)
     assert rhs_numeric(ClosedForm(base=1, poch_n=((-2, 1),)), 5) == 0.0
+
+
+def reference_rhs(rhs: ClosedForm, n: int) -> Fraction:
+    """base^n * prod (arg)_n^e on Fractions, one ``poch_exact`` per factor,
+    raising at the first factor in a denominator that vanishes."""
+    v = rhs.base ** n
+    for arg, e in rhs.poch_n:
+        pk = poch_exact(arg, n)
+        if e < 0 and not pk:
+            raise PoleError(f"({arg})_{n} vanishes in a denominator")
+        v *= pk ** e
+    return v
+
+
+# an integer argument, most often nonpositive, in half the draws, so that a
+# factor vanishes in the numerator or the denominator
+closed_forms = st.builds(
+    ClosedForm,
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    st.lists(st.tuples(st.one_of(st.integers(min_value=-6, max_value=3),
+                                 st.fractions(min_value=-6, max_value=6, max_denominator=6)),
+                       st.integers(min_value=-3, max_value=3).filter(bool)),
+             max_size=4).map(tuple))
+
+
+@given(closed_forms, st.integers(min_value=-6, max_value=15))
+def test_rhs_exact_and_numeric_match_a_pochhammer_reference(rhs, n):
+    # the same value, or the same PoleError text; at n >= 0 rhs_numeric
+    # rounds that value once, or raises the same error
+    try:
+        want = reference_rhs(rhs, n)
+    except PoleError as err:
+        for f in (rhs_exact, rhs_numeric) if n >= 0 else (rhs_exact,):
+            with pytest.raises(PoleError) as got:
+                f(rhs, n)
+            assert str(got.value) == str(err)
+        return
+    assert rhs_exact(rhs, n) == want
+    if n >= 0:
+        assert rhs_numeric(rhs, n) == float(want)
 
 
 def test_rhs_numeric_at_rational_points_matches_oracle():
