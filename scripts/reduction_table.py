@@ -14,14 +14,14 @@ from wzpi import BUILTIN_NAMES, builtin_record, reduces_to_ramanujan
 from wzpi.terms import carlson_substitution
 
 
-def factor_blurb(rec) -> str:
+def factor_blurb(term) -> str:
     def nterm(b: int) -> str:
         if abs(b) == 1:
             return "-n" if b < 0 else "+n"
         return f"{b:+d}n"
 
     parts = []
-    for f in rec.num_poch:
+    for f in (f for f in term.poch if f.power > 0):
         if f.n_coeff == 0:
             arg = f"{f.offset}"
         elif f.offset:
@@ -39,12 +39,12 @@ def main() -> int:
         rec = builtin_record(name)
         if rec.kind != "wz" or rec.carlson_a is None:
             continue
-        term = rec.to_identity().term
+        term = rec.term
         args, fact, z, p = carlson_substitution(term, rec.carlson_a)
         multiset = " ".join(f"({a})^{e}" for a, e in sorted(args.items()))
         ok = reduces_to_ramanujan(term, rec.carlson_a)
-        print(f"{name:<11} {rec.carlson_a:>2} {str(rec.z):>8}   "
-              f"{factor_blurb(rec):<44} -> {multiset} / k!^{fact}, "
+        print(f"{name:<11} {rec.carlson_a:>2} {str(term.z):>8}   "
+              f"{factor_blurb(term):<44} -> {multiset} / k!^{fact}, "
               f"z={z}, p={tuple(map(int, p))} {'ok' if ok else 'MISMATCH'}")
     return 0
 

@@ -1,5 +1,6 @@
 """Identity catalog: a line-oriented text format, its parser and canonical
-serializer, and the builtin identity files shipped under ``data/``.
+serializer, and the builtin identity files shipped under ``data/``.  A record
+holds the engine's term and closed form, which ``to_identity`` shares.
 
 File format: one ``[identity]`` header followed by ``key = value`` lines.
 Values are rationals (``a/b`` with positive b), booleans, bare names,
@@ -191,19 +192,15 @@ def _parse_den(text: str, line: int) -> "Poly2 | Product":
 
 @dataclass(frozen=True)
 class IdentityFile:
-    """Parsed identity record, mirroring the text format field for field."""
+    """Parsed identity record: the engine's summand ``term`` (numerator
+    factors first, then denominator factors with negative powers) and closed
+    form ``rhs`` (None without ``rhs_base``), beside the record's own fields.
+    ``to_identity`` shares term and rhs with the identity it builds."""
     name: str
     kind: str                                   # "wz" | "numeric"
-    z: Rat
-    p: tuple[Rat, ...]
-    fact_pow: int
-    num_poch: tuple[PochFactor, ...]            # powers stored positive
-    den_poch: tuple[PochFactor, ...]            # powers stored positive
+    term: HyperTerm
+    rhs: Optional[ClosedForm] = None
     carlson_a: Optional[int] = None
-    rhs_base: Optional[Rat] = None
-    rhs_poch: tuple[tuple[Rat, int], ...] = ()
-    prefactor_rational: Rat = Fraction(1)
-    prefactor_sqrt: Rat = Fraction(1)
     cert_num: Optional[Poly2] = None
     cert_den: "Optional[Poly2 | Product]" = None
     erratum: bool = False
@@ -213,14 +210,8 @@ class IdentityFile:
         return self.cert_num is not None
 
     def to_identity(self) -> WZIdentity:
-        poch = tuple(self.num_poch) + tuple(
-            PochFactor(f.n_coeff, f.offset, -f.power) for f in self.den_poch)
-        term = HyperTerm(poch=poch, fact_pow=self.fact_pow, z=self.z, p=self.p,
-                         prefactor_rational=self.prefactor_rational,
-                         prefactor_sqrt=self.prefactor_sqrt)
-        rhs = None if self.rhs_base is None else ClosedForm(self.rhs_base, self.rhs_poch)
         cert = None if self.cert_num is None else RatFunc2(self.cert_num, self.cert_den)
-        return WZIdentity(name=self.name, term=term, rhs=rhs, certificate=cert,
+        return WZIdentity(name=self.name, term=self.term, rhs=self.rhs, certificate=cert,
                           carlson_a=self.carlson_a, kind=self.kind)
 
 
@@ -363,7 +354,7 @@ def parse_identity(text: str) -> IdentityFile:
     if not isinstance(fact_pow, Fraction) or fact_pow.denominator != 1 or fact_pow < 0:
         raise SemanticError("fact_pow must be a nonnegative integer", line)
 
-    def parse_factor_list(key: str) -> tuple[PochFactor, ...]:
+    def parse_factor_list(key: str, sign: int) -> tuple[PochFactor, ...]:
         entries, line = take(key, [])
         if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
             raise SemanticError(f"{key} must be a list of quoted factors", line)
@@ -376,11 +367,10 @@ def parse_identity(text: str) -> IdentityFile:
             b, c = _linear_arg(poly, entry, line)
             if poly.is_zero:
                 raise SemanticError(f"zero factor argument in {key}", line)
-            factors.append(PochFactor(n_coeff=b, offset=c, power=power))
+            factors.append(PochFactor(n_coeff=b, offset=c, power=sign * power))
         return tuple(factors)
 
-    num_poch = parse_factor_list("num_poch")
-    den_poch = parse_factor_list("den_poch")
+    poch = parse_factor_list("num_poch", 1) + parse_factor_list("den_poch", -1)
 
     carlson_a, line = take("carlson_a")
     if carlson_a is not None:
@@ -439,11 +429,11 @@ def parse_identity(text: str) -> IdentityFile:
         leftover = sorted(raw)[0]
         raise SemanticError(f"unhandled key {leftover!r}", raw[leftover][1])
 
+    term = HyperTerm(poch=poch, fact_pow=int(fact_pow), z=z, p=tuple(p),
+                     prefactor_rational=pref_rat, prefactor_sqrt=pref_sqrt)
+    rhs = None if rhs_base is None else ClosedForm(rhs_base, rhs_poch)
     return IdentityFile(
-        name=name, kind=kind, z=z, p=tuple(p), fact_pow=int(fact_pow),
-        num_poch=num_poch, den_poch=den_poch, carlson_a=carlson_a,
-        rhs_base=rhs_base, rhs_poch=tuple(rhs_poch),
-        prefactor_rational=pref_rat, prefactor_sqrt=pref_sqrt,
+        name=name, kind=kind, term=term, rhs=rhs, carlson_a=carlson_a,
         cert_num=cert_num, cert_den=cert_den, erratum=erratum)
 
 
@@ -454,10 +444,6 @@ def _fmt_linear(b: int, c: Rat) -> str:
         return str(c)
     head = {1: "n", -1: "-n"}.get(b, f"{b}*n")
     return f"{head}{'+' if c > 0 else '-'}{abs(c)}" if c else head
-
-
-def _fmt_poch(f: PochFactor) -> str:
-    return f'"({_fmt_linear(f.n_coeff, f.offset)})^{f.power}"'
 
 
 def _fmt_den(den: "Poly2 | Product") -> str:
@@ -473,27 +459,28 @@ def _fmt_den(den: "Poly2 | Product") -> str:
 def serialize_identity(rec: IdentityFile) -> str:
     """Canonical text form: alphabetical keys, graded-lex polynomials,
     defaults omitted.  A fixed point of parse-then-serialize."""
+    t = rec.term
     rows: list[tuple[str, str]] = [
         ("name", rec.name),
         ("kind", rec.kind),
-        ("z", str(rec.z)),
-        ("p", "[" + ", ".join(str(c) for c in rec.p) + "]"),
-        ("fact_pow", str(rec.fact_pow)),
+        ("z", str(t.z)),
+        ("p", "[" + ", ".join(str(c) for c in t.p) + "]"),
+        ("fact_pow", str(t.fact_pow)),
     ]
-    if rec.num_poch:
-        rows.append(("num_poch", "[" + ", ".join(_fmt_poch(f) for f in rec.num_poch) + "]"))
-    if rec.den_poch:
-        rows.append(("den_poch", "[" + ", ".join(_fmt_poch(f) for f in rec.den_poch) + "]"))
+    for key, sign in (("num_poch", 1), ("den_poch", -1)):
+        if fs := [f'"({_fmt_linear(f.n_coeff, f.offset)})^{abs(f.power)}"'
+                  for f in t.poch if f.power * sign > 0]:
+            rows.append((key, "[" + ", ".join(fs) + "]"))
     if rec.carlson_a is not None:
         rows.append(("carlson_a", str(rec.carlson_a)))
-    if rec.rhs_base is not None:
-        rows.append(("rhs_base", str(rec.rhs_base)))
+    if rec.rhs is not None:
+        rows.append(("rhs_base", str(rec.rhs.base)))
         rows.append(("rhs_poch", "[" + ", ".join(
-            f'"({arg})^{e}"' for (arg, e) in rec.rhs_poch) + "]"))
-    if rec.prefactor_rational != 1:
-        rows.append(("prefactor_rational", str(rec.prefactor_rational)))
-    if rec.prefactor_sqrt != 1:
-        rows.append(("prefactor_sqrt", str(rec.prefactor_sqrt)))
+            f'"({arg})^{e}"' for (arg, e) in rec.rhs.poch_n) + "]"))
+    if t.prefactor_rational != 1:
+        rows.append(("prefactor_rational", str(t.prefactor_rational)))
+    if t.prefactor_sqrt != 1:
+        rows.append(("prefactor_sqrt", str(t.prefactor_sqrt)))
     if rec.cert_num is not None:
         rows.append(("cert_num", f'"{rec.cert_num}"'))
         rows.append(("cert_den", f'"{_fmt_den(rec.cert_den)}"'))

@@ -245,13 +245,13 @@ class CarlsonCheck:
     series_vs_rhs: float
 
 
-def carlson_point_check(ident: WZIdentity, tol: float = 1e-12, *,
+def carlson_point_check(ident: WZIdentity, *,
                         point: Optional[Fraction] = None) -> CarlsonCheck:
     """Evaluate closed form and series at n = -1/(2a) (or a supplied point).
 
-    tol is the series' absolute tolerance.  Every catalog identity with a
-    continuation point has z < 0, so series_numeric accelerates its series;
-    at a point where the terms do not alternate that raises ValueError.
+    The series is summed to 1e-12.  Every catalog identity with a continuation
+    point has z < 0, so series_numeric accelerates its series; at a point
+    where the terms do not alternate that raises ValueError.
     """
     if point is None:
         if ident.carlson_a is None:
@@ -261,7 +261,7 @@ def carlson_point_check(ident: WZIdentity, tol: float = 1e-12, *,
         raise ValueError(f"{ident.name} has no closed form")
     target = 2.0 / math.pi
     rhs_value = rhs_numeric(ident.rhs, float(point))
-    series_value = series_numeric(ident.term, float(point), tol)
+    series_value = series_numeric(ident.term, float(point), 1e-12)
     return CarlsonCheck(
         identity_name=ident.name,
         point=point,

@@ -2,6 +2,8 @@
 round trips, and the built-in catalog."""
 from __future__ import annotations
 
+import hashlib
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,11 +21,14 @@ from wzpi import (
     load_identity_file,
     parse_identity,
     serialize_identity,
+    synthesize_certificate,
     verify_certificate,
+    verify_exact_sums,
     wz_residual,
 )
 from wzpi.algebra import Product, factor_key
 from wzpi.catalog import _fmt_den, parse_poly
+from wzpi.terms import ClosedForm, HyperTerm, PochFactor
 
 from conftest import poly2s, record_text
 
@@ -100,6 +105,13 @@ def test_serialization_round_trip_is_a_fixed_point(name):
     assert again == serialize_identity(once)
 
 
+def test_the_serialized_catalog_is_pinned():
+    # the canonical text of the 14 records, in BUILTIN_NAMES order
+    text = "".join(serialize_identity(builtin_record(name)) for name in BUILTIN_NAMES)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "7ffe61f4bf87c88be5439670ff62d170e74e592e8d46b9e92f82969c5c9fac8e"
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_records_agree_with_identity_view(name):
     rec = builtin_record(name)
@@ -108,17 +120,17 @@ def test_records_agree_with_identity_view(name):
     assert ident.kind == rec.kind
     assert ident.carlson_a == rec.carlson_a
     assert (ident.certificate is not None) == rec.has_certificate
+    assert ident.term is rec.term and ident.rhs is rec.rhs
     if rec.kind == "wz":
         assert ident.rhs is not None
-    den_powers = [f.power for f in rec.den_poch]
-    assert all(p > 0 for p in den_powers)
-    neg = [f for f in ident.term.poch if f.power < 0]
-    assert len(neg) == len(den_powers)
+    # numerator factors first, then the denominator's with negative powers
+    powers = [f.power for f in rec.term.poch]
+    assert powers == sorted(powers, key=lambda e: e < 0)
 
 
 def test_to_identity_builds_no_fraction(monkeypatch):
-    # every value of a parsed record is a Fraction already, and the term,
-    # its factors and the closed form keep it as it is
+    # the record's term and closed form are shared, not rebuilt, but each
+    # call builds a new identity with its own shift quotients
     records = [builtin_record(name) for name in BUILTIN_NAMES]
     built = []
     new = Fraction.__new__
@@ -130,8 +142,32 @@ def test_to_identity_builds_no_fraction(monkeypatch):
     idents = [rec.to_identity() for rec in records]
     monkeypatch.undo()
     assert built == []
-    assert all(ident.term.z is rec.z and ident.term.p[0] is rec.p[0]
+    assert all(ident.term is rec.term and ident.rhs is rec.rhs
                for ident, rec in zip(idents, records))
+    for rec in (rec for rec in records if rec.kind == "wz"):
+        first, second = rec.to_identity(), rec.to_identity()
+        assert first is not second
+        assert first.quotients is not second.quotients
+
+
+def test_checks_leave_the_shared_term_and_closed_form_as_they_were():
+    # every identity of a record shares its term, with the term's cached
+    # k_factors, p_ints and stops, and its closed form: a check that changed
+    # them would change every later check of the record
+    records = [builtin_record(name) for name in BUILTIN_NAMES
+               if builtin_record(name).kind == "wz"]
+
+    def shared():
+        return [(rec.term.k_factors, rec.term.p_ints, rec.term.stops, rec.rhs)
+                for rec in records]
+    before = deepcopy(shared())
+    for _ in range(2):
+        for rec in records:
+            if rec.has_certificate:
+                verify_certificate(rec.to_identity())
+            verify_exact_sums(rec.to_identity())
+            synthesize_certificate(rec.to_identity())
+    assert shared() == before
 
 
 def test_kind_split_matches_expectations():
@@ -183,10 +219,8 @@ rhs_base = 1
 def test_minimal_record_parses():
     rec = parse_identity(MINIMAL)
     assert rec.name == "toy"
-    assert rec.z == -1
-    assert rec.p == (1, 4)
-    assert len(rec.num_poch) == 1
-    assert rec.num_poch[0].power == 3
+    assert rec.term == HyperTerm((PochFactor(1, Fraction(1, 2), 3),), 3, -1, (1, 4))
+    assert rec.rhs == ClosedForm(1, ())
     assert not rec.has_certificate
 
 

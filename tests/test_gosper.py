@@ -435,7 +435,7 @@ def test_synthesis_metadata_is_reported(synthesis):
 
 def test_synthesis_never_blesses_a_false_identity():
     rec = builtin_record("theorem1")
-    wrong = replace(rec, rhs_base=rec.rhs_base * 2).to_identity()
+    wrong = replace(rec, rhs=replace(rec.rhs, base=rec.rhs.base * 2)).to_identity()
     try:
         result = synthesize_certificate(wrong)
     except (RuntimeError, DegenerateRatio):

@@ -515,7 +515,7 @@ def test_exact_row_sums_match_closed_form(name):
 
 def test_exact_sum_failure_is_reported_with_position():
     rec = builtin_record("theorem1")
-    broken = replace(rec, rhs_base=rec.rhs_base * 2).to_identity()
+    broken = replace(rec, rhs=replace(rec.rhs, base=rec.rhs.base * 2)).to_identity()
     report = verify_exact_sums(broken, n_max=5)
     assert report.exact_sums_ok is False
     assert report.n_checked == 1
