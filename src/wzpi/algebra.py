@@ -22,12 +22,13 @@ expands a whole sum of products of factors (Poly2s, int triples (e, a, c)
 for e*k + a*n + c, or a Poly2 at k + 1), such as the WZ residual, Gosper's
 confirmation or a product of two larger Poly2s, into one int by Kronecker
 substitution, with slots that hold a proven bound, so an int of 0 is the
-zero polynomial.  One packer, ``_pack``, puts a Poly2 in by Horner's rule at
-k = 2^s + delta (delta = 1 for a Poly2 at k + 1), n = 2^(s*w).
-One evaluator, ``row``, puts a rational for one variable in ints; ``eval``,
-``eval_k`` and the zero tests of ``terms.split_factors`` and
-``wz.verify_certificate`` read it.  ``gcd_n``, the assembly's gcd in Q[n] by
-a primitive pseudo-remainder sequence, reads k-columns straight off the ints.
+zero polynomial.  A triple or a Poly2 of at most three terms goes in by
+shift-and-add; one packer, ``_pack``, puts any other Poly2 in by Horner's rule
+at k = 2^s + delta (delta = 1 at k + 1), n = 2^(s*w).  One evaluator,
+``row``, puts a rational for one variable in ints; ``eval``, ``eval_k`` and
+the zero tests of ``terms.split_factors`` and ``wz.verify_certificate`` read
+it.  ``gcd_n``, the assembly's gcd in Q[n] by a primitive pseudo-remainder
+sequence, reads k-columns straight off the ints.
 A Fraction is built only for a value handed back: ``eval``, ``eval_k``,
 ``coeff`` and the read-only ``terms`` mapping.
 """
@@ -81,15 +82,8 @@ class Poly2:
 
     @classmethod
     def linear(cls, n_coeff: Scalar, k_coeff: Scalar, const: Scalar) -> "Poly2":
-        """n_coeff*n + k_coeff*k + const, built on the ints: an int or a
-        Fraction in lowest terms reads as numerator/denominator, so over the
-        lcm of the denominators the pair is already in lowest terms."""
-        terms = (((1, 0), n_coeff), ((0, 1), k_coeff), ((0, 0), const))
-        den = math.lcm(n_coeff.denominator, k_coeff.denominator, const.denominator)
-        out = cls.__new__(cls)
-        out.ints = {e: c.numerator * (den // c.denominator) for e, c in terms if c}
-        out.den = den
-        return out
+        """n_coeff*n + k_coeff*k + const."""
+        return cls({(1, 0): n_coeff, (0, 1): k_coeff, (0, 0): const})
 
     # -- basic queries ------------------------------------------------------
 
@@ -390,13 +384,13 @@ def sum_of_products(terms: Iterable[tuple[Scalar, Sequence["Poly2 | Triple | KSh
     norms are read off its three ints.  A(n, k + 1) = sum c_ij n^i (k + 1)^j,
     and (k + 1)^j has coefficients binom(j, t) that sum to 2^j, so
     |A(n, k + 1)|_1 <= sum |c_ij| 2^j, which stands for both its norms.  A
-    triple goes in by shift-and-add from its three ints; one packer,
-    ``_pack``, puts any Poly2 A in by Horner's rule on its ints at 2^s + delta,
-    delta = 0 for A and 1 for A(n, k + 1), and each packed int is multiplied
-    in once.  Distinct polynomials then give distinct ints, so an int of 0 is
-    the zero polynomial and is not decoded; any other int is decoded once.  A
-    zero scale or a zero factor drops its term, and an empty factor list is
-    the constant scale.
+    triple, or a Poly2 of at most three terms, goes in by shift-and-add from
+    its ints; one packer, ``_pack``, puts any other Poly2 A in by Horner's
+    rule on its ints at 2^s + delta, delta = 0 for A and 1 for A(n, k + 1),
+    and each packed int is multiplied in once.  Distinct polynomials then
+    give distinct ints, so an int of 0 is the zero polynomial and is not
+    decoded; any other int is decoded once.  A zero scale or a zero factor
+    drops its term, and an empty factor list is the constant scale.
     """
     live = []  # (scale, factors, k-degree, n-degree, denominator, norm product)
     for scale, fs in terms:
@@ -441,6 +435,8 @@ def sum_of_products(terms: Iterable[tuple[Scalar, Sequence["Poly2 | Triple | KSh
                 x = (e * x << bits) + (a * x << nbits) + c * x
             elif type(f) is KShifted:
                 packed.append(_pack(f[0].ints, width, bits, 1))
+            elif len(f.ints) <= 3:
+                x = sum(c * x << i * nbits + j * bits for (i, j), c in f.ints.items())
             else:
                 packed.append(_pack(f.ints, width, bits, 0))
         for y in packed:

@@ -179,13 +179,13 @@ def parse_poly(text: str, line: int = 1, col0: int = 1) -> Poly2:
     return _ExprParser(text, line, col0).parse()
 
 
-def _parse_den(text: str, line: int) -> "Poly2 | Product":
+def _parse_den(text: str, line: int, col0: int) -> "Poly2 | Product":
     """cert_den as a Product (see the module docstring), else expanded."""
-    parser = _ExprParser(text, line)
+    parser = _ExprParser(text, line, col0)
     fs = parser.factors()
     if parser.peek()[0] == "eof":
         return Product(1, [base for base, power in fs for _ in range(power)])
-    return parse_poly(text, line)
+    return parse_poly(text, line, col0)
 
 
 # -- identity record -------------------------------------------------------------
@@ -306,7 +306,8 @@ def parse_identity(text: str) -> IdentityFile:
     """Parse one identity file; raises ParseError / SemanticError."""
     seen_header = False
     raw: dict[str, tuple[object, int]] = {}
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, rawline in enumerate(lines, start=1):
         stripped = rawline.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -416,8 +417,9 @@ def parse_identity(text: str) -> IdentityFile:
         if not isinstance(cert_num_s, str) or not isinstance(cert_den_s, str):
             raise SemanticError("certificate parts must be quoted expressions",
                                 line_cn)
-        cert_num = parse_poly(cert_num_s, line_cn)
-        cert_den = _parse_den(cert_den_s, line_cd)
+        # columns count from the line: the first one inside the quotes is col0
+        cert_num = parse_poly(cert_num_s, line_cn, lines[line_cn - 1].index('"') + 2)
+        cert_den = _parse_den(cert_den_s, line_cd, lines[line_cd - 1].index('"') + 2)
         if cert_den.is_zero:
             raise SemanticError("cert_den is the zero polynomial", line_cd)
 

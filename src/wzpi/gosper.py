@@ -31,8 +31,9 @@ Pipeline (names follow the classical presentation):
                          ``q(k) x(k+1) - r(k-1) x(k) = p(k)`` by back-
                          substitution on ``Poly2`` without fractions: the
                          system is triangular with at most one zero pivot,
-                         whose unknown the rows left over fix; x = X(n,k)/D(n),
-                         confirmed by one packed int that must be 0.
+                         whose unknown the rows left over fix; returns
+                         x = X(n,k)/D(n), confirmed by one packed int that
+                         must be 0, and the bound d it solved at.
 4. ``synthesize_certificate`` -- assemble ``R = (r(k-1) x(k) / p(k))(s - 1)``
                          in lowest terms from the triples,
                          ``terms.split_factors`` and one int gcd in Q[n]
@@ -198,7 +199,7 @@ def _eliminate(rhs: Poly2, images: list[Poly2], pivots: list[Poly2], top: int,
     return X, D, rest
 
 
-def gosper_solve(p: UniPolyQn, q: UniPolyQn, r: UniPolyQn) -> Optional[RatFunc2]:
+def gosper_solve(p: UniPolyQn, q: UniPolyQn, r: UniPolyQn) -> tuple[Optional[RatFunc2], int]:
     """Find x(k) = X(n, k) / D(n), polynomial in k, with
     q(k) x(k+1) - r(k-1) x(k) = p(k).
 
@@ -211,15 +212,15 @@ def gosper_solve(p: UniPolyQn, q: UniPolyQn, r: UniPolyQn) -> Optional[RatFunc2]
     the rows the back-substitution leaves over.  If those rows leave it free,
     the equation has a polynomial kernel (the WZ difference is rational in
     k), and the solution with x(0) = 0 is chosen, so that the certificate
-    vanishes at k = 0.  Returns None when no polynomial solution exists
-    within the degree bound.  The solution is confirmed as one
+    vanishes at k = 0.  Returns (x, d) with d the degree bound, x None when
+    no polynomial solution exists within it.  The solution is confirmed as one
     ``sum_of_products`` (X(n, k + 1) a ``KShifted``) whose int must be 0.
     """
     rm1 = r.shift(-1)
     d = _degree_bound(p, q, rm1)
     P, Q, RM1 = p.poly, q.poly, rm1.poly
     if d < 0:
-        return None
+        return None, d
     top = max(Q.degree("k"), RM1.degree("k"))
     if Q.degree("k") == RM1.degree("k") and _lc(Q) == _lc(RM1):
         top -= 1
@@ -241,11 +242,11 @@ def gosper_solve(p: UniPolyQn, q: UniPolyQn, r: UniPolyQn) -> Optional[RatFunc2]
         if not u.is_zero:
             X, D, rest = u * X - v * h, u * D, u * rest - v * rest_h
     if not rest.is_zero:
-        return None
+        return None, d
     # independent confirmation of the recurrence: one packed int, which must be 0
     if not sum_of_products([(1, [Q, KShifted(X)]), (-1, [RM1, X]), (-1, [D, P])]).is_zero:
         raise RuntimeError("solver produced a non-solution")
-    return RatFunc2(X, D)
+    return RatFunc2(X, D), d
 
 
 # -- ratio assembly ---------------------------------------------------------------
@@ -332,12 +333,11 @@ def synthesize_certificate(ident: WZIdentity) -> GosperResult:
     passes the same verifier used for catalog certificates (symbolic residual,
     k=0 column, base case).  A failed boundary or base case gives "NotProved";
     a failed symbolic check can only come from a solver bug and raises
-    RuntimeError.
+    RuntimeError.  ``degree_bound_used`` is the d ``gosper_solve`` returns.
     """
     lists = _pair_factors(h_ratio(ident))
     p, q, r, confirmed = _normal_form_impl(lists)
-    bound = _degree_bound(p, q, r.shift(-1))
-    x = gosper_solve(p, q, r)
+    x, bound = gosper_solve(p, q, r)
     if x is None:
         return GosperResult("NotSummable", None, bound, confirmed)
     cert = _certificate_from_solution(ident, x, lists)

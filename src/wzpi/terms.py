@@ -197,14 +197,10 @@ def term_sums(t: HyperTerm, rows: "Sequence[tuple[int, int]]") -> Iterator[tuple
         yield (total, den) if den > 0 else (-total, -den)
 
 
-def term_sum_parts(t: HyperTerm, n: int, bound: int) -> tuple[int, int]:
-    """The row sum up to bound as (num, den): ``term_sums`` on the one row."""
-    return next(term_sums(t, [(n, bound)]))
-
-
 def term_sum(t: HyperTerm, n: int, bound: int) -> Rat:
-    """Exact sum of term_value(t, n, k) over k = 0..bound, as one Fraction."""
-    return Fraction(*term_sum_parts(t, n, bound))
+    """Exact sum of term_value(t, n, k) over k = 0..bound, as one Fraction:
+    ``term_sums`` on the one row."""
+    return Fraction(*next(term_sums(t, [(n, bound)])))
 
 
 def termination_bound(t: HyperTerm, n: int) -> Optional[int]:

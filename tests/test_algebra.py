@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wzpi import DivisionByZeroFunction, Poly2, RatFunc2, load_builtin, synthesize_certificate
+from wzpi import algebra
 from wzpi.algebra import SCHOOLBOOK_TERMS, KShifted, Product, sum_of_products
 from wzpi.catalog import parse_poly
 
@@ -241,6 +242,17 @@ def test_sum_of_products_of_zero_and_empty_factor_lists():
     assert sum_of_products([(0, [n, k])]) == Poly2()
     assert sum_of_products([(Fraction(5, 3), [])]) == Poly2.const(Fraction(5, 3))
     assert sum_of_products([(2, []), (1, [Poly2()]), (-2, [])]) == Poly2()
+
+
+def test_sparse_factors_go_in_by_shift_and_add(monkeypatch):
+    # 40 linear Poly2 factors, as many as the bound test above draws: none is
+    # packed by Horner's rule, so each costs a shift-and-add, not a product
+    pack, calls = algebra._pack, []
+    monkeypatch.setattr(algebra, "_pack", lambda *a: calls.append(a) or pack(*a))
+    fs = [Poly2.linear(2 ** 70, -1, -2 ** 70), Poly2.linear(1, 1, 0)] * 20
+    got = sum_of_products([(3, fs)])
+    assert calls == []
+    assert got == sum_of_products([(3, [(-1, 2 ** 70, -2 ** 70), (1, 1, 0)] * 20)])
 
 
 @pytest.mark.parametrize("t", [1, 2, 8, 9])

@@ -329,8 +329,21 @@ def test_a_common_factor_written_in_the_record_keeps_the_residual_size(
 ])
 def test_a_malformed_cert_den_fails_where_the_expression_parser_does(bad):
     with pytest.raises(ParseError) as want:
-        parse_poly(bad, CERT_DEN_LINE)
+        parse_poly(bad, CERT_DEN_LINE, 13)
     with pytest.raises(ParseError) as got:
         parse_identity(CERT.format(bad))
     assert (got.value.line, got.value.col, str(got.value)) == \
         (want.value.line, want.value.col, str(want.value))
+
+
+@pytest.mark.parametrize("text, line, col", [
+    (MINIMAL + 'cert_num = "k + x"\ncert_den = "1"\n', CERT_DEN_LINE - 1, 17),
+    (MINIMAL + '  cert_num = "k + x"\ncert_den = "1"\n', CERT_DEN_LINE - 1, 19),
+    (CERT.format("(4*k+1)*x"), CERT_DEN_LINE, 21),
+    (CERT.format("k*n + x"), CERT_DEN_LINE, 19),  # a sum: parsed expanded
+], ids=["cert_num", "indented", "product", "sum"])
+def test_a_certificate_parse_error_names_the_column_in_the_file(text, line, col):
+    # counted from the start of the line, not from the opening quote
+    with pytest.raises(ParseError, match="unknown variable 'x'") as info:
+        parse_identity(text)
+    assert (info.value.line, info.value.col) == (line, col)

@@ -221,7 +221,7 @@ def test_zero_ratio_is_degenerate():
 
 def test_solver_sums_the_identity_summand_k():
     p, q, r = gosper_normal_form(ratio([(1, 0, 1)], [(1, 0, 0)]))
-    x = gosper_solve(p, q, r)
+    x, _ = gosper_solve(p, q, r)
     assert x == RatFunc2(K * (K - 1), 2)
     assert [RefRat(x).eval(3, k0) for k0 in range(5)] == [0, 0, 1, 3, 6]
 
@@ -250,27 +250,46 @@ def test_solver_picks_the_kernel_solution_that_vanishes_at_zero(b, expected):
     # a_k = 1/((k+b)(k+b+1)): q = k+b, r(k-1) = k+b+1, sigma = 1, and x = k+b
     # spans the kernel
     p, q, r = gosper_normal_form(ratio([(1, 0, b)], [(1, 0, b + 2)]))
-    x = gosper_solve(p, q, r)
+    x, _ = gosper_solve(p, q, r)
     assert x == RatFunc2(expected)
     assert [RefRat(x).eval(1, k0) for k0 in range(3)] == [expected.eval(1, k0) for k0 in range(3)]
 
 
 def test_solver_rejects_factorial_growth():
     p, q, r = gosper_normal_form(ratio([(1, 0, 1)], []))
-    assert gosper_solve(p, q, r) is None
+    assert gosper_solve(p, q, r)[0] is None
 
 
 def test_solver_rejects_reciprocal_summand():
     # a_k = 1/k has no hypergeometric antidifference
     p, q, r = gosper_normal_form(ratio([(1, 0, 0)], [(1, 0, 1)]))
-    assert gosper_solve(p, q, r) is None
+    assert gosper_solve(p, q, r)[0] is None
+
+
+@pytest.mark.parametrize("top, bottom, d, solved", [
+    ([(1, 0, 1)], [(1, 0, 0)], 2, True),    # a_k = k
+    ([(1, 0, 0)], [(1, 0, 1)], 0, False),   # a_k = 1/k: rows are left over
+    ([(1, 0, 1)], [], -1, False),           # a_k = k!: no degree to solve at
+])
+def test_the_solver_hands_back_the_degree_bound_it_solved_at(top, bottom, d, solved):
+    p, q, r = gosper_normal_form(ratio(top, bottom))
+    x, got = gosper_solve(p, q, r)
+    assert (x is not None) == solved
+    assert got == d == gosper._degree_bound(p, q, r.shift(-1))
+
+
+def test_one_synthesis_bounds_the_degree_once(monkeypatch):
+    calls, bound = [], gosper._degree_bound
+    monkeypatch.setattr(gosper, "_degree_bound", lambda *a: calls.append(a) or bound(*a))
+    result = synthesize_certificate(load_builtin("theorem1"))
+    assert len(calls) == 1 and result.degree_bound_used == bound(*calls[0]) == 2
 
 
 @pytest.mark.parametrize("power", [2, 3])
 def test_solver_handles_power_sums(power):
     # a_k = k^power: antidifference is the Faulhaber polynomial
     p, q, r = gosper_normal_form(ratio([(1, 0, 1)] * power, [(1, 0, 0)] * power))
-    x = gosper_solve(p, q, r)
+    x, _ = gosper_solve(p, q, r)
     assert x is not None
     x = RefRat(x)
     # verify: with a_k = k^power, the antidifference S satisfies
@@ -302,7 +321,7 @@ def test_solver_recovers_a_planted_solution(x2, q2, r2, equal_lc, sigma):
             rm1, q, q.k_coeff(top - 1) + q.k_coeff(top) * sigma)
     p = q * x.shift("k", 1) - rm1 * x
     assume(not p.is_zero)
-    got = gosper_solve(UniPolyQn(p), UniPolyQn(q), UniPolyQn(rm1.shift("k", 1)))
+    got, _ = gosper_solve(UniPolyQn(p), UniPolyQn(q), UniPolyQn(rm1.shift("k", 1)))
     assert got is not None
     sol = RefRat(got)
     assert sol.shift("k", 1) * q - sol * rm1 == p
@@ -332,7 +351,7 @@ def test_solver_recovers_a_planted_solution_with_pivots_in_n(
     q = q2 + (lead_c + lead_n * N) * K ** top
     rm1 = with_top_columns(r2, q, q.k_coeff(top - 1) + q.k_coeff(top) * (sigma0 + b * N))
     p = q * x.shift("k", 1) - rm1 * x
-    got = gosper_solve(UniPolyQn(p), UniPolyQn(q), UniPolyQn(rm1.shift("k", 1)))
+    got, _ = gosper_solve(UniPolyQn(p), UniPolyQn(q), UniPolyQn(rm1.shift("k", 1)))
     assert got is not None
     sol = RefRat(got)
     assert sol.shift("k", 1) * q - sol * rm1 == p

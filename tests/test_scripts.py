@@ -55,9 +55,9 @@ def test_op_counts_repeat_under_another_hash_seed():
     assert counts["verify"]["divide"] == counts["verify"]["split_factors"] == 0
     assert counts["verify"]["row"] == 0 and counts["synth"]["row"] > 0
     assert counts["verify"]["shift"] == 0
-    # synthesis shifts r(k - 1) at most twice a record, and nothing else: the
+    # synthesis shifts r(k - 1) once a record, and nothing else: the
     # solver's confirmation packs X(n, k + 1) from X's ints
-    assert counts["synth"]["shift"] <= 2 * len(WZ_NAMES)
+    assert counts["synth"]["shift"] == len(WZ_NAMES)
     assert counts["verify"]["fractions"] > 0 and counts["synth"]["fractions"] > 0
     assert counts["synth"]["products"] > 0 and counts["verify"]["calls"] > 0
 

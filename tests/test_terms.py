@@ -36,7 +36,6 @@ from wzpi.terms import (
     shift_quotient_k,
     split_factors,
     term_sum,
-    term_sum_parts,
     term_sums,
 )
 
@@ -177,7 +176,7 @@ def test_term_sum_matches_the_summed_term_values(name):
     for n in range(21):
         bound = termination_bound(t, n)
         bound = 30 if bound is None else bound
-        num, den = term_sum_parts(t, n, bound)
+        num, den = next(term_sums(t, [(n, bound)]))
         assert den > 0
         assert term_sum(t, n, bound) == Fraction(num, den) == term_value_sum(t, n, bound)
 
@@ -193,7 +192,7 @@ def test_term_sum_matches_the_summed_term_values_on_families(ident, n):
             term_sum(t, n, bound)
     else:
         assert term_sum(t, n, bound) == expected
-        num, den = term_sum_parts(t, n, bound)
+        num, den = next(term_sums(t, [(n, bound)]))
         assert den > 0 and Fraction(num, den) == expected
 
 
@@ -272,7 +271,7 @@ def test_the_row_walk_matches_the_per_k_walk_and_the_summed_term_values(
             with pytest.raises(PoleError, match=text):
                 term_value_sum(t, n, bound)
             return
-        assert next(walk) == want == term_sum_parts(t, n, bound)
+        assert next(walk) == want == next(term_sums(t, [(n, bound)]))
         assert Fraction(*want) == term_value_sum(t, n, bound)
     assert next(walk, None) is None
 
